@@ -8,7 +8,7 @@ from repro.experiments import run_fig01
 
 
 def test_fig01_training_time(benchmark):
-    result = report(benchmark(run_fig01.__wrapped__))
+    result = report(benchmark(run_fig01))
     devices = {row["device"]: row for row in result.rows}
     # Shape: the edge GPU is far slower than the cloud GPU (paper: 7088.8 s vs 305.8 s).
     assert devices["XNX"]["modelled_s_per_scene"] > 5 * devices["2080Ti"]["modelled_s_per_scene"]

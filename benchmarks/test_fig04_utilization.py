@@ -8,7 +8,7 @@ from repro.experiments import run_fig04
 
 
 def test_fig04_utilization(benchmark):
-    result = report(benchmark(run_fig04.__wrapped__))
+    result = report(benchmark(run_fig04))
     by_kernel = {row["kernel"]: row for row in result.rows}
     # Shape: the memory-bound diagnosis — DRAM utilization dwarfs compute utilization
     # for the hash-table kernels (paper: 5.24x-21.44x across all bottleneck kernels).

@@ -8,7 +8,7 @@ from repro.experiments import run_fig06
 
 
 def test_fig06_index_distance(benchmark):
-    result = report(benchmark(run_fig06.__wrapped__, num_cubes=8192))
+    result = report(benchmark(run_fig06, num_cubes=8192))
     by_hash = {row["hash"]: row for row in result.rows}
     morton = by_hash["morton-locality"]
     original = by_hash["ingp-prime-xor"]

@@ -8,7 +8,7 @@ from repro.experiments import run_fig07
 
 
 def test_fig07_locality(benchmark):
-    result = report(benchmark(run_fig07.__wrapped__))
+    result = report(benchmark(run_fig07))
     improvements = result.column("effective_bw_improvement")
     sharing = result.column("points_sharing_cube")
     # Shape: every level improves, coarse levels improve the most, and the

@@ -12,7 +12,7 @@ from repro.workloads.traces import TraceConfig
 def test_fig09_bank_conflicts(benchmark):
     result = report(
         benchmark(
-            run_fig09.__wrapped__,
+            run_fig09,
             subarray_counts=(1, 2, 4, 8, 16, 32, 64),
             grid_config=HashGridConfig(num_levels=16),
             trace_config=TraceConfig(num_rays=48, points_per_ray=48, seed=1),

@@ -8,7 +8,7 @@ from repro.experiments import run_fig10
 
 
 def test_fig10_parallelism(benchmark):
-    result = report(benchmark(run_fig10.__wrapped__, num_banks=16))
+    result = report(benchmark(run_fig10, num_banks=16))
     totals = {row["plan"]: row["total_mb"] for row in result.rows}
     rows = {row["plan"]: row for row in result.rows}
     # Shape: the heterogeneous plan moves the least data, and the all-data-parallel

@@ -9,7 +9,7 @@ from repro.experiments.fig11_speedup_energy import PAPER_RANGES
 
 
 def test_fig11_speedup_energy(benchmark):
-    result = report(benchmark(run_fig11.__wrapped__))
+    result = report(benchmark(run_fig11))
     average = result.rows[-1]
     assert average["scene"] == "AVERAGE"
     # Shape: order-of-magnitude gains over both edge GPUs, with TX2 (the slower

@@ -44,6 +44,7 @@ from repro.core.streaming import (
 from repro.dram.system import DRAMSystem
 from repro.dram.trace import MemoryRequest
 from repro.nerf.encoding import HashGridConfig, HashGridEncoding
+from repro.streams import RequestStream
 from repro.workloads.traces import HashTraceGenerator, TraceConfig, generate_batch_points
 
 SMOKE = os.environ.get("PERF_SMOKE", "") == "1"
@@ -233,12 +234,17 @@ def test_dram_service_batch_speedup():
     rng = np.random.default_rng(7)
     n = 2000 if SMOKE else 20000
     addresses = (rng.integers(0, 2**27, size=n) * 4).astype(np.int64)
+    # The raw addresses as one-byte entries, so the stream's addresses are
+    # exactly ``addresses``; built once, outside the timed calls.
+    stream = RequestStream(
+        indices=addresses.reshape(-1, 1), entry_bytes=1, table_entries=int(addresses.max()) + 1
+    )
 
     def via_objects():
         return DRAMSystem().service_requests([MemoryRequest(int(a)) for a in addresses])
 
     def via_batch():
-        return DRAMSystem().service_batch(addresses)
+        return DRAMSystem().service_batch(stream, size_bytes=32)
 
     via_batch()  # warm
     vec_s, batch_result = _time(via_batch, repeats=1)

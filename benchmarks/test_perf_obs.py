@@ -147,8 +147,12 @@ def test_null_span_is_cheap():
 def test_dram_service_batch_disabled_overhead():
     rng = np.random.default_rng(0)
     addresses = rng.integers(0, 1 << 28, size=NUM_ADDRESSES, dtype=np.int64)
+    # One-byte entries: the stream's addresses are exactly ``addresses``.
+    stream = RequestStream(
+        indices=addresses.reshape(-1, 1), entry_bytes=1, table_entries=int(addresses.max()) + 1
+    )
     dram = DRAMSystem()
-    _gate_kernel("dram_service_batch", lambda: dram.service_batch(addresses))
+    _gate_kernel("dram_service_batch", lambda: dram.service_batch(stream, size_bytes=32))
 
 
 def test_mem_filter_stream_disabled_overhead():

@@ -139,12 +139,14 @@ def test_sparse_scene_traffic_reduction(sparse_trace):
     kept = int(ctx.occupancy_mask(sparse_trace).sum())
     sample_reduction = dense_samples / kept
 
-    dense_rows = ctx.row_requests(grid, dense, hash_fn, StreamingOrder.RAY_FIRST, level)
-    pruned_rows = ctx.row_requests(grid, sparse_trace, hash_fn, StreamingOrder.RAY_FIRST, level)
+    dense_stream = ctx.request_stream(grid, dense, hash_fn, StreamingOrder.RAY_FIRST, level)
+    pruned_stream = ctx.request_stream(grid, sparse_trace, hash_fn, StreamingOrder.RAY_FIRST, level)
+    dense_rows = ctx.stream_row_requests(dense_stream)
+    pruned_rows = ctx.stream_row_requests(pruned_stream)
     row_reduction = dense_rows / pruned_rows
 
-    dense_batch = ctx.serviced_batch("lpddr4-2400", grid, dense, hash_fn, level)
-    pruned_batch = ctx.serviced_batch("lpddr4-2400", grid, sparse_trace, hash_fn, level)
+    dense_batch = ctx.stream_serviced("lpddr4-2400", dense_stream, size_bytes=32)
+    pruned_batch = ctx.stream_serviced("lpddr4-2400", pruned_stream, size_bytes=32)
     cycle_reduction = dense_batch["total_cycles"] / pruned_batch["total_cycles"]
 
     _RESULTS["sparse_scene_pruning"] = {

@@ -154,11 +154,10 @@ def test_narrow_entry_traffic_reduction():
     rows: dict[str, int] = {}
     cycles: dict[str, float] = {}
     for dtype in ("fp64", "fp32", "fp16", "int8"):
-        trace = TraceConfig(dtype=dtype)
-        rows[dtype] = ctx.row_requests(grid, trace, hash_fn, order, level)
-        batch = ctx.hierarchy_serviced_batch(
-            "lpddr4-2400", hierarchy, grid, trace, hash_fn, order, level
-        )
+        stream = ctx.request_stream(grid, TraceConfig(dtype=dtype), hash_fn, order, level)
+        rows[dtype] = ctx.stream_row_requests(stream)
+        lines = ctx.stream_filtered(hierarchy, stream).dram_stream()
+        batch = ctx.stream_serviced("lpddr4-2400", lines, size_bytes=hierarchy.cache.line_bytes)
         cycles[dtype] = batch["total_cycles"]
 
     fp16_row_reduction = rows["fp64"] / rows["fp16"]

@@ -4,12 +4,13 @@ Five claims are checked:
 
 1. Running the full registered suite against one shared
    :class:`SimulationContext` produces results identical to calling the
-   legacy ``run_*`` functions back-to-back, while reusing artifacts (cache
-   hits) and finishing faster.  The timed comparison covers the ten
-   model-driven experiments; the trainer-based Table IV experiment performs
-   byte-identical work on both paths (asserted via the result equality, which
-   includes it) and is left out of the timing loop only because its
-   allocation-heavy training adds timing noise, not signal.  CPU time is
+   ``run_*`` functions back-to-back, each on its own fresh context (the
+   "legacy" path), while reusing artifacts (cache hits) and finishing
+   faster.  The timed comparison covers the ten model-driven experiments;
+   the trainer-based Table IV experiment performs byte-identical work on
+   both paths (asserted via the result equality, which includes it) and is
+   left out of the timing loop only because its allocation-heavy training
+   adds timing noise, not signal.  CPU time is
    compared (both paths are single-threaded deterministic work), with the
    wall-style assertion relaxed under ``PERF_SMOKE=1`` for noisy CI runners,
    mirroring ``test_perf_hotpaths.py``.
@@ -168,29 +169,29 @@ def _tab05_config() -> PrecisionRunConfig:
 
 
 def _legacy_fast() -> dict:
-    """The ten model-driven experiments via the legacy entry points."""
+    """The ten model-driven experiments via their ``run_*`` functions."""
     return {
-        "fig01": run_fig01.__wrapped__(),
-        "fig04": run_fig04.__wrapped__(),
-        "fig06": run_fig06.__wrapped__(),
-        "fig07": run_fig07.__wrapped__(GRID16, TRACE),
-        "fig09": run_fig09.__wrapped__(SUBARRAYS, GRID16, TRACE),
-        "fig10": run_fig10.__wrapped__(),
-        "fig11": run_fig11.__wrapped__(
+        "fig01": run_fig01(),
+        "fig04": run_fig04(),
+        "fig06": run_fig06(),
+        "fig07": run_fig07(GRID16, TRACE),
+        "fig09": run_fig09(SUBARRAYS, GRID16, TRACE),
+        "fig10": run_fig10(),
+        "fig11": run_fig11(
             InstantNeRFSystem(AlgorithmConfig.instant_nerf(), GRID16, trace_config=TRACE)
         ),
-        "tab01": run_tab01.__wrapped__(),
-        "tab02": run_tab02.__wrapped__(),
-        "tab03": run_tab03.__wrapped__(),
+        "tab01": run_tab01(),
+        "tab02": run_tab02(),
+        "tab03": run_tab03(),
     }
 
 
 def _legacy_full() -> dict:
     results = _legacy_fast()
-    results["tab04"] = run_tab04.__wrapped__(QualityRunConfig(scenes=("lego",), **PSNR_KW), ("ingp",))
-    results["tab05_psnr_precision"] = run_tab05.__wrapped__(_tab05_config())
-    results["fig12_cache_hit_rate"] = run_fig12.__wrapped__(GRID16, TRACE, CACHE_KB, timing=False)
-    results["fig13_occupancy_traffic"] = run_fig13.__wrapped__(
+    results["tab04"] = run_tab04(QualityRunConfig(scenes=("lego",), **PSNR_KW), ("ingp",))
+    results["tab05_psnr_precision"] = run_tab05(_tab05_config())
+    results["fig12_cache_hit_rate"] = run_fig12(GRID16, TRACE, CACHE_KB, timing=False)
+    results["fig13_occupancy_traffic"] = run_fig13(
         GRID16,
         TraceConfig(
             num_rays=RAYS, points_per_ray=POINTS_PER_RAY, seed=0, scene="mic", probe_samples=PROBES
@@ -198,9 +199,9 @@ def _legacy_full() -> dict:
         OCC_RESOLUTIONS,
         timing=False,
     )
-    results["fig15_embedding_locality"] = run_fig15.__wrapped__(EMB_CONFIG, EMB_SUBARRAYS, timing=False)
-    # Fig. 14 is registry-native (no deprecated entry point); the standalone
-    # equivalent is the same run function against a private throwaway context.
+    results["fig15_embedding_locality"] = run_fig15(EMB_CONFIG, EMB_SUBARRAYS, timing=False)
+    # Fig. 14's run function takes a context; a private throwaway one keeps
+    # it standalone like the others.
     results["fig14_serving_latency"] = run_fig14(
         SERVE_WORKLOAD,
         SERVE_COST,
@@ -262,12 +263,13 @@ def test_full_suite_shared_context_faster_than_legacy():
     assert set(suite) == set(legacy)
     assert _canonical(suite) == _canonical(legacy)
     # Sharing must actually happen: the locality trio draws from one trace,
-    # Fig. 7 reuses Fig. 9's corner-index streams, Fig. 4 reuses Fig. 1's
-    # kernel profiles.
+    # Fig. 7 and Fig. 12 reuse Fig. 9's request streams, Fig. 4 reuses
+    # Fig. 1's kernel profiles.
     assert context.stats.hits >= 100, f"expected heavy artifact reuse, got {context.stats}"
     reuse = context.stats.hits_by_kind()
     assert reuse.get("batch_points", 0) >= 2, reuse  # one trace feeds the trio
-    assert reuse.get("level_indices", 0) >= 16, reuse  # fig07 derives from fig09's streams
+    # fig12 reads fig09's 16 streams at both cache sizes (32), fig07 once more (16)
+    assert reuse.get("request_stream", 0) >= 48, reuse
     assert reuse.get("scene_profile", 0) >= 6, reuse  # fig04 reads fig01's kernel profiles
 
     # --- speed: shared context beats legacy back-to-back on the model-driven set
@@ -353,7 +355,7 @@ def test_psnr_sweep_shares_datasets_across_cells():
         out = {}
         for scene in grid["scenes"]:
             for method in grid["methods"]:
-                result = run_tab04.__wrapped__(QualityRunConfig(scenes=(scene,), **cfg_kw), (method,))
+                result = run_tab04(QualityRunConfig(scenes=(scene,), **cfg_kw), (method,))
                 out[(scene, method)] = result.rows[0]["avg_psnr"]
         return out
 

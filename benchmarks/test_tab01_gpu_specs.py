@@ -8,7 +8,7 @@ from repro.experiments import run_tab01
 
 
 def test_tab01_gpu_specs(benchmark):
-    result = report(benchmark(run_tab01.__wrapped__))
+    result = report(benchmark(run_tab01))
     devices = {row["device"]: row for row in result.rows}
     assert set(devices) == {"XNX", "TX2", "2080Ti", "QuestPro"}
     assert devices["XNX"]["dram_bw_gbps"] == 59.7

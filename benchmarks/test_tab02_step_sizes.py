@@ -9,7 +9,7 @@ from repro.experiments import run_tab02
 
 
 def test_tab02_step_sizes(benchmark):
-    result = report(benchmark(run_tab02.__wrapped__))
+    result = report(benchmark(run_tab02))
     by_step = {row["step"]: row for row in result.rows}
     # Derived sizes must track the paper's Table II (25 MB hash table, 16 MB
     # encodings, 32 MB MLP intermediates, ~14 KB MLP weights).

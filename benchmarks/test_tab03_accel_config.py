@@ -9,7 +9,7 @@ from repro.experiments import run_tab03
 
 
 def test_tab03_accel_config(benchmark):
-    result = report(benchmark(run_tab03.__wrapped__))
+    result = report(benchmark(run_tab03))
     values = {row["parameter"]: row["value"] for row in result.rows}
     assert values["INT32 PEs per bank"] == 256
     assert values["FP32 PEs per bank"] == 256

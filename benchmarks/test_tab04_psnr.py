@@ -29,7 +29,7 @@ def test_tab04_psnr_hash_grid_methods(benchmark):
     """iNGP vs Instant-NeRF algorithm: the Morton hash must not cost quality."""
     result = report(
         benchmark.pedantic(
-            run_tab04.__wrapped__,
+            run_tab04,
             kwargs={"config": BENCH_CONFIG, "methods": ("ingp", "instant-nerf")},
             iterations=1,
             rounds=1,
@@ -46,7 +46,7 @@ def test_tab04_psnr_baselines(benchmark):
     """Full method sweep on one scene at the reduced benchmark scale."""
     result = report(
         benchmark.pedantic(
-            run_tab04.__wrapped__,
+            run_tab04,
             kwargs={"config": BENCH_CONFIG, "methods": ("nerf", "fastnerf", "tensorf", "ingp")},
             iterations=1,
             rounds=1,

@@ -195,9 +195,8 @@ _CONTEXT_EQUIVALENTS: dict[str, str] = {
     "generate_scene_batch_points": "context.batch_points(trace)",
     "point_order": "context.stream_order(trace, order)",
     "level_lookup_indices": "context.level_indices(grid, trace, hash_fn, level)",
-    "lookup_addresses": "context.level_addresses(grid, trace, hash_fn, level)",
-    "memory_requests_for_stream": "context.row_requests(...)",
-    "row_requests_from_corner_indices": "context.row_requests(...)",
+    "lookup_addresses": "context.request_stream(grid, trace, hash_fn, order, level)",
+    "memory_requests_for_stream": "context.stream_row_requests(context.request_stream(...))",
     "points_sharing_same_cube": "context.cube_sharing(trace, resolution, order)",
     "register_hit_rate": "context.register_hits(trace, resolution, order)",
     "build_scene": "context.scene(name)",
@@ -215,12 +214,9 @@ STREAM_BOUNDARY_EXEMPT_DIRS = (
     "src/repro/dram/",
 )
 
-#: Memory-system entry points that accept request streams (the deprecated
-#: ndarray signatures still work, but only for values produced elsewhere —
-#: never for arrays assembled at the call site).
-_STREAM_CONSUMERS = frozenset(
-    {"filter_stream", "filter_stream_reference", "service_batch", "service_addresses"}
-)
+#: Memory-system entry points that take a ``RequestStream``: an address
+#: array assembled at their call site bypasses the IR.
+_STREAM_CONSUMERS = frozenset({"filter_stream", "filter_stream_reference", "service_batch"})
 
 #: Legacy address-trace producers: feeding their output straight into a
 #: stream consumer sidesteps the IR even though no array literal is visible.

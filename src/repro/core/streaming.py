@@ -15,7 +15,6 @@ Fig. 7(a) and the effective-memory-bandwidth model of Fig. 7(b).
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from enum import Enum
 
@@ -36,7 +35,6 @@ __all__ = [
     "register_hit_rate",
     "memory_requests_for_stream",
     "memory_requests_for_stream_reference",
-    "row_requests_from_corner_indices",
     "row_requests_for_stream",
     "stream_sharing_run_length",
     "stream_register_hit_rate",
@@ -262,51 +260,6 @@ def stream_register_hit_rate(stream: RequestStream) -> float:
         return 0.0
     hits = stream.num_points - int(stream.run_starts().sum())
     return float(hits / (stream.num_points - 1))
-
-
-def row_requests_from_corner_indices(
-    points: NDArray[Any],
-    corner_indices: NDArray[Any],
-    level: int,
-    grid_config: HashGridConfig,
-    order: NDArray[Any] | None = None,
-    row_bytes: int = 1024,
-    entry_bytes: int = 4,
-) -> int:
-    """Deprecated ndarray shim for :func:`row_requests_for_stream`.
-
-    ``corner_indices`` is the ``(N, 8)`` table-index array of
-    :func:`repro.workloads.traces.level_lookup_indices` for the *unpermuted*
-    ray-major point layout; ``order`` permutes points exactly as in
-    :func:`memory_requests_for_stream`.  Build a :class:`RequestStream`
-    (``group_ids`` = cube ids in stream order) and call
-    :func:`row_requests_for_stream` instead; this wrapper does exactly that
-    and will be removed after one release.
-    """
-    warnings.warn(
-        "row_requests_from_corner_indices() is deprecated; build a "
-        "repro.streams.RequestStream (group_ids = cube ids) and call "
-        "row_requests_for_stream() instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    _, ids = _stream_bases_and_cubes(points, level, grid_config, order)
-    indices = np.asarray(corner_indices)
-    if indices.ndim != 2 or indices.shape[1] != 8 or indices.shape[0] != ids.size:
-        raise ValueError(
-            f"corner_indices must have shape ({ids.size}, 8), got {indices.shape}"
-        )
-    if order is not None:
-        indices = indices[order]
-    stream = RequestStream(
-        indices=indices,
-        entry_bytes=entry_bytes,
-        table_entries=grid_config.level_table_entries(level),
-        group_ids=ids,
-        source="core.streaming",
-        label=f"level={level}",
-    )
-    return row_requests_for_stream(stream, row_bytes=row_bytes)
 
 
 def memory_requests_for_stream_reference(

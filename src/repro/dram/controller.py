@@ -117,20 +117,6 @@ class ChannelController:
         return result.ready_cycle
 
     # ----------------------------------------------------------------- API
-    def service(self, request: MemoryRequest) -> int:
-        """Service one request; returns the cycle at which its data is ready."""
-        _, _, bank_idx, subarray, row, _ = (
-            int(v[0]) for v in self.mapper.decode_array([request.address])
-        )
-        return self._service_decoded(
-            bank_idx,
-            subarray,
-            row,
-            request.request_type is RequestType.WRITE,
-            request.arrival_cycle,
-            request.size_bytes,
-        )
-
     def service_all(self, requests: list[MemoryRequest]) -> int:
         """Service a request list in order; returns the completion cycle."""
         if not requests:
@@ -157,14 +143,13 @@ class ChannelController:
         addresses: np.ndarray,
         request_type: RequestType = RequestType.READ,
         size_bytes: int = 32,
-        arrival_cycles: np.ndarray | None = None,
     ) -> int:
         """Service a flat address array in order with one vectorized decode.
 
-        Equivalent to wrapping every address in a :class:`MemoryRequest` and
-        calling :meth:`service` per request, but all addresses are decoded in
-        a single :meth:`AddressMapper.decode_array` call instead of one
-        6-array decode per request.  Returns the completion cycle.
+        Equivalent to :meth:`service_all` on the same addresses wrapped in
+        :class:`MemoryRequest` objects (all arriving at cycle 0), but all
+        addresses are decoded in a single :meth:`AddressMapper.decode_array`
+        call.  Returns the completion cycle.
         """
         addresses = np.asarray(addresses, dtype=np.int64).ravel()
         if addresses.size == 0:
@@ -173,18 +158,9 @@ class ChannelController:
             raise ValueError("addresses must be non-negative")
         _, _, banks, subarrays, rows, _ = self.mapper.decode_array(addresses)
         is_write = request_type is RequestType.WRITE
-        if arrival_cycles is None:
-            arrivals = [0] * addresses.size
-        else:
-            arrival_array = np.asarray(arrival_cycles, dtype=np.int64).ravel()
-            if arrival_array.shape != addresses.shape:
-                raise ValueError("arrival_cycles must match addresses in length")
-            arrivals = arrival_array.tolist()
         finish = 0
-        for bank_idx, subarray, row, arrival in zip(
-            banks.tolist(), subarrays.tolist(), rows.tolist(), arrivals
-        ):
-            ready = self._service_decoded(bank_idx, subarray, row, is_write, arrival, size_bytes)
+        for bank_idx, subarray, row in zip(banks.tolist(), subarrays.tolist(), rows.tolist()):
+            ready = self._service_decoded(bank_idx, subarray, row, is_write, 0, size_bytes)
             finish = max(finish, ready)
         return finish
 

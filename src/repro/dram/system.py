@@ -2,8 +2,10 @@
 
 :class:`DRAMSystem` is the substrate shared by the hash-table locality
 experiments (Fig. 6/7/9) and by the NMP accelerator model: it services
-address traces and reports completion time, row-hit/bank-conflict counts,
-achieved bandwidth and energy.
+request streams and reports completion time, row-hit/bank-conflict counts,
+achieved bandwidth and energy.  :meth:`DRAMSystem.service_batch` is the
+path every caller takes; :meth:`DRAMSystem.service_requests` is its
+per-request oracle.
 """
 
 from __future__ import annotations
@@ -104,57 +106,27 @@ class DRAMSystem:
                 self._emit_metrics(result)
             return result
 
-    def service_addresses(
-        self,
-        addresses: np.ndarray | RequestStream,
-        request_type: RequestType | None = None,
-        size_bytes: int | None = None,
-        near_bank: bool = False,
-    ) -> TraceResult:
-        """Convenience wrapper building a back-pressured trace from addresses."""
-        return self.service_batch(
-            addresses, request_type=request_type, size_bytes=size_bytes, near_bank=near_bank
-        )
-
     def service_batch(
-        self,
-        stream: np.ndarray | RequestStream,
-        request_type: RequestType | None = None,
-        size_bytes: int | None = None,
-        near_bank: bool = False,
+        self, stream: RequestStream, size_bytes: int | None = None, near_bank: bool = False
     ) -> TraceResult:
         """Service one back-pressured request stream without building request objects.
 
-        ``stream`` is a :class:`repro.streams.RequestStream` — its addresses
-        are wrapped into the modeled capacity, its kind picks the request
-        direction and its ``entry_bytes`` the burst size, with the keyword
-        arguments as explicit overrides — or a flat byte-address ndarray (the
-        low-level backend form, defaulting to 32-byte reads).  All addresses
-        are routed to channels with a single
-        :meth:`AddressMapper.decode_array` call and each channel decodes its
-        share once more in :meth:`ChannelController.service_batch` — the
-        per-request 6-array decode of the object-based path is gone entirely.
-        Produces the same :class:`TraceResult` as :meth:`service_requests` on
-        the equivalent trace.
+        The stream's addresses are wrapped into the modeled capacity, its
+        kind picks the request direction and its ``entry_bytes`` the burst
+        size (``size_bytes`` overrides it).  All addresses are routed to
+        channels with a single :meth:`AddressMapper.decode_array` call and
+        each channel decodes its share once more in
+        :meth:`ChannelController.service_batch`.  Produces the same
+        :class:`TraceResult` as :meth:`service_requests` on the equivalent
+        :class:`MemoryRequest` trace.
         """
-        if isinstance(stream, RequestStream):
-            if request_type is None:
-                request_type = RequestType.WRITE if stream.writes else RequestType.READ
-            if size_bytes is None:
-                size_bytes = stream.entry_bytes
-            addresses = stream.addresses % self.spec.organization.total_capacity_bytes
-        else:
-            if request_type is None:
-                request_type = RequestType.READ
-            if size_bytes is None:
-                size_bytes = 32
-            addresses = stream
+        request_type = RequestType.WRITE if stream.writes else RequestType.READ
+        if size_bytes is None:
+            size_bytes = stream.entry_bytes
+        addresses = stream.addresses % self.spec.organization.total_capacity_bytes
         with get_tracer().span("dram.service_batch", "dram") as span:
             self.reset()
             org = self.spec.organization
-            addresses = np.asarray(addresses, dtype=np.int64).ravel()
-            if np.any(addresses < 0):
-                raise ValueError("addresses must be non-negative")
             finish_cycles = []
             if addresses.size:
                 channels = self.channels[0].mapper.decode_array(addresses)[0] % org.num_channels

@@ -5,7 +5,7 @@ from __future__ import annotations
 from ..gpu.specs import ALL_GPUS, RTX_2080TI, XNX, GPUSpec
 from ..pipeline.context import SimulationContext
 from ..pipeline.registry import ParamSpec, register_experiment
-from .runner import ExperimentResult, legacy_entry_point
+from .runner import ExperimentResult
 
 __all__ = ["run_fig01"]
 
@@ -14,7 +14,6 @@ PAPER_TRAINING_SECONDS = {"XNX": 7088.8, "2080Ti": 305.8}
 PAPER_XNX_BREAKDOWN = {"HT": 0.341, "HT_b": 0.305, "bottleneck_total": 0.764}
 
 
-@legacy_entry_point("fig01")
 def run_fig01(
     gpus: tuple[GPUSpec, ...] = (RTX_2080TI, XNX),
     *,
@@ -73,4 +72,4 @@ def _resolve_gpus(names: str) -> tuple[GPUSpec, ...]:
     provides=("gpu_profiles",),
 )
 def fig01_experiment(ctx: SimulationContext, *, gpus: str) -> ExperimentResult:
-    return run_fig01.__wrapped__(_resolve_gpus(gpus), context=ctx)
+    return run_fig01(_resolve_gpus(gpus), context=ctx)

@@ -6,7 +6,7 @@ from ..gpu.specs import ALL_GPUS, XNX, GPUSpec
 from ..pipeline.context import SimulationContext
 from ..pipeline.registry import ParamSpec, register_experiment
 from ..workloads.steps import StepName
-from .runner import ExperimentResult, legacy_entry_point
+from .runner import ExperimentResult
 
 __all__ = ["run_fig04", "PROFILED_STEPS"]
 
@@ -21,7 +21,6 @@ PROFILED_STEPS = (
 )
 
 
-@legacy_entry_point("fig04")
 def run_fig04(
     gpu: GPUSpec = XNX, *, context: SimulationContext | None = None
 ) -> ExperimentResult:
@@ -70,4 +69,4 @@ def run_fig04(
     consumes=("gpu_profiles",),
 )
 def fig04_experiment(ctx: SimulationContext, *, gpu: str) -> ExperimentResult:
-    return run_fig04.__wrapped__(ctx.gpu(gpu), context=ctx)
+    return run_fig04(ctx.gpu(gpu), context=ctx)

@@ -14,7 +14,7 @@ from ..core.hashing import (
 )
 from ..pipeline.context import SimulationContext
 from ..pipeline.registry import ParamSpec, register_experiment
-from .runner import ExperimentResult, legacy_entry_point
+from .runner import ExperimentResult
 
 __all__ = ["run_fig06"]
 
@@ -26,7 +26,6 @@ PAPER_MORTON_REQUESTS_PER_CUBE = 1.58
 PAPER_ORIGINAL_REQUESTS_PER_CUBE = 4.02
 
 
-@legacy_entry_point("fig06")
 def run_fig06(
     num_cubes: int = 4096,
     table_size: int = 2**19,
@@ -97,4 +96,4 @@ def fig06_experiment(
     hashes: str,
 ) -> ExperimentResult:
     fns = tuple(get_hash_function(name) for name in hashes.split(",") if name.strip())
-    return run_fig06.__wrapped__(num_cubes, table_size, resolution, seed, hash_fns=fns)
+    return run_fig06(num_cubes, table_size, resolution, seed, hash_fns=fns)

@@ -7,7 +7,7 @@ from ..nerf.encoding import HashGridConfig
 from ..pipeline.context import SimulationContext
 from ..pipeline.registry import ParamSpec, register_experiment
 from ..workloads.traces import TraceConfig
-from .runner import ExperimentResult, legacy_entry_point
+from .runner import ExperimentResult
 
 __all__ = ["run_fig07"]
 
@@ -16,7 +16,6 @@ PAPER_IMPROVEMENT_MIN = 3.27
 PAPER_IMPROVEMENT_MAX = 35.9
 
 
-@legacy_entry_point("fig07")
 def run_fig07(
     grid_config: HashGridConfig | None = None,
     trace_config: TraceConfig | None = None,
@@ -83,7 +82,7 @@ def run_fig07(
         ParamSpec("probe_samples", int, 24, help="density probes per ray for scene traces"),
         ParamSpec("dram", str, "lpddr4-2400", help="DRAM spec setting the row-buffer size"),
     ),
-    consumes=("level_indices",),
+    consumes=("request_stream",),
 )
 def fig07_experiment(
     ctx: SimulationContext,
@@ -107,7 +106,7 @@ def fig07_experiment(
         probe_samples=probe_samples,
     )
     row_bytes = ctx.dram_spec(dram).organization.row_buffer_bytes
-    return run_fig07.__wrapped__(
+    return run_fig07(
         grid,
         trace,
         context=ctx,

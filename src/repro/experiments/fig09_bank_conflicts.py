@@ -9,12 +9,11 @@ from ..nerf.encoding import HashGridConfig
 from ..pipeline.context import SimulationContext
 from ..pipeline.registry import ParamSpec, register_experiment
 from ..workloads.traces import TraceConfig
-from .runner import ExperimentResult, legacy_entry_point
+from .runner import ExperimentResult
 
 __all__ = ["run_fig09"]
 
 
-@legacy_entry_point("fig09")
 def run_fig09(
     subarray_counts: tuple[int, ...] = (1, 2, 4, 8, 16, 32, 64),
     grid_config: HashGridConfig | None = None,
@@ -117,7 +116,7 @@ def fig09_experiment(
         scene=scene or None,
         probe_samples=probe_samples,
     )
-    return run_fig09.__wrapped__(
+    return run_fig09(
         counts,
         grid,
         trace,

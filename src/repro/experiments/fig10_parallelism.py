@@ -12,12 +12,11 @@ from ..core.parallelism import (
 from ..pipeline.context import SimulationContext
 from ..pipeline.registry import ParamSpec, register_experiment
 from ..workloads.steps import INGPWorkloadModel
-from .runner import ExperimentResult, legacy_entry_point
+from .runner import ExperimentResult
 
 __all__ = ["run_fig10"]
 
 
-@legacy_entry_point("fig10")
 def run_fig10(num_banks: int = 16, workload: INGPWorkloadModel | None = None) -> ExperimentResult:
     """Inter-bank data movement per training iteration for three plans.
 
@@ -60,4 +59,4 @@ def run_fig10(num_banks: int = 16, workload: INGPWorkloadModel | None = None) ->
 def fig10_experiment(ctx: SimulationContext, *, num_banks: int) -> ExperimentResult:
     if num_banks <= 0:
         raise ValueError("num_banks must be positive")
-    return run_fig10.__wrapped__(num_banks)
+    return run_fig10(num_banks)

@@ -8,7 +8,7 @@ from ..nerf.encoding import HashGridConfig
 from ..pipeline.context import SimulationContext
 from ..pipeline.registry import ParamSpec, register_experiment
 from ..workloads.traces import TraceConfig
-from .runner import ExperimentResult, legacy_entry_point
+from .runner import ExperimentResult
 
 __all__ = ["run_fig11", "PAPER_RANGES"]
 
@@ -21,7 +21,6 @@ PAPER_RANGES = {
 }
 
 
-@legacy_entry_point("fig11")
 def run_fig11(
     system: InstantNeRFSystem | None = None,
     scenes: tuple[str, ...] | None = None,
@@ -128,4 +127,4 @@ def fig11_experiment(
         probe_samples=probe_samples,
     )
     system = ctx.system(algorithm, grid, trace)
-    return run_fig11.__wrapped__(system, scenes, measured_gpu, context=ctx)
+    return run_fig11(system, scenes, measured_gpu, context=ctx)

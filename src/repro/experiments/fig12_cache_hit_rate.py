@@ -19,12 +19,11 @@ from ..nerf.encoding import HashGridConfig
 from ..pipeline.context import SimulationContext
 from ..pipeline.registry import ParamSpec, register_experiment
 from ..workloads.traces import TraceConfig
-from .runner import ExperimentResult, legacy_entry_point
+from .runner import ExperimentResult
 
 __all__ = ["run_fig12"]
 
 
-@legacy_entry_point("fig12_cache_hit_rate")
 def run_fig12(
     grid_config: HashGridConfig | None = None,
     trace_config: TraceConfig | None = None,
@@ -76,7 +75,8 @@ def run_fig12(
         fills = useful = dram_lines = writebacks = 0
         energy_j = 0.0
         for level in range(grid.num_levels):
-            stats = ctx.filtered_stream(hierarchy, grid, trace, hash_fn, order, level).stats
+            stream = ctx.request_stream(grid, trace, hash_fn, order, level)
+            stats = ctx.stream_filtered(hierarchy, stream).stats
             accesses += stats.l0_accesses
             hits_l0 += stats.l0_hits
             demand += stats.cache.demand_accesses
@@ -104,12 +104,12 @@ def run_fig12(
             "sram_energy_uj": energy_j * 1e6,
         }
         if timing:
-            cached = ctx.hierarchy_serviced_batch(
-                dram, hierarchy, grid, trace, hash_fn, order, timing_level, stage="misses"
-            )
-            baseline = ctx.hierarchy_serviced_batch(
-                dram, hierarchy, grid, trace, hash_fn, order, timing_level, stage="demand"
-            )
+            stream = ctx.request_stream(grid, trace, hash_fn, order, timing_level)
+            filtered = ctx.stream_filtered(hierarchy, stream)
+            cached = ctx.stream_serviced(dram, filtered.dram_stream(), size_bytes=line_bytes)
+            # The L0-surviving demand lines do not depend on the cache size,
+            # so every size of the sweep shares one baseline simulation.
+            baseline = ctx.stream_serviced(dram, filtered.demand_stream(), size_bytes=line_bytes)
             row["dram_cycles"] = cached["total_cycles"]
             row["uncached_dram_cycles"] = baseline["total_cycles"]
             row["dram_time_reduction"] = (
@@ -166,7 +166,7 @@ def run_fig12(
         ParamSpec("timing", bool, True, help="run the DRAM timing model at the finest level"),
     ),
     tags=("memory", "extension"),
-    provides=("filtered_stream",),
+    provides=("stream_filtered",),
     consumes=("level_indices", "request_stream"),
 )
 def fig12_experiment(
@@ -200,7 +200,7 @@ def fig12_experiment(
         scene=scene or None,
         probe_samples=probe_samples,
     )
-    return run_fig12.__wrapped__(
+    return run_fig12(
         grid,
         trace,
         sizes,

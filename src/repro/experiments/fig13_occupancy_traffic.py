@@ -24,12 +24,11 @@ from ..pipeline.context import SimulationContext
 from ..pipeline.registry import ParamSpec, register_experiment
 from ..workloads.steps import INGPWorkloadModel
 from ..workloads.traces import TraceConfig
-from .runner import ExperimentResult, legacy_entry_point
+from .runner import ExperimentResult
 
 __all__ = ["run_fig13"]
 
 
-@legacy_entry_point("fig13_occupancy_traffic")
 def run_fig13(
     grid_config: HashGridConfig | None = None,
     trace_config: TraceConfig | None = None,
@@ -65,8 +64,19 @@ def run_fig13(
     level = grid.num_levels - 1
     dense = trace.dense()
     dense_samples = trace.num_rays * trace.points_per_ray
-    dense_rows = ctx.row_requests(grid, dense, hash_fn, order, level, row_bytes)
-    dense_batch = ctx.serviced_batch(dram, grid, dense, hash_fn, level) if timing else None
+
+    def row_requests(t: TraceConfig) -> int:
+        stream = ctx.request_stream(grid, t, hash_fn, order, level)
+        return ctx.stream_row_requests(stream, row_bytes)
+
+    def serviced(t: TraceConfig) -> dict[str, float]:
+        # The timing model services the ray-first stream in 32-byte bursts,
+        # whatever ``order`` the row requests use.
+        stream = ctx.request_stream(grid, t, hash_fn, StreamingOrder.RAY_FIRST, level)
+        return ctx.stream_serviced(dram, stream, size_bytes=32)
+
+    dense_rows = row_requests(dense)
+    dense_batch = serviced(dense) if timing else None
     workload = INGPWorkloadModel(grid_config=grid)
     dense_training_s = NMPAccelerator(workload=workload).scene_training_seconds()
 
@@ -86,7 +96,7 @@ def run_fig13(
                 f"scene {trace.scene!r}; lower occupancy_threshold or the resolution"
             )
         fraction = kept / dense_samples
-        pruned_rows = ctx.row_requests(grid, pruned, hash_fn, order, level, row_bytes)
+        pruned_rows = row_requests(pruned)
         occ_training_s = NMPAccelerator(
             workload=workload, sample_fraction=fraction
         ).scene_training_seconds()
@@ -102,7 +112,7 @@ def run_fig13(
             "training_time_reduction": dense_training_s / occ_training_s,
         }
         if timing:
-            pruned_batch = ctx.serviced_batch(dram, grid, pruned, hash_fn, level)
+            pruned_batch = serviced(pruned)
             row["dense_dram_cycles"] = dense_batch["total_cycles"]
             row["pruned_dram_cycles"] = pruned_batch["total_cycles"]
             row["dram_traffic_reduction"] = (
@@ -161,8 +171,8 @@ def run_fig13(
         ParamSpec("timing", bool, True, help="run the DRAM timing model at the finest level"),
     ),
     tags=("memory", "workload", "extension"),
-    provides=("occupancy_mask", "pruned_level_indices"),
-    consumes=("level_indices", "serviced_batch"),
+    provides=("occupancy_mask",),
+    consumes=("request_stream",),
 )
 def fig13_experiment(
     ctx: SimulationContext,
@@ -194,7 +204,7 @@ def fig13_experiment(
         probe_samples=probe_samples,
         occupancy_threshold=threshold,
     )
-    return run_fig13.__wrapped__(
+    return run_fig13(
         grid,
         trace,
         sizes,

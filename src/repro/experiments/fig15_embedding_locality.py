@@ -25,12 +25,11 @@ from ..mem import CacheConfig, CacheHierarchy, PrefetcherConfig
 from ..pipeline.context import SimulationContext
 from ..pipeline.registry import ParamSpec, register_experiment
 from ..workloads.embedding import EmbeddingTraceConfig
-from .runner import ExperimentResult, legacy_entry_point
+from .runner import ExperimentResult
 
 __all__ = ["run_fig15"]
 
 
-@legacy_entry_point("fig15_embedding_locality")
 def run_fig15(
     config: EmbeddingTraceConfig | None = None,
     subarray_counts: tuple[int, ...] = (1, 4, 16),
@@ -219,7 +218,7 @@ def fig15_experiment(
         zipf_alpha=zipf_alpha,
         seed=seed,
     )
-    return run_fig15.__wrapped__(
+    return run_fig15(
         config,
         counts,
         context=ctx,

@@ -6,13 +6,10 @@ by the ``python -m repro`` pipeline."""
 from __future__ import annotations
 
 import csv
-import functools
 import io
 import json
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, TypeVar
 
 from ..core.ioutil import atomic_write_bytes
 
@@ -20,44 +17,10 @@ __all__ = [
     "ExperimentResult",
     "format_table",
     "format_series",
-    "legacy_entry_point",
     "atomic_write_text",
     "write_json_artifact",
     "write_csv_artifact",
 ]
-
-_F = TypeVar("_F", bound=Callable[..., Any])
-
-
-def legacy_entry_point(registry_name: str) -> Callable[[_F], _F]:
-    """Mark a module-level ``run_*`` function as a deprecated entry point.
-
-    The registered experiments (``python -m repro run <name>``) are the
-    supported way to run these harnesses: they add parameter validation,
-    artifact storage and sweep/resume support the bare functions lack.
-    Calling the decorated wrapper still works and returns the exact same
-    result, but emits a single :class:`DeprecationWarning` naming the
-    registry path.  The registered experiment itself calls the undecorated
-    implementation via ``__wrapped__`` (set by :func:`functools.wraps`), so
-    the supported path stays warning-free.
-    """
-
-    def decorate(func: _F) -> _F:
-        @functools.wraps(func)
-        def wrapper(*args: Any, **kwargs: Any) -> Any:
-            warnings.warn(
-                f"{func.__name__}() is deprecated; run the registered experiment "
-                f"instead: python -m repro run {registry_name} (or "
-                f"get_experiment({registry_name!r}).run(...)). The wrapper returns "
-                "identical results and will be removed in the next release.",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            return func(*args, **kwargs)
-
-        return wrapper  # type: ignore[return-value]
-
-    return decorate
 
 
 def _plain(value):

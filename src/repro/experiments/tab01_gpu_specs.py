@@ -5,12 +5,11 @@ from __future__ import annotations
 from ..gpu.specs import ALL_GPUS
 from ..pipeline.context import SimulationContext
 from ..pipeline.registry import register_experiment
-from .runner import ExperimentResult, legacy_entry_point
+from .runner import ExperimentResult
 
 __all__ = ["run_tab01"]
 
 
-@legacy_entry_point("tab01")
 def run_tab01() -> ExperimentResult:
     """Reproduce Table I (device-specification summary)."""
     rows = []
@@ -47,4 +46,4 @@ def run_tab01() -> ExperimentResult:
     title="Specifications of the considered GPUs",
 )
 def tab01_experiment(ctx: SimulationContext) -> ExperimentResult:
-    return run_tab01.__wrapped__()
+    return run_tab01()

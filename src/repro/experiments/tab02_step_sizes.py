@@ -5,7 +5,7 @@ from __future__ import annotations
 from ..pipeline.context import SimulationContext
 from ..pipeline.registry import register_experiment
 from ..workloads.steps import INGPWorkloadModel
-from .runner import ExperimentResult, legacy_entry_point
+from .runner import ExperimentResult
 
 __all__ = ["run_tab02", "PAPER_TABLE2_MB"]
 
@@ -18,7 +18,6 @@ PAPER_TABLE2_MB = {
 }
 
 
-@legacy_entry_point("tab02")
 def run_tab02(workload: INGPWorkloadModel | None = None) -> ExperimentResult:
     """Reproduce Table II from the workload model (derived, not transcribed)."""
     workload = workload or INGPWorkloadModel()
@@ -53,4 +52,4 @@ def run_tab02(workload: INGPWorkloadModel | None = None) -> ExperimentResult:
     title="Parameter/data sizes of iNGP's bottleneck steps",
 )
 def tab02_experiment(ctx: SimulationContext) -> ExperimentResult:
-    return run_tab02.__wrapped__()
+    return run_tab02()

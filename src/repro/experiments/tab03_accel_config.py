@@ -6,12 +6,11 @@ from ..accel.microarch import BankMicroarchitecture
 from ..dram.spec import DRAMSpec, LPDDR4_2400, get_dram_spec
 from ..pipeline.context import SimulationContext
 from ..pipeline.registry import ParamSpec, register_experiment
-from .runner import ExperimentResult, legacy_entry_point
+from .runner import ExperimentResult
 
 __all__ = ["run_tab03"]
 
 
-@legacy_entry_point("tab03")
 def run_tab03(
     microarch: BankMicroarchitecture | None = None,
     dram_spec: DRAMSpec | None = None,
@@ -68,4 +67,4 @@ def run_tab03(
     ),
 )
 def tab03_experiment(ctx: SimulationContext, *, dram: str) -> ExperimentResult:
-    return run_tab03.__wrapped__(dram_spec=get_dram_spec(dram), dram_name=dram.upper())
+    return run_tab03(dram_spec=get_dram_spec(dram), dram_name=dram.upper())

@@ -24,7 +24,7 @@ from ..pipeline.context import SimulationContext
 from ..pipeline.registry import ParamSpec, register_experiment
 from ..scenes.dataset import DatasetConfig
 from ..scenes.library import SCENE_NAMES
-from .runner import ExperimentResult, legacy_entry_point
+from .runner import ExperimentResult
 
 __all__ = [
     "run_tab04",
@@ -120,7 +120,6 @@ def train_method_on_scene(
     return float(trainer.evaluate())
 
 
-@legacy_entry_point("tab04")
 def run_tab04(
     config: QualityRunConfig | None = None,
     methods: tuple[str, ...] = METHODS,
@@ -213,4 +212,4 @@ def tab04_experiment(
         samples_per_ray=samples_per_ray,
         seed=seed,
     )
-    return run_tab04.__wrapped__(config, method_list, context=ctx)
+    return run_tab04(config, method_list, context=ctx)

@@ -30,7 +30,7 @@ from ..pipeline.context import SimulationContext
 from ..pipeline.registry import ParamSpec, register_experiment
 from ..scenes.dataset import DatasetConfig
 from ..scenes.library import SCENE_NAMES
-from .runner import ExperimentResult, legacy_entry_point
+from .runner import ExperimentResult
 
 __all__ = ["run_tab05", "PrecisionRunConfig", "train_precision_on_scene"]
 
@@ -122,7 +122,6 @@ def train_precision_on_scene(
     return float(trainer.evaluate())
 
 
-@legacy_entry_point("tab05_psnr_precision")
 def run_tab05(
     config: PrecisionRunConfig | None = None,
     *,
@@ -161,17 +160,16 @@ def run_tab05(
         # per-corner stream instead would let bank-parallelism noise swamp
         # the dtype effect).
         trace = TraceConfig(dtype=dtype)
-        batch = ctx.hierarchy_serviced_batch(
-            config.dram, hierarchy, model_grid, trace, hash_fn, order, level
+        stream = ctx.request_stream(model_grid, trace, hash_fn, order, level)
+        filtered = ctx.stream_filtered(hierarchy, stream)
+        batch = ctx.stream_serviced(
+            config.dram, filtered.dram_stream(), size_bytes=hierarchy.cache.line_bytes
         )
-        stream = ctx.filtered_stream(hierarchy, model_grid, trace, hash_fn, order, level)
         return {
             "entry_bytes": float(trace.entry_bytes),
-            "row_requests": float(
-                ctx.row_requests(model_grid, trace, hash_fn, order, level, config.row_bytes)
-            ),
+            "row_requests": float(ctx.stream_row_requests(stream, config.row_bytes)),
             "dram_cycles": float(batch["total_cycles"]),
-            "sram_energy_j": float(stream.stats.sram_energy_j),
+            "sram_energy_j": float(filtered.stats.sram_energy_j),
         }
 
     baseline = modeled("fp64")
@@ -263,4 +261,4 @@ def tab05_experiment(
         hash=hash,
         dram=dram,
     )
-    return run_tab05.__wrapped__(config, context=ctx)
+    return run_tab05(config, context=ctx)

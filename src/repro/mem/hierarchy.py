@@ -14,9 +14,10 @@ the DRAM banks:
   :mod:`repro.mem.cache`, optionally fed by the stream prefetcher of
   :mod:`repro.mem.prefetch`.
 * **DRAM**: only L1 misses (plus prefetch fills and dirty writebacks)
-  leave the chip; :meth:`CacheHierarchy.filter_stream` returns the
-  surviving line addresses so :meth:`repro.dram.system.DRAMSystem.service_batch`
-  services exactly the filtered traffic.
+  leave the chip; :meth:`CacheHierarchy.filter_stream` returns a
+  :class:`FilteredStream` whose ``dram_stream()`` — the demand misses and
+  prefetch fills, as a line-read :class:`~repro.streams.RequestStream` —
+  is what :meth:`repro.dram.system.DRAMSystem.service_batch` services.
 
 Every stage has a vectorized whole-stream engine and a retained per-access
 reference oracle (:meth:`CacheHierarchy.filter_stream_reference`), and the
@@ -25,7 +26,6 @@ two are exactly equivalent on any input stream.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 from typing import Any
@@ -223,18 +223,9 @@ class CacheHierarchy:
         self.capacity_lines = max(1, self.scratchpad.capacity_bytes // self.cache.line_bytes)
 
     # ----------------------------------------------------------- simulation
-    def _prepare(self, addresses: NDArray[Any], accesses_per_point: int) -> NDArray[Any]:
-        addr = np.asarray(addresses, dtype=np.int64).ravel()
-        if accesses_per_point <= 0:
-            raise ValueError("accesses_per_point must be positive")
-        if addr.size % accesses_per_point:
-            raise ValueError(
-                f"stream length {addr.size} is not a multiple of "
-                f"accesses_per_point={accesses_per_point}"
-            )
-        if addr.size and np.any(addr < 0):
-            raise ValueError("addresses must be non-negative")
-        return (addr // self.cache.line_bytes).reshape(-1, accesses_per_point)
+    def _lines(self, stream: RequestStream) -> NDArray[Any]:
+        """Per-point line ids ``(N, P)`` of a request stream."""
+        return (stream.addresses // self.cache.line_bytes).reshape(stream.indices.shape)
 
     def _assemble(
         self,
@@ -273,74 +264,25 @@ class CacheHierarchy:
             stats=stats,
         )
 
-    def _resolve_stream(
-        self,
-        stream: RequestStream | NDArray[Any],
-        accesses_per_point: int | None,
-        writes: bool | None,
-        entry_bytes: int | None,
-        warn: bool,
-    ) -> tuple[NDArray[Any], int, bool, int]:
-        """Common argument resolution for the IR and legacy-ndarray forms.
-
-        A :class:`RequestStream` carries its own shape, direction and entry
-        width; explicit keyword arguments override them.  A bare ndarray
-        falls back to the historical defaults (8 lookups per point, reads,
-        4-byte entries) and — on the public entry point — is deprecated.
-        """
-        if isinstance(stream, RequestStream):
-            return (
-                stream.addresses,
-                stream.accesses_per_point if accesses_per_point is None else accesses_per_point,
-                stream.writes if writes is None else writes,
-                stream.entry_bytes if entry_bytes is None else entry_bytes,
-            )
-        if warn:
-            warnings.warn(
-                "passing a bare address ndarray to CacheHierarchy.filter_stream() "
-                "is deprecated; pass a repro.streams.RequestStream instead",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-        return (
-            np.asarray(stream),
-            8 if accesses_per_point is None else accesses_per_point,
-            False if writes is None else writes,
-            4 if entry_bytes is None else entry_bytes,
-        )
-
-    def filter_stream(
-        self,
-        stream: RequestStream | NDArray[Any],
-        accesses_per_point: int | None = None,
-        writes: bool | None = None,
-        entry_bytes: int | None = None,
-    ) -> FilteredStream:
+    def filter_stream(self, stream: RequestStream) -> FilteredStream:
         """Push one request stream through L0 + prefetcher + L1.
 
-        ``stream`` is a :class:`repro.streams.RequestStream` — its point
-        shape, access kind (``writes`` models the gradient-scatter
-        direction: every demand access writes its line) and ``entry_bytes``
-        (which only scales the scratchpad read energy) all come from the IR,
-        with the keyword arguments as explicit overrides.  A flat byte
-        address ndarray (the layout of
-        :func:`repro.workloads.traces.lookup_addresses`) is still accepted
-        as a deprecated shim for one release.  Returns the
-        :class:`FilteredStream` whose ``dram_stream()`` is the only traffic
-        the DRAM system still has to service.
+        The stream's point shape, access kind (a ``WRITE`` stream models the
+        gradient-scatter direction: every demand access writes its line) and
+        ``entry_bytes`` (which only scales the scratchpad read energy) all
+        come from the IR.  Returns the :class:`FilteredStream` whose
+        ``dram_stream()`` is the only traffic the DRAM system still has to
+        service.
         """
-        addresses, accesses_per_point, writes, entry_bytes = self._resolve_stream(
-            stream, accesses_per_point, writes, entry_bytes, warn=True
-        )
         with get_tracer().span("mem.filter_stream", "mem") as span:
-            lines = self._prepare(addresses, accesses_per_point)
+            lines = self._lines(stream)
             emit = scratchpad_filter(lines, self.capacity_lines)
             demand = lines[emit]
             merged, is_prefetch = plan_prefetches(demand, self.prefetcher)
-            is_write = ~is_prefetch if writes else None
+            is_write = ~is_prefetch if stream.writes else None
             outcomes, cache_stats = simulate_cache(merged, self.cache, is_write, is_prefetch)
             filtered = self._assemble(
-                lines, emit, merged, is_prefetch, outcomes, cache_stats, entry_bytes
+                lines, emit, merged, is_prefetch, outcomes, cache_stats, stream.entry_bytes
             )
             if span.enabled:
                 stats = filtered.stats
@@ -355,21 +297,14 @@ class CacheHierarchy:
                 metrics.counter("mem.dram_line_fetches").inc(int(filtered.dram_lines.size))
             return filtered
 
-    def filter_stream_reference(
-        self,
-        stream: RequestStream | NDArray[Any],
-        accesses_per_point: int | None = None,
-        writes: bool | None = None,
-        entry_bytes: int | None = None,
-    ) -> FilteredStream:
+    def filter_stream_reference(self, stream: RequestStream) -> FilteredStream:
         """Per-access oracle composition for :meth:`filter_stream`."""
-        addresses, accesses_per_point, writes, entry_bytes = self._resolve_stream(
-            stream, accesses_per_point, writes, entry_bytes, warn=False
-        )
-        lines = self._prepare(addresses, accesses_per_point)
+        lines = self._lines(stream)
         emit = scratchpad_filter_reference(lines, self.capacity_lines)
         demand = lines[emit]
         merged, is_prefetch = plan_prefetches_reference(demand, self.prefetcher)
-        is_write = ~is_prefetch if writes else None
+        is_write = ~is_prefetch if stream.writes else None
         outcomes, cache_stats = simulate_cache_reference(merged, self.cache, is_write, is_prefetch)
-        return self._assemble(lines, emit, merged, is_prefetch, outcomes, cache_stats, entry_bytes)
+        return self._assemble(
+            lines, emit, merged, is_prefetch, outcomes, cache_stats, stream.entry_bytes
+        )

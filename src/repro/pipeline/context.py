@@ -8,8 +8,7 @@ rendered datasets, trained fields, GPU profiles and serviced DRAM batches —
 keyed by a canonical hash of the configuration objects that produced them.
 Running the full experiment suite
 (or a parameter sweep) through one context therefore computes each artifact
-once, where the legacy ``run_*`` entry points rebuild them from scratch on
-every call.
+once, where a fresh context per call rebuilds them from scratch.
 
 The cache is thread-safe (sweeps run cells on a thread pool): the first
 caller of a key installs a :class:`concurrent.futures.Future` and computes;
@@ -36,7 +35,6 @@ from ..core.streaming import (
     StreamingOrder,
     LocalityReport,
     cube_ids,
-    memory_requests_for_stream,
     point_order,
     points_sharing_same_cube,
     register_hit_rate,
@@ -56,7 +54,6 @@ from ..workloads.traces import (
     TraceConfig,
     generate_batch_points,
     level_lookup_indices,
-    lookup_addresses,
     occupancy_grid_for_trace,
     occupancy_point_mask,
 )
@@ -265,7 +262,7 @@ class SimulationContext:
         """The cached value for ``key`` if already computed, else ``None``.
 
         A successful peek counts as a cache hit: it means a derived artifact
-        is being reused (e.g. row requests recovered from an index stream).
+        is being reused (e.g. a kernel profile read out of a scene profile).
         """
         with self._lock:
             fut = self._cache.get(key)
@@ -375,7 +372,7 @@ class SimulationContext:
                     self.occupancy_mask(trace)
                 ],
             )
-        key = self._indices_key(grid, trace, hash_fn, level)
+        key = ("level_indices", config_key(grid), config_key(trace.dense()), hash_fn.name, level)
         return self.memoize(
             key,
             lambda: level_lookup_indices(
@@ -383,60 +380,7 @@ class SimulationContext:
             ),
         )
 
-    def _indices_key(
-        self, grid: HashGridConfig, trace: TraceConfig, hash_fn: HashFunction, level: int
-    ) -> tuple[Any, ...]:
-        return ("level_indices", config_key(grid), config_key(trace.dense()), hash_fn.name, level)
-
-    def level_addresses(
-        self,
-        grid: HashGridConfig,
-        trace: TraceConfig,
-        hash_fn: HashFunction,
-        level: int,
-        base_address: int = 0,
-    ) -> NDArray[Any]:
-        """Flattened byte-address trace of one level's lookups."""
-        key = (
-            "level_addresses",
-            config_key(grid),
-            config_key(trace),
-            hash_fn.name,
-            level,
-            base_address,
-        )
-        return self.memoize(
-            key,
-            lambda: lookup_addresses(
-                self.level_indices(grid, trace, hash_fn, level),
-                level,
-                grid,
-                trace.entry_bytes,
-                base_address,
-            ),
-        )
-
     # ------------------------------------------------------- request streams
-    def _nerf_stream(
-        self,
-        grid: HashGridConfig,
-        trace: TraceConfig,
-        level: int,
-        indices: NDArray[Any],
-        points: NDArray[Any],
-    ) -> RequestStream:
-        """Wrap one level's corner indices + points into the typed IR."""
-        return RequestStream(
-            indices=indices,
-            entry_bytes=trace.entry_bytes,
-            table_entries=grid.level_table_entries(level),
-            base_address=table_base_address(grid, level, trace.entry_bytes),
-            dtype=trace.dtype,
-            group_ids=cube_ids(points, grid.resolutions[level]),
-            source="pipeline.context",
-            label=f"level={level}",
-        )
-
     def request_stream(
         self,
         grid: HashGridConfig,
@@ -468,7 +412,16 @@ class SimulationContext:
             indices = self.level_indices(grid, trace.dense(), hash_fn, level)
             perm = self.stream_order(trace, order)
             points = self.batch_points(trace).reshape(-1, 3)[perm]
-            stream = self._nerf_stream(grid, trace, level, indices[perm], points)
+            stream = RequestStream(
+                indices=indices[perm],
+                entry_bytes=trace.entry_bytes,
+                table_entries=grid.level_table_entries(level),
+                base_address=table_base_address(grid, level, trace.entry_bytes),
+                dtype=trace.dtype,
+                group_ids=cube_ids(points, grid.resolutions[level]),
+                source="pipeline.context",
+                label=f"level={level}",
+            )
             if trace.occupancy:
                 stream = stream.subset(self.occupancy_mask(trace)[perm])
             return stream
@@ -587,59 +540,6 @@ class SimulationContext:
             ),
         )
 
-    def row_requests(
-        self,
-        grid: HashGridConfig,
-        trace: TraceConfig,
-        hash_fn: HashFunction,
-        order: StreamingOrder,
-        level: int,
-        row_bytes: int = 1024,
-    ) -> int:
-        """DRAM row requests to stream one level's lookups.
-
-        Reuses the corner-index stream cached by :meth:`level_indices` when a
-        previous experiment (e.g. the bank-conflict analysis) already built
-        it; otherwise falls back to the direct run-length accounting.  Both
-        paths return identical counts.
-        """
-        key = (
-            "row_requests",
-            config_key(grid),
-            config_key(trace),
-            hash_fn.name,
-            order.value,
-            level,
-            row_bytes,
-        )
-
-        def compute() -> int:
-            points = self.batch_points(trace)
-            perm = self.stream_order(trace, order)
-            if trace.occupancy:
-                # The pruned stream in stream order: permute, then drop the
-                # samples the occupancy grid skips.  As in the dense path, a
-                # cached dense corner-index stream spares the re-hashing.
-                keep = self.occupancy_mask(trace)[perm]
-                pruned = points.reshape(-1, 3)[perm][keep]
-                cached = self.peek(self._indices_key(grid, trace, hash_fn, level))
-                if cached is not None:
-                    stream = self._nerf_stream(grid, trace, level, cached[perm][keep], pruned)
-                    return row_requests_for_stream(stream, row_bytes)
-                return memory_requests_for_stream(
-                    pruned, level, grid, hash_fn, None, row_bytes, trace.entry_bytes
-                )
-            cached = self.peek(self._indices_key(grid, trace, hash_fn, level))
-            if cached is not None:
-                ordered = points.reshape(-1, 3)[perm]
-                stream = self._nerf_stream(grid, trace, level, cached[perm], ordered)
-                return row_requests_for_stream(stream, row_bytes)
-            return memory_requests_for_stream(
-                points, level, grid, hash_fn, perm, row_bytes, trace.entry_bytes
-            )
-
-        return self.memoize(key, compute)
-
     def locality_reports(
         self,
         grid: HashGridConfig,
@@ -659,17 +559,19 @@ class SimulationContext:
         )
 
         def compute() -> list[LocalityReport]:
+            def requests(hash_fn: HashFunction, order: StreamingOrder, level: int) -> int:
+                stream = self.request_stream(grid, trace, hash_fn, order, level)
+                return self.stream_row_requests(stream, row_bytes)
+
             reports = []
             for level in range(grid.num_levels):
                 res = grid.resolutions[level]
                 reports.append(
                     LocalityReport(
                         level=level,
-                        baseline_requests=self.row_requests(
-                            grid, trace, baseline_hash, StreamingOrder.RANDOM, level, row_bytes
-                        ),
-                        optimized_requests=self.row_requests(
-                            grid, trace, optimized_hash, StreamingOrder.RAY_FIRST, level, row_bytes
+                        baseline_requests=requests(baseline_hash, StreamingOrder.RANDOM, level),
+                        optimized_requests=requests(
+                            optimized_hash, StreamingOrder.RAY_FIRST, level
                         ),
                         sharing_run_length=self.cube_sharing(trace, res, StreamingOrder.RAY_FIRST),
                         register_hit_rate=self.register_hits(trace, res, StreamingOrder.RAY_FIRST),
@@ -805,122 +707,7 @@ class SimulationContext:
 
         return self.memoize(("step_profile", gpu.name, step.value), compute)
 
-    # ------------------------------------------------------- memory hierarchy
-    def filtered_stream(
-        self,
-        hierarchy: CacheHierarchy,
-        grid: HashGridConfig,
-        trace: TraceConfig,
-        hash_fn: HashFunction,
-        order: StreamingOrder,
-        level: int,
-    ) -> FilteredStream:
-        """One level's lookup stream pushed through an on-chip hierarchy.
-
-        ``hierarchy`` is a :class:`repro.mem.hierarchy.CacheHierarchy`; the
-        result is the :class:`repro.mem.hierarchy.FilteredStream` whose
-        ``dram_stream()`` is what the DRAM system still has to service.
-        Memoized by the full hierarchy + stream configuration, and derived
-        from the typed request stream other experiments already cached.
-        """
-        key = (
-            "filtered_stream",
-            config_key(hierarchy.cache),
-            config_key(hierarchy.prefetcher),
-            config_key(hierarchy.scratchpad),
-            config_key(grid),
-            config_key(trace),
-            hash_fn.name,
-            order.value,
-            level,
-        )
-
-        def compute() -> FilteredStream:
-            return hierarchy.filter_stream(self.request_stream(grid, trace, hash_fn, order, level))
-
-        return self.memoize(key, compute)
-
-    def hierarchy_serviced_batch(
-        self,
-        dram: str,
-        hierarchy: CacheHierarchy,
-        grid: HashGridConfig,
-        trace: TraceConfig,
-        hash_fn: HashFunction,
-        order: StreamingOrder,
-        level: int,
-        stage: str = "misses",
-    ) -> dict[str, float]:
-        """DRAM timing of one level's stream after the on-chip hierarchy.
-
-        ``stage="misses"`` services only the lines the hierarchy could not
-        filter (demand misses + prefetch fills); ``stage="demand"`` services
-        the L0-surviving line requests — the uncached baseline the cache's
-        DRAM-traffic reduction is reported against.  The demand stage is
-        keyed by the L0/line geometry only, so every cache size of a sweep
-        shares one baseline simulation.
-        """
-        if stage not in ("misses", "demand"):
-            raise ValueError(f"stage must be 'misses' or 'demand', got {stage!r}")
-        stream_key = (config_key(grid), config_key(trace), hash_fn.name, order.value, level)
-        if stage == "demand":
-            key = (
-                "hierarchy_serviced_batch",
-                dram,
-                "demand",
-                config_key(hierarchy.scratchpad),
-                hierarchy.cache.line_bytes,
-            ) + stream_key
-        else:
-            key = (
-                "hierarchy_serviced_batch",
-                dram,
-                "misses",
-                config_key(hierarchy.cache),
-                config_key(hierarchy.prefetcher),
-                config_key(hierarchy.scratchpad),
-            ) + stream_key
-
-        def compute() -> dict[str, float]:
-            from ..dram.system import DRAMSystem
-
-            filtered = self.filtered_stream(hierarchy, grid, trace, hash_fn, order, level)
-            lines = filtered.dram_stream() if stage == "misses" else filtered.demand_stream()
-            system = DRAMSystem(self.dram_spec(dram))
-            return _batch_summary(
-                system.service_batch(lines, size_bytes=hierarchy.cache.line_bytes)
-            )
-
-        return self.memoize(key, compute)
-
     # ---------------------------------------------------------------- DRAM
     def dram_spec(self, name: str) -> DRAMSpec:
         """Resolve a named DRAM specification (aliases accepted)."""
         return get_dram_spec(name)
-
-    def serviced_batch(
-        self,
-        dram: str,
-        grid: HashGridConfig,
-        trace: TraceConfig,
-        hash_fn: HashFunction,
-        level: int,
-    ) -> dict[str, float]:
-        """Service one level's address trace through the DRAM timing model.
-
-        Returns a summary of the serviced batch (cycles, row hit/miss/conflict
-        counts) keyed by the full configuration, so repeated evaluations of
-        the same stream — across report runs or sweep cells — replay the
-        cached result instead of re-simulating.
-        """
-        key = ("serviced_batch", dram, config_key(grid), config_key(trace), hash_fn.name, level)
-
-        def compute() -> dict[str, float]:
-            from ..dram.system import DRAMSystem
-
-            system = DRAMSystem(self.dram_spec(dram))
-            stream = self.request_stream(grid, trace, hash_fn, StreamingOrder.RAY_FIRST, level)
-            # Historic burst size of the address-trace path, not entry_bytes.
-            return _batch_summary(system.service_batch(stream, size_bytes=32))
-
-        return self.memoize(key, compute)

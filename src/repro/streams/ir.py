@@ -196,7 +196,7 @@ class RequestStream:
 
     @property
     def addresses(self) -> NDArray[Any]:
-        """Flat byte addresses, point-major (the legacy ndarray boundary form).
+        """Flat byte addresses, point-major.
 
         Exactly ``base_address + index * entry_bytes`` — bit-identical to
         :func:`repro.workloads.traces.lookup_addresses` on the same indices.

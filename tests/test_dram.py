@@ -22,6 +22,15 @@ from repro.dram import (
     coalesce_row_requests,
     requests_from_addresses,
 )
+from repro.streams import RequestStream
+
+
+def _address_stream(addresses):
+    """Raw byte addresses as a stream of one-byte entries (addresses unchanged)."""
+    a = np.asarray(addresses, dtype=np.int64)
+    return RequestStream(
+        indices=a.reshape(-1, 1), entry_bytes=1, table_entries=int(a.max()) + 1 if a.size else 1
+    )
 
 
 # --------------------------------------------------------------------- spec
@@ -188,7 +197,7 @@ def test_controller_counts_and_hit_rate():
 
 def test_controller_write_requests_tracked():
     controller = ChannelController(LPDDR4_2400)
-    controller.service(MemoryRequest(0, RequestType.WRITE))
+    controller.service_all([MemoryRequest(0, RequestType.WRITE)])
     assert controller.stats.writes == 1 and controller.stats.reads == 0
 
 
@@ -199,9 +208,9 @@ def test_controller_anchors_activation_window_on_actual_start():
     mapper = controller.mapper
     t = LPDDR4_2400.timing
     # Two activations to different rows of the same bank, both arriving at 0.
-    first = controller.service(MemoryRequest(mapper.encode(channel=0, bank=0, row=0)))
+    first = controller.service_all([MemoryRequest(mapper.encode(channel=0, bank=0, row=0))])
     assert controller._last_activation_cycle == 0
-    controller.service(MemoryRequest(mapper.encode(channel=0, bank=0, row=100)))
+    controller.service_all([MemoryRequest(mapper.encode(channel=0, bank=0, row=100))])
     # The second ACT could only issue once the bank freed up at `first`,
     # which is later than the tRRD-constrained issue cycle.
     assert first > t.tRRD
@@ -220,8 +229,6 @@ def test_controller_service_batch_matches_per_request_service():
     assert batched.service_batch(np.array([], dtype=np.int64)) == 0
     with pytest.raises(ValueError):
         batched.service_batch(np.array([-1]))
-    with pytest.raises(ValueError):
-        batched.service_batch(addrs, arrival_cycles=np.zeros(3, dtype=np.int64))
 
 
 # ------------------------------------------------------------------- system
@@ -238,8 +245,8 @@ def test_dram_system_sequential_faster_than_random():
         ]
     )
     shuffled = rng.permutation(sequential)
-    seq_result = system.service_addresses(sequential)
-    rand_result = system.service_addresses(shuffled)
+    seq_result = system.service_batch(_address_stream(sequential), size_bytes=32)
+    rand_result = system.service_batch(_address_stream(shuffled), size_bytes=32)
     assert seq_result.row_hit_rate > rand_result.row_hit_rate
     assert seq_result.total_cycles < rand_result.total_cycles
     assert seq_result.achieved_bandwidth_gbps > rand_result.achieved_bandwidth_gbps
@@ -248,9 +255,9 @@ def test_dram_system_sequential_faster_than_random():
 
 def test_dram_system_energy_accounting_and_near_bank_saves_io():
     system = DRAMSystem()
-    addrs = np.arange(0, 256 * 64, 64)
-    external = system.service_addresses(addrs, near_bank=False)
-    internal = system.service_addresses(addrs, near_bank=True)
+    stream = _address_stream(np.arange(0, 256 * 64, 64))
+    external = system.service_batch(stream, size_bytes=32, near_bank=False)
+    internal = system.service_batch(stream, size_bytes=32, near_bank=True)
     assert external.energy.io_j > 0
     assert internal.energy.io_j == 0
     assert internal.energy.total_j < external.energy.total_j
@@ -261,7 +268,7 @@ def test_dram_system_empty_trace():
     result = DRAMSystem().service_requests([])
     assert result.total_cycles == 0
     assert result.total_requests == 0
-    batch = DRAMSystem().service_batch(np.array([], dtype=np.int64))
+    batch = DRAMSystem().service_batch(_address_stream([]), size_bytes=32)
     assert batch.total_cycles == 0 and batch.total_requests == 0
 
 
@@ -269,10 +276,10 @@ def test_dram_system_service_batch_matches_object_path():
     rng = np.random.default_rng(11)
     addrs = (rng.integers(0, 2**27, size=2000) * 4).astype(np.int64)
     via_requests = DRAMSystem().service_requests([MemoryRequest(int(a)) for a in addrs])
-    via_batch = DRAMSystem().service_batch(addrs)
+    via_batch = DRAMSystem().service_batch(_address_stream(addrs), size_bytes=32)
     assert via_batch == via_requests
-    with pytest.raises(ValueError):
-        DRAMSystem().service_batch(np.array([-4]))
+    with pytest.raises(ValueError, match="indices must lie"):
+        DRAMSystem().service_batch(RequestStream(indices=[[-4]], entry_bytes=1, table_entries=1))
 
 
 def test_energy_model_validation():

@@ -78,7 +78,7 @@ def test_experiment_result_csv_includes_all_columns():
 
 
 def test_fig01_training_time_shape():
-    result = run_fig01.__wrapped__()
+    result = run_fig01()
     devices = {row["device"]: row for row in result.rows}
     assert devices["XNX"]["modelled_s_per_scene"] > 5 * devices["2080Ti"]["modelled_s_per_scene"]
     assert devices["XNX"]["bottleneck_fraction"] > 0.6
@@ -86,7 +86,7 @@ def test_fig01_training_time_shape():
 
 
 def test_fig04_utilization_shape():
-    result = run_fig04.__wrapped__()
+    result = run_fig04()
     assert len(result.rows) == 6
     by_kernel = {row["kernel"]: row for row in result.rows}
     # The hash-table kernels dominate and are firmly DRAM-bandwidth bound.
@@ -101,7 +101,7 @@ def test_fig04_utilization_shape():
 
 
 def test_fig06_index_distance_shape():
-    result = run_fig06.__wrapped__(num_cubes=2048)
+    result = run_fig06(num_cubes=2048)
     by_hash = {row["hash"]: row for row in result.rows}
     morton, original = by_hash["morton-locality"], by_hash["ingp-prime-xor"]
     assert morton["frac_leq_16"] > original["frac_leq_16"]
@@ -112,7 +112,7 @@ def test_fig06_index_distance_shape():
 
 
 def test_fig07_locality_shape():
-    result = run_fig07.__wrapped__(
+    result = run_fig07(
         grid_config=HashGridConfig(num_levels=8, table_size=2**14, max_resolution=1024),
         trace_config=TraceConfig(num_rays=48, points_per_ray=48),
     )
@@ -125,7 +125,7 @@ def test_fig07_locality_shape():
 
 
 def test_fig09_bank_conflicts_shape():
-    result = run_fig09.__wrapped__(
+    result = run_fig09(
         subarray_counts=(1, 4, 16),
         grid_config=HashGridConfig(num_levels=8, table_size=2**14, max_resolution=1024),
         trace_config=TraceConfig(num_rays=32, points_per_ray=32),
@@ -139,14 +139,14 @@ def test_fig09_bank_conflicts_shape():
 
 
 def test_fig10_parallelism_shape():
-    result = run_fig10.__wrapped__()
+    result = run_fig10()
     totals = {row["plan"]: row["total_mb"] for row in result.rows}
     assert totals["heterogeneous"] < totals["all-data-parallel"]
     assert totals["heterogeneous"] < totals["all-parameter-parallel"]
 
 
 def test_fig11_speedup_energy_shape():
-    result = run_fig11.__wrapped__()
+    result = run_fig11()
     average = result.rows[-1]
     assert average["scene"] == "AVERAGE"
     assert average["speedup_vs_XNX"] > 10.0
@@ -156,13 +156,13 @@ def test_fig11_speedup_energy_shape():
 
 
 def test_tab01_tab02_tab03_contents():
-    tab1 = run_tab01.__wrapped__()
+    tab1 = run_tab01()
     assert {row["device"] for row in tab1.rows} == {"XNX", "TX2", "2080Ti", "QuestPro"}
-    tab2 = run_tab02.__wrapped__()
+    tab2 = run_tab02()
     for row in tab2.rows:
         if row["paper_param_mb"] > 0:
             assert row["param_mb"] == pytest.approx(row["paper_param_mb"], rel=0.3)
-    tab3 = run_tab03.__wrapped__()
+    tab3 = run_tab03()
     values = {row["parameter"]: row["value"] for row in tab3.rows}
     assert values["INT32 PEs per bank"] == 256
     assert values["Area per bank (mm^2, modelled)"] == pytest.approx(3.6, rel=0.05)
@@ -176,7 +176,7 @@ def test_tab04_psnr_smoke():
         scenes=("lego",), image_size=24, num_train_views=4, num_test_views=1,
         iterations=40, rays_per_batch=96, samples_per_ray=24,
     )
-    result = run_tab04.__wrapped__(config, methods=("ingp", "instant-nerf"))
+    result = run_tab04(config, methods=("ingp", "instant-nerf"))
     by_method = {row["method"]: row["avg_psnr"] for row in result.rows}
     assert np.isfinite(by_method["ingp"]) and np.isfinite(by_method["instant-nerf"])
     assert by_method["ingp"] > 8.0

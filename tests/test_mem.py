@@ -332,39 +332,23 @@ def test_hierarchy_filters_traffic_and_reports_energy():
     np.testing.assert_array_equal(filtered.merged_lines[mask], filtered.dram_lines)
 
 
-def test_bad_stream_shapes_are_rejected():
-    """The deprecated bare-ndarray shim still validates shapes (and warns)."""
-    hierarchy = CacheHierarchy()
-    with pytest.warns(DeprecationWarning), pytest.raises(ValueError):
-        hierarchy.filter_stream(np.arange(10), accesses_per_point=8)
-    with pytest.warns(DeprecationWarning), pytest.raises(ValueError):
-        hierarchy.filter_stream(np.arange(16), accesses_per_point=0)
-    with pytest.warns(DeprecationWarning), pytest.raises(ValueError):
-        hierarchy.filter_stream(np.array([-4, 0, 0, 0, 0, 0, 0, 0]))
-
-
 # -------------------------------------------------------- pipeline context
 def test_context_memoizes_filtered_streams():
     ctx = SimulationContext()
     grid = HashGridConfig(num_levels=4)
     trace = TraceConfig(num_rays=16, points_per_ray=16, seed=0)
+    stream = ctx.request_stream(grid, trace, MortonLocalityHash(), StreamingOrder.RAY_FIRST, 3)
     hierarchy = CacheHierarchy(CacheConfig(capacity_bytes=16 * 1024))
-    first = ctx.filtered_stream(
-        hierarchy, grid, trace, MortonLocalityHash(), StreamingOrder.RAY_FIRST, 3
-    )
+    first = ctx.stream_filtered(hierarchy, stream)
     hits_before = ctx.stats.hits
     # An equal-but-distinct hierarchy object must hit the same cache entry.
     same = CacheHierarchy(CacheConfig(capacity_bytes=16 * 1024))
-    second = ctx.filtered_stream(
-        same, grid, trace, MortonLocalityHash(), StreamingOrder.RAY_FIRST, 3
-    )
+    second = ctx.stream_filtered(same, stream)
     assert second is first
     assert ctx.stats.hits == hits_before + 1
     # A different geometry computes a fresh stream.
     other = CacheHierarchy(CacheConfig(capacity_bytes=32 * 1024))
-    third = ctx.filtered_stream(
-        other, grid, trace, MortonLocalityHash(), StreamingOrder.RAY_FIRST, 3
-    )
+    third = ctx.stream_filtered(other, stream)
     assert third is not first
 
 
@@ -373,13 +357,13 @@ def test_context_hierarchy_serviced_batch_reduces_requests():
     grid = HashGridConfig(num_levels=4)
     trace = TraceConfig(num_rays=32, points_per_ray=16, seed=0)
     hierarchy = CacheHierarchy(CacheConfig(capacity_bytes=256 * 1024, mshr_latency=4))
-    args = (grid, trace, MortonLocalityHash(), StreamingOrder.RAY_FIRST, 3)
-    cached = ctx.hierarchy_serviced_batch("lpddr4-2400", hierarchy, *args, stage="misses")
-    baseline = ctx.hierarchy_serviced_batch("lpddr4-2400", hierarchy, *args, stage="demand")
+    stream = ctx.request_stream(grid, trace, MortonLocalityHash(), StreamingOrder.RAY_FIRST, 3)
+    filtered = ctx.stream_filtered(hierarchy, stream)
+    line_bytes = hierarchy.cache.line_bytes
+    cached = ctx.stream_serviced("lpddr4-2400", filtered.dram_stream(), size_bytes=line_bytes)
+    baseline = ctx.stream_serviced("lpddr4-2400", filtered.demand_stream(), size_bytes=line_bytes)
     assert cached["total_requests"] <= baseline["total_requests"]
-    assert cached["total_requests"] == ctx.filtered_stream(hierarchy, *args).stats.dram_line_fetches
-    with pytest.raises(ValueError):
-        ctx.hierarchy_serviced_batch("lpddr4-2400", hierarchy, *args, stage="everything")
+    assert cached["total_requests"] == filtered.stats.dram_line_fetches
 
 
 # ------------------------------------------------------- accelerator model
@@ -424,7 +408,7 @@ def test_fig12_experiment_reports_traffic_reduction():
     ctx = SimulationContext()
     grid = HashGridConfig(num_levels=6)
     trace = TraceConfig(num_rays=32, points_per_ray=32, seed=0)
-    result = run_fig12.__wrapped__(grid, trace, (16, 256), context=ctx, timing=True)
+    result = run_fig12(grid, trace, (16, 256), context=ctx, timing=True)
     assert [row["cache_kb"] for row in result.rows] == [16, 256]
     for row in result.rows:
         assert 0.0 <= row["cache_hit_rate"] <= 1.0
@@ -435,12 +419,15 @@ def test_fig12_experiment_reports_traffic_reduction():
         assert row["dram_cycles"] > 0 and row["uncached_dram_cycles"] > 0
     # Larger caches keep more lines on chip.
     assert result.rows[1]["dram_lines"] <= result.rows[0]["dram_lines"]
-    # The baseline DRAM simulation is shared between the two cache sizes.
+    # The baseline DRAM simulation is shared between the two cache sizes:
+    # both sizes service the same demand-line stream, so one entry serves both.
     demand_runs = sum(
         1
         for key in ctx._cache
-        if isinstance(key, tuple) and key[0] == "hierarchy_serviced_batch" and key[2] == "demand"
+        if isinstance(key, tuple)
+        and key[0] == "stream_serviced"
+        and dict(key[2][1])["label"] == "demand"
     )
     assert demand_runs == 1
     with pytest.raises(ValueError):
-        run_fig12.__wrapped__(grid, trace, (), context=ctx)
+        run_fig12(grid, trace, (), context=ctx)

@@ -234,7 +234,11 @@ def test_trace_covers_five_subsystems(tmp_path, tiny_dataset):
     )
 
     dram = DRAMSystem()  # dram span
-    dram.service_batch(np.arange(32, dtype=np.int64) * 64)
+    addresses = np.arange(32, dtype=np.int64) * 64
+    stream = RequestStream(
+        indices=addresses.reshape(-1, 1), entry_bytes=1, table_entries=int(addresses.max()) + 1
+    )
+    dram.service_batch(stream, size_bytes=32)
 
     NMPAccelerator().step_cost("HT")  # accel span
 

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from repro.core.hashing import MortonLocalityHash
-from repro.core.streaming import StreamingOrder
+from repro.core.streaming import StreamingOrder, memory_requests_for_stream
 from repro.nerf import (
     HashGridConfig,
     InstantNGPField,
@@ -183,14 +183,22 @@ def test_context_pruned_artifacts_and_store_round_trip(tmp_path):
     pruned = ctx.level_indices(grid, trace, hash_fn, 3)
     dense = ctx.level_indices(grid, trace.dense(), hash_fn, 3)
     assert np.array_equal(pruned, dense[mask])
-    # Pruned row requests never exceed dense ones; the cached-corner-index
-    # reuse path (dense stream warmed above) must agree with the direct
-    # re-hashing path of a cold context.
-    dense_rows = ctx.row_requests(grid, trace.dense(), hash_fn, StreamingOrder.RAY_FIRST, 3)
-    pruned_rows = ctx.row_requests(grid, trace, hash_fn, StreamingOrder.RAY_FIRST, 3)
+
+    # Pruned row requests never exceed dense ones; the stream path over the
+    # cached corner indices (dense stream warmed above) must agree with
+    # re-hashing the surviving points directly (ray-first order is ray-major).
+    def row_requests(t):
+        stream = ctx.request_stream(grid, t, hash_fn, StreamingOrder.RAY_FIRST, 3)
+        return ctx.stream_row_requests(stream)
+
+    dense_rows = row_requests(trace.dense())
+    pruned_rows = row_requests(trace)
     assert 0 < pruned_rows <= dense_rows
-    cold = SimulationContext()
-    assert cold.row_requests(grid, trace, hash_fn, StreamingOrder.RAY_FIRST, 3) == pruned_rows
+    kept_points = ctx.batch_points(trace).reshape(-1, 3)[mask]
+    direct = memory_requests_for_stream(
+        kept_points, 3, grid, hash_fn, entry_bytes=trace.entry_bytes
+    )
+    assert direct == pruned_rows
     # A fresh context over the same store loads instead of recomputing.
     ctx2 = SimulationContext(store=ArtifactStore(tmp_path / "store"))
     mask2 = ctx2.occupancy_mask(trace)

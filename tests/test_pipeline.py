@@ -8,6 +8,11 @@ import numpy as np
 import pytest
 
 from repro.core.hashing import MortonLocalityHash, OriginalSpatialHash, get_hash_function
+from repro.core.streaming import (
+    StreamingOrder,
+    memory_requests_for_stream,
+    memory_requests_for_stream_reference,
+)
 from repro.dram.spec import DDR4_3200, LPDDR4_2400, get_dram_spec
 from repro.experiments import run_fig07
 from repro.nerf.encoding import HashGridConfig
@@ -68,14 +73,13 @@ def test_run_experiment_produces_expected_result():
 
 
 def test_registered_run_matches_legacy_entry_point():
-    """The registry path and the legacy run_* wrapper agree exactly."""
+    """The registry path and a direct run_* call agree exactly."""
     trace = TraceConfig(num_rays=32, points_per_ray=32, seed=0, scene="lego")
-    with pytest.warns(DeprecationWarning, match="run_fig07"):
-        legacy = run_fig07(HashGridConfig(num_levels=8), trace)
+    direct = run_fig07(HashGridConfig(num_levels=8), trace)
     registered = run_experiment(
         "fig07", levels=8, rays=32, points_per_ray=32, scene="lego"
     )
-    assert legacy.rows == registered.rows
+    assert direct.rows == registered.rows
 
 
 def test_suite_scheduler_orders_producers_before_consumers():
@@ -126,35 +130,33 @@ def test_context_failed_computation_is_retryable():
 
 
 def test_context_row_requests_with_and_without_cached_indices_agree():
+    """The context's stream path (hash once, cache the corner indices, count
+    on the IR) equals the point kernel that hashes the stream directly."""
     grid = HashGridConfig(num_levels=6, table_size=2**12, max_resolution=256)
     trace = TraceConfig(num_rays=16, points_per_ray=16, seed=2)
     fn = MortonLocalityHash()
-    from repro.core.streaming import StreamingOrder
-
-    plain = SimulationContext()
-    direct = [
-        plain.row_requests(grid, trace, fn, StreamingOrder.RAY_FIRST, level)
-        for level in range(grid.num_levels)
-    ]
-    warmed = SimulationContext()
-    for level in range(grid.num_levels):
-        warmed.level_indices(grid, trace, fn, level)
-    derived = [
-        warmed.row_requests(grid, trace, fn, StreamingOrder.RAY_FIRST, level)
-        for level in range(grid.num_levels)
-    ]
-    assert direct == derived
+    ctx = SimulationContext()
+    points = ctx.batch_points(trace)
+    for order in StreamingOrder:
+        perm = ctx.stream_order(trace, order)
+        for level in range(grid.num_levels):
+            stream = ctx.request_stream(grid, trace, fn, order, level)
+            args = (points, level, grid, fn, perm)
+            direct = memory_requests_for_stream(*args, entry_bytes=trace.entry_bytes)
+            oracle = memory_requests_for_stream_reference(*args, entry_bytes=trace.entry_bytes)
+            assert ctx.stream_row_requests(stream) == direct == oracle
 
 
 def test_context_serviced_batch_summary():
     ctx = SimulationContext()
     grid = HashGridConfig(num_levels=4, table_size=2**10, max_resolution=64)
     trace = TraceConfig(num_rays=4, points_per_ray=8, seed=0)
-    summary = ctx.serviced_batch("lpddr4-2400", grid, trace, MortonLocalityHash(), 0)
+    stream = ctx.request_stream(grid, trace, MortonLocalityHash(), StreamingOrder.RAY_FIRST, 0)
+    summary = ctx.stream_serviced("lpddr4-2400", stream, size_bytes=32)
     assert summary["total_requests"] > 0
     assert summary["total_cycles"] > 0
     assert 0.0 <= summary["row_hit_rate"] <= 1.0
-    again = ctx.serviced_batch("lpddr4-2400", grid, trace, MortonLocalityHash(), 0)
+    again = ctx.stream_serviced("lpddr4-2400", stream, size_bytes=32)
     assert again is summary  # cached
 
 

@@ -207,7 +207,9 @@ def test_narrower_entries_shrink_row_requests_monotonically():
     hash_fn = MortonLocalityHash()
     trace = TraceConfig(num_rays=32, points_per_ray=8)
     rows = [
-        ctx.row_requests(grid, replace(trace, dtype=d), hash_fn, StreamingOrder.RAY_FIRST, 3)
+        ctx.stream_row_requests(
+            ctx.request_stream(grid, replace(trace, dtype=d), hash_fn, StreamingOrder.RAY_FIRST, 3)
+        )
         for d in precision.PRECISIONS
     ]
     assert rows == sorted(rows, reverse=True)
@@ -229,7 +231,7 @@ def test_tab05_smoke_monotone_reductions():
         rays_per_batch=32,
         samples_per_ray=8,
     )
-    result = run_tab05.__wrapped__(config)
+    result = run_tab05(config)
     assert [row["dtype"] for row in result.rows] == list(precision.PRECISIONS)
     for metric in ("entry_bytes", "row_requests", "dram_cycles", "sram_energy_j"):
         series = [row[metric] for row in result.rows]

@@ -165,17 +165,19 @@ def test_store_schema_version_invalidates(tmp_path):
 def test_context_reads_through_store_without_recomputing(tmp_path):
     trace = TraceConfig(num_rays=8, points_per_ray=8, seed=3)
     grid = HashGridConfig(num_levels=4, table_size=2**10, max_resolution=64)
+
+    def row_requests(ctx):
+        stream = ctx.request_stream(grid, trace, MortonLocalityHash(), StreamingOrder.RAY_FIRST, 0)
+        return ctx.stream_row_requests(stream)
+
     cold = SimulationContext(store=ArtifactStore(tmp_path))
     points = cold.batch_points(trace)
-    requests = cold.row_requests(grid, trace, MortonLocalityHash(), StreamingOrder.RAY_FIRST, 0)
+    requests = row_requests(cold)
     assert cold.stats.computes > 0 and cold.stats.store_hits == 0
 
     warm = SimulationContext(store=ArtifactStore(tmp_path))
     assert np.array_equal(warm.batch_points(trace), points)
-    assert (
-        warm.row_requests(grid, trace, MortonLocalityHash(), StreamingOrder.RAY_FIRST, 0)
-        == requests
-    )
+    assert row_requests(warm) == requests
     assert warm.stats.computes == 0, "a warm store must answer every artifact request"
     assert warm.stats.store_hits == warm.stats.misses
 

@@ -1,6 +1,6 @@
 """Tests for the typed request-stream IR (``repro.streams``).
 
-Covers the PR's acceptance points:
+Covers:
 
 * ``RequestStream`` construction, validation, derived properties and the
   reshape operations (``with_order`` / ``subset`` / ``run_starts``);
@@ -10,11 +10,11 @@ Covers the PR's acceptance points:
   pruning yields exact IR subsets of the dense stream;
 * ``RequestStream`` round-trips through the :class:`ArtifactStore` (npz
   payload with a typed JSON metadata document);
-* fig07/fig09/fig12 artifacts are byte-identical to values recomputed with
-  the pre-redesign ndarray kernels;
-* the deprecated shims (ndarray ``filter_stream``, the corner-index
-  row-request helper, the legacy ``run_*`` wrappers) warn once and return
-  identical results;
+* fig07/fig09 artifacts are byte-identical to values recomputed with the
+  point kernels, and the DRAM model services a stream exactly like its raw
+  byte addresses;
+* a ``run_*`` function and its registered experiment return identical
+  results;
 * the embedding front-end: determinism, Zipfian skew, bag sorting, and the
   ``fig15_embedding_locality`` experiment that runs the shared analyses on
   embedding traffic with no analysis-code changes.
@@ -23,10 +23,11 @@ Covers the PR's acceptance points:
 from __future__ import annotations
 
 import json
-import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.accel.nmp import AlgorithmLocality
 from repro.core.hashing import MortonLocalityHash, OriginalSpatialHash
@@ -36,12 +37,12 @@ from repro.core.streaming import (
     memory_requests_for_stream,
     point_order,
     row_requests_for_stream,
-    row_requests_from_corner_indices,
     stream_register_hit_rate,
     stream_sharing_run_length,
 )
 from repro.dram.system import DRAMSystem
-from repro.experiments import run_fig07, run_fig09, run_fig10, run_fig12, run_fig15
+from repro.dram.trace import MemoryRequest, RequestType
+from repro.experiments import run_fig07, run_fig09, run_fig10, run_fig15
 from repro.mem import CacheConfig, CacheHierarchy, PrefetcherConfig
 from repro.nerf.encoding import HashGridConfig
 from repro.pipeline import ArtifactStore, SimulationContext
@@ -217,9 +218,7 @@ def test_warm_store_reproduces_fig09_byte_identically(tmp_path):
 def test_fig07_row_requests_match_the_legacy_kernel():
     ctx = SimulationContext()
     baseline, optimized = OriginalSpatialHash(), MortonLocalityHash()
-    result = run_fig07.__wrapped__(
-        GRID, TRACE, context=ctx, baseline_hash=baseline, optimized_hash=optimized
-    )
+    result = run_fig07(GRID, TRACE, context=ctx, baseline_hash=baseline, optimized_hash=optimized)
     points = ctx.batch_points(TRACE).reshape(-1, 3)
     for row in result.rows:
         level = row["level"]
@@ -238,7 +237,7 @@ def test_fig07_row_requests_match_the_legacy_kernel():
 def test_fig09_conflicts_match_the_legacy_level_indices_path():
     ctx = SimulationContext()
     hash_fn = MortonLocalityHash()
-    result = run_fig09.__wrapped__((1, 4), GRID, TRACE, 16, context=ctx, hash_fn=hash_fn)
+    result = run_fig09((1, 4), GRID, TRACE, 16, context=ctx, hash_fn=hash_fn)
     for row in result.rows:
         indices = ctx.level_indices(GRID, TRACE, hash_fn, row["level"]).ravel()
         for subarrays in (1, 4):
@@ -253,69 +252,78 @@ def test_fig09_conflicts_match_the_legacy_level_indices_path():
             assert row[f"conflicts_{subarrays}sa"] == stats.bank_conflicts
 
 
-def test_fig12_filtering_matches_the_legacy_ndarray_path():
-    ctx = SimulationContext()
-    hash_fn = MortonLocalityHash()
-    hierarchy = CacheHierarchy(cache=CacheConfig(capacity_bytes=16 * 1024))
-    for level in range(GRID.num_levels):
-        via_ir = ctx.filtered_stream(
-            hierarchy, GRID, TRACE, hash_fn, StreamingOrder.RAY_FIRST, level
-        )
-        addresses = lookup_addresses(
-            ctx.level_indices(GRID, TRACE, hash_fn, level), level, GRID, TRACE.entry_bytes
-        )
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy = hierarchy.filter_stream(
-                addresses, accesses_per_point=8, entry_bytes=TRACE.entry_bytes
-            )
-        assert via_ir.stats == legacy.stats
-        assert np.array_equal(via_ir.dram_lines, legacy.dram_lines)
-        assert np.array_equal(via_ir.demand_lines, legacy.demand_lines)
-
-
 def test_dram_service_batch_accepts_streams_and_matches_addresses():
     gen = HashTraceGenerator(GRID, TRACE, MortonLocalityHash())
     stream = gen.stream(0)
     capacity = DRAMSystem().spec.organization.total_capacity_bytes
     via_stream = DRAMSystem().service_batch(stream, size_bytes=32)
-    via_addresses = DRAMSystem().service_batch(stream.addresses % capacity, size_bytes=32)
+    # The same byte addresses as a one-byte-entry stream of raw addresses.
+    addresses = stream.addresses % capacity
+    raw = RequestStream(
+        indices=addresses.reshape(-1, 1), entry_bytes=1, table_entries=int(addresses.max()) + 1
+    )
+    via_addresses = DRAMSystem().service_batch(raw, size_bytes=32)
     assert via_stream.total_cycles == via_addresses.total_cycles
     assert via_stream.row_hits == via_addresses.row_hits
 
 
-# -------------------------------------------------------------- deprecations
-def test_corner_index_row_request_shim_warns_and_matches_the_ir():
-    ctx = SimulationContext()
-    points = ctx.batch_points(TRACE).reshape(-1, 3)
-    gen = HashTraceGenerator(GRID, TRACE, MortonLocalityHash())
-    stream = gen.stream(2)
-    with pytest.warns(DeprecationWarning, match="row_requests_for_stream"):
-        legacy = row_requests_from_corner_indices(points, stream.indices, 2, GRID)
-    assert legacy == row_requests_for_stream(stream)
+# ------------------------------------------------- accounting properties
+@settings(max_examples=50, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    num_points=st.integers(min_value=0, max_value=48),
+    per_point=st.integers(min_value=1, max_value=8),
+    entry_bytes=st.integers(min_value=1, max_value=64),
+    base_address=st.integers(min_value=0, max_value=2**40),
+    kind=st.sampled_from([StreamKind.GATHER, StreamKind.WRITE]),
+    burst=st.integers(min_value=16, max_value=4096),
+    prefetch=st.sampled_from(["none", "next_line", "stride"]),
+)
+def test_stream_accounting_balances_through_hierarchy_and_dram(
+    seed, num_points, per_point, entry_bytes, base_address, kind, burst, prefetch
+):
+    """Property: on any request stream, the hierarchy and DRAM engines equal
+    their per-access oracles and every count they report balances."""
+    rng = np.random.default_rng(seed)
+    table_entries = int(rng.integers(1, 1 << 16))
+    stream = RequestStream(
+        indices=rng.integers(0, table_entries, (num_points, per_point)),
+        entry_bytes=entry_bytes,
+        table_entries=table_entries,
+        base_address=base_address,
+        kind=kind,
+    )
 
+    system = DRAMSystem()
+    org = system.spec.organization
+    batch = system.service_batch(stream, size_bytes=burst)
+    request_type = RequestType.WRITE if stream.writes else RequestType.READ
+    oracle = DRAMSystem().service_requests(
+        [
+            MemoryRequest(int(a) % org.total_capacity_bytes, request_type, burst)
+            for a in stream.addresses
+        ]
+    )
+    assert batch == oracle
+    assert batch.row_hits + batch.row_misses == batch.total_requests == stream.num_accesses
+    assert batch.bytes_transferred == batch.total_requests * min(burst, org.row_buffer_bytes)
 
-def test_filter_stream_ndarray_path_warns_stream_path_does_not():
-    hierarchy = CacheHierarchy(cache=CacheConfig(capacity_bytes=4096))
-    stream = HashTraceGenerator(GRID, TRACE, MortonLocalityHash()).stream(0)
-    with pytest.warns(DeprecationWarning, match="RequestStream"):
-        hierarchy.filter_stream(stream.addresses)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", DeprecationWarning)
-        hierarchy.filter_stream(stream)
+    hierarchy = CacheHierarchy(
+        CacheConfig(capacity_bytes=2048, line_bytes=64, ways=2, mshr_latency=2),
+        PrefetcherConfig(prefetch),
+    )
+    filtered = hierarchy.filter_stream(stream)
+    reference = hierarchy.filter_stream_reference(stream)
+    assert filtered.stats == reference.stats
+    np.testing.assert_array_equal(filtered.dram_lines, reference.dram_lines)
+    stats = filtered.stats
+    assert filtered.dram_lines.size == stats.cache.misses + stats.cache.prefetch_fills
+    assert stats.l0_hits + stats.cache.demand_accesses == stats.l0_accesses
 
 
 def test_legacy_run_wrappers_warn_and_return_identical_results():
-    with pytest.warns(DeprecationWarning, match="python -m repro run fig10"):
-        legacy = run_fig10(num_banks=4)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", DeprecationWarning)
-        direct = run_fig10.__wrapped__(num_banks=4)
-    assert legacy.to_json() == direct.to_json()
-    # the registered path never touches the deprecated wrapper
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", DeprecationWarning)
-        registered = get_experiment("fig10").run(num_banks=4)
+    direct = run_fig10(num_banks=4)
+    registered = get_experiment("fig10").run(num_banks=4)
     assert registered.to_json() == direct.to_json()
 
 
@@ -379,7 +387,7 @@ def test_algorithm_locality_from_request_stream():
 # -------------------------------------------------------------------- fig15
 def test_fig15_runs_the_shared_analyses_on_embedding_traffic():
     ctx = SimulationContext()
-    result = run_fig15.__wrapped__(EMB, (1, 4), context=ctx, timing=True)
+    result = run_fig15(EMB, (1, 4), context=ctx, timing=True)
     assert len(result.rows) == EMB.num_tables
     expected = {
         "table", "bag_sharing_run_length", "register_hit_rate",
