@@ -8,9 +8,14 @@ context and the artifact store, and three derived facts:
   system turns into hash-table entry widths, DRAM/SRAM traffic and MLP
   activation bytes;
 * :func:`storage_dtype` — the numpy dtype parameters are stored in by the
-  *executed* kernels (``int8`` stores quantized table entries);
-* :func:`compute_dtype` — the numpy dtype kernels compute in (``int8``
-  tables are dequantized to float32 on gather).
+  *executed* kernels (``fp16`` stores half-precision tables and MLP
+  weights, ``int8`` stores quantized table entries);
+* :func:`compute_dtype` — the numpy dtype kernels compute in: float64 for
+  ``fp64`` and float32 for every narrower precision.  Reduced precisions
+  are storage formats: ``fp16`` parameters widen to float32 on gather and
+  before each matmul (numpy has no BLAS path for float16), and ``int8``
+  tables are dequantized to float32 on gather.  Gradients accumulate at
+  the compute dtype, and Adam's in-place update rounds back into storage.
 
 ``int8`` table entries use an affine quantization: an 8-bit code ``q`` in
 ``[-128, 127]`` maps back to ``(q + 128) * scale + zero_point`` where
@@ -53,13 +58,6 @@ _STORAGE_DTYPES: dict[str, type] = {
     "int8": np.int8,
 }
 
-_COMPUTE_DTYPES: dict[str, type] = {
-    "fp64": np.float64,
-    "fp32": np.float32,
-    "fp16": np.float16,
-    "int8": np.float32,  # dequantized-gather compute precision
-}
-
 #: Number of representable int8 steps between table minimum and maximum.
 _INT8_STEPS = 255
 _INT8_OFFSET = 128  # shifts [-128, 127] codes onto [0, 255] step counts
@@ -97,8 +95,8 @@ def storage_dtype(name: str) -> Any:
 
 
 def compute_dtype(name: str) -> Any:
-    """numpy dtype kernels compute in at this precision."""
-    return _COMPUTE_DTYPES[validate_precision(name)]
+    """numpy dtype kernels compute in at this precision (float32 below fp64)."""
+    return np.float64 if validate_precision(name) == "fp64" else np.float32
 
 
 def quantize_int8(values: NDArray[Any]) -> tuple[NDArray[np.int8], float, float]:

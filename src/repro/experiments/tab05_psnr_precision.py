@@ -4,13 +4,16 @@ Not a table of the paper — the paper fixes fp16 hash-table entries and never
 varies precision.  With the :mod:`repro.core.xp` kernel port and the dtype
 axis of :class:`~repro.nerf.encoding.HashGridConfig` /
 :class:`~repro.workloads.traces.TraceConfig`, precision becomes a sweepable
-scenario axis: this experiment trains the reduced-scale iNGP field at
-``fp64``/``fp32``/``fp16`` (and post-training-quantizes ``int8`` tables),
-reports the per-scene PSNR cost, and pairs it with what the *modeled* memory
-system gains per precision — bytes per table entry, DRAM row requests and
-timing-model cycles at the finest level, and on-chip SRAM energy — all of
-which shrink monotonically as entries narrow from 16-byte fp64 vectors to
-2-byte int8 ones.
+scenario axis: this experiment trains the reduced-scale iNGP field with
+``fp64``/``fp32``/``fp16`` parameter storage (and post-training-quantizes
+``int8`` tables), reports the per-scene PSNR cost, and pairs it with what
+the *modeled* memory system gains per precision — bytes per table entry,
+DRAM row requests and timing-model cycles at the finest level, and on-chip
+SRAM energy — all of which shrink monotonically as entries narrow from
+16-byte fp64 vectors to 2-byte int8 ones.  Below fp64 the training
+arithmetic is float32 (:func:`repro.core.precision.compute_dtype`), so the
+fp16 PSNR cost is that of rounding the stored parameters, as on hardware
+that keeps fp16 tables.
 """
 
 from __future__ import annotations
@@ -105,10 +108,11 @@ def train_precision_on_scene(
 ) -> float:
     """Train one (scene, precision) cell and return the held-out test PSNR.
 
-    Float precisions train the hash tables and MLPs end to end at that
-    precision.  ``int8`` trains the fp32 field, quantizes the trained tables
-    to int8 codes (per-level affine scale/zero-point) and evaluates with
-    dequantizing gathers — standard post-training quantization.
+    Float precisions store the hash tables and MLPs at that precision and
+    train them end to end (computing in float32 below fp64).  ``int8``
+    trains the fp32 field, quantizes the trained tables to int8 codes
+    (per-level affine scale/zero-point) and evaluates with dequantizing
+    gathers — standard post-training quantization.
     """
     precision.validate_precision(dtype)
     ctx = context if context is not None else SimulationContext()

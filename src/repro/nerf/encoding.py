@@ -11,8 +11,9 @@ Two encodings are provided:
 
 Array math goes through the :mod:`repro.core.xp` backend shim (numpy by
 default), with hand-written reverse-mode gradients.  The table precision is
-an axis of :class:`HashGridConfig`: float tables (``fp64``/``fp32``/``fp16``)
-train end to end, while ``int8`` tables store affine-quantized entries that
+an axis of :class:`HashGridConfig` and a storage format: float tables
+(``fp64``/``fp32``/``fp16``) train end to end, ``fp16`` entries widening to
+float32 on gather, while ``int8`` tables store affine-quantized entries that
 are dequantized on gather (inference only — see :meth:`quantized_int8`).
 The ``*_reference`` oracles stay pure numpy.
 """
@@ -58,10 +59,13 @@ class HashGridConfig:
     Paper-scale defaults match iNGP: ``L=16`` levels, ``T=2**19`` entries per
     level, ``F=2`` features per entry, base resolution 16, finest 2048.
 
-    ``dtype`` names the precision table entries are stored (and the encoding
-    computed) in: one of :data:`repro.core.precision.PRECISIONS`.  The
-    default ``fp32`` matches the historical float32 tables; ``int8`` stores
-    affine-quantized entries dequantized to float32 on gather.
+    ``dtype`` names the precision table entries are stored in: one of
+    :data:`repro.core.precision.PRECISIONS`.  The encoding computes at
+    :func:`~repro.core.precision.compute_dtype` — float64 for ``fp64``,
+    float32 otherwise.  The default ``fp32`` matches the historical float32
+    tables; ``fp16`` stores half-precision entries widened to float32 on
+    gather, and ``int8`` stores affine-quantized entries dequantized to
+    float32 on gather.
     """
 
     num_levels: int = 16
@@ -121,6 +125,10 @@ class HashGridEncoding:
     concatenation across levels.  The backward pass accumulates gradients
     into the embedding tables with the same trilinear weights.
 
+    Tables are stored at the config's storage dtype and gathered values
+    widen to its compute dtype, in which features and gradients live: an
+    ``fp16`` encoding keeps float16 tables, returns float32 features and
+    accumulates float32 gradients, which Adam rounds back into the tables.
     With ``config.dtype == "int8"`` the tables hold quantized codes plus a
     per-level ``(scale, zero_point)`` pair; gathers dequantize to float32 and
     :meth:`backward` refuses to run (int8 tables are inference-only — train
@@ -133,8 +141,7 @@ class HashGridEncoding:
         self.config = config or HashGridConfig()
         rng = rng or np.random.default_rng(0)
         cfg = self.config
-        self._value_dtype = precision.compute_dtype(cfg.dtype)
-        self._grad_dtype = np.float64 if cfg.dtype == "fp64" else np.float32
+        self._compute_dtype = precision.compute_dtype(cfg.dtype)
         self._quantized = cfg.dtype == "int8"
         # iNGP initialises embeddings uniformly in [-1e-4, 1e-4].
         init = [
@@ -158,7 +165,7 @@ class HashGridEncoding:
             storage = precision.storage_dtype(cfg.dtype)
             self.embeddings = [xp.asarray(table.astype(storage)) for table in init]
         self.grads: list[np.ndarray] = [
-            xp.zeros(e.shape, dtype=self._grad_dtype) for e in self.embeddings
+            xp.zeros(e.shape, dtype=self._compute_dtype) for e in self.embeddings
         ]
         self._cache: dict | None = None
 
@@ -198,12 +205,12 @@ class HashGridEncoding:
         return out
 
     def _gathered_values(self, level: int, gathered: np.ndarray) -> np.ndarray:
-        """Table entries in compute precision (dequantizes int8 codes)."""
+        """Table entries in compute precision (widens fp16, dequantizes int8 codes)."""
         if self._quantized:
             return precision.dequantize_int8(
-                gathered, self.scales[level], self.zero_points[level], dtype=self._value_dtype
+                gathered, self.scales[level], self.zero_points[level], dtype=self._compute_dtype
             )
-        return gathered
+        return gathered.astype(self._compute_dtype, copy=False)
 
     # ------------------------------------------------------- index helpers
     def vertex_indices(
@@ -251,7 +258,7 @@ class HashGridEncoding:
             take_hi = offsets[:, axis][None, :]  # (1, 8)
             f = frac[:, axis][:, None]  # (N, 1)
             w = w * xp.where(take_hi == 1, f, 1.0 - f)
-        return idx, w.astype(self._value_dtype), base
+        return idx, w.astype(self._compute_dtype), base
 
     #: Points per block of the fused multi-level pass.  The block bounds the
     #: working set ((L, block, 8, 3) corners and friends) to a few MB so the
@@ -284,7 +291,7 @@ class HashGridEncoding:
         if n <= block:
             return self._multilevel_block(pos)
         idx = xp.empty((cfg.num_levels, n, 8), dtype=np.int64)
-        w = xp.empty((cfg.num_levels, n, 8), dtype=self._value_dtype)
+        w = xp.empty((cfg.num_levels, n, 8), dtype=self._compute_dtype)
         for start in range(0, n, block):
             stop = min(start + block, n)
             idx[:, start:stop], w[:, start:stop] = self._multilevel_block(pos[start:stop])
@@ -320,7 +327,7 @@ class HashGridEncoding:
                 idx[level] = cfg.hash_fn.corner_hashes(base[level], entries)
             else:
                 idx[level] = DenseGridIndexer(int(res[level])).corner_hashes(base[level], entries)
-        return idx, w.astype(self._value_dtype)
+        return idx, w.astype(self._compute_dtype)
 
     # ------------------------------------------------------------- forward
     def forward(self, positions: np.ndarray) -> np.ndarray:
@@ -336,7 +343,7 @@ class HashGridEncoding:
         cfg = self.config
         n = positions.shape[0]
         idx, w = self.multilevel_vertex_indices(positions)
-        features = xp.empty((n, cfg.output_dim), dtype=self._value_dtype)
+        features = xp.empty((n, cfg.output_dim), dtype=self._compute_dtype)
         cache_levels = []
         for level in range(cfg.num_levels):
             emb = self._gathered_values(level, self.embeddings[level][idx[level]])  # (N, 8, F)
@@ -356,7 +363,7 @@ class HashGridEncoding:
             raise ValueError(f"positions must have shape (N, 3), got {positions.shape}")
         cfg = self.config
         n = positions.shape[0]
-        features = np.empty((n, cfg.output_dim), dtype=self._value_dtype)
+        features = np.empty((n, cfg.output_dim), dtype=self._compute_dtype)
         cache_levels = []
         for level in range(cfg.num_levels):
             idx, w, _ = self.vertex_indices(positions, level)
@@ -389,7 +396,7 @@ class HashGridEncoding:
         if self._cache is None:
             raise RuntimeError("backward() called before forward()")
         cfg = self.config
-        grad_output = xp.asarray(grad_output, dtype=self._grad_dtype)
+        grad_output = xp.asarray(grad_output, dtype=self._compute_dtype)
         expected = (self._cache["n"], cfg.output_dim)
         if grad_output.shape != expected:
             raise ValueError(f"grad_output shape {grad_output.shape} != {expected}")
@@ -416,7 +423,7 @@ class HashGridEncoding:
         if self._cache is None:
             raise RuntimeError("backward() called before forward()")
         cfg = self.config
-        grad_output = np.asarray(grad_output, dtype=self._grad_dtype)
+        grad_output = np.asarray(grad_output, dtype=self._compute_dtype)
         expected = (self._cache["n"], cfg.output_dim)
         if grad_output.shape != expected:
             raise ValueError(f"grad_output shape {grad_output.shape} != {expected}")

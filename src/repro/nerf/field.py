@@ -78,9 +78,13 @@ class InstantNGPField(RadianceField):
     * color MLP: ``geo_features + dir_enc -> 64 -> 64 -> 3`` with a sigmoid
       output.
 
-    The compute precision follows ``grid_config.dtype``: both MLPs run at the
-    table precision (float32 for ``int8`` tables, whose gathers dequantize to
-    float32).  The ``(sigma, rgb)`` interface stays float64 regardless.
+    ``grid_config.dtype`` sets the storage precision of the tables and both
+    MLPs (``int8`` tables pair with fp32 MLPs, since quantized tables are
+    produced after training).  Everything computes at
+    :func:`~repro.core.precision.compute_dtype`: float64 for ``fp64`` and
+    float32 otherwise, so an ``fp16`` field stores float16 parameters while
+    its activations and gradients are float32.  The ``(sigma, rgb)``
+    interface stays float64 regardless.
     """
 
     name = "ingp"
@@ -98,7 +102,6 @@ class InstantNGPField(RadianceField):
         self.encoding = HashGridEncoding(self.grid_config, rng=rng)
         mlp_dtype = "fp32" if self.grid_config.dtype == "int8" else self.grid_config.dtype
         self._compute_dtype = precision.compute_dtype(self.grid_config.dtype)
-        self._grad_dtype = np.float64 if self.grid_config.dtype == "fp64" else np.float32
         self.geo_features = int(geo_features)
         self.dir_encoding = FrequencyEncoding(
             input_dim=3, num_frequencies=dir_frequencies, include_input=True
@@ -148,8 +151,8 @@ class InstantNGPField(RadianceField):
             raise RuntimeError("backward() called before forward()")
         cache = self._cache
         n = cache["n"]
-        grad_sigma = xp.asarray(grad_sigma, dtype=self._grad_dtype).reshape(n)
-        grad_rgb = xp.asarray(grad_rgb, dtype=self._grad_dtype).reshape(n, 3)
+        grad_sigma = xp.asarray(grad_sigma, dtype=self._compute_dtype).reshape(n)
+        grad_rgb = xp.asarray(grad_rgb, dtype=self._compute_dtype).reshape(n, 3)
 
         # Color branch ("MLPc_b"): sigmoid then MLP.
         grad_rgb_logit = grad_rgb * sigmoid_grad(cache["rgb_logit"], cache["rgb"])
@@ -158,7 +161,7 @@ class InstantNGPField(RadianceField):
         # Direction encoding has no trainable parameters; its grad is dropped.
 
         # Density branch ("MLPd_b"): softplus on the first channel.
-        grad_h = xp.zeros((n, 1 + self.geo_features), dtype=self._grad_dtype)
+        grad_h = xp.zeros((n, 1 + self.geo_features), dtype=self._compute_dtype)
         grad_h[:, 0] = grad_sigma * softplus_grad(cache["sigma_logit"], cache["sigma"])
         grad_h[:, 1:] = grad_geo
         grad_features = self.density_mlp.backward(grad_h)

@@ -4,9 +4,10 @@ iNGP replaces vanilla NeRF's large MLP with two small MLPs: a density MLP
 (one hidden layer of 64 units) and a color MLP (two hidden layers of 64
 units).  This module provides a generic :class:`MLP` used by both, plus the
 activation functions and their derivatives.  Array math goes through the
-:mod:`repro.core.xp` backend shim; the parameter/activation precision is a
-constructor axis (``fp64``/``fp32``/``fp16`` — reduced-precision networks
-keep their gradient accumulators in float32, standard mixed precision).
+:mod:`repro.core.xp` backend shim; the parameter precision is a constructor
+axis (``fp64``/``fp32``/``fp16``).  ``fp16`` is a storage format: weights
+and biases are stored in float16 and widened to float32 for every matmul,
+and activations and gradients stay float32 (standard mixed precision).
 """
 
 from __future__ import annotations
@@ -92,9 +93,10 @@ class MLP:
     rng:
         Generator used for He-style weight initialisation.
     dtype:
-        Precision name for weights and activations: ``fp64``, ``fp32``
-        (default, the historical behavior) or ``fp16``.  Gradients are
-        accumulated in float32 for fp32/fp16 networks and float64 for fp64.
+        Precision name the weights and biases are stored in: ``fp64``,
+        ``fp32`` (default, the historical behavior) or ``fp16``.
+        Activations and gradients use the compute dtype: float64 for fp64,
+        float32 for fp32 and fp16 (fp16 parameters widen on use).
     """
 
     def __init__(
@@ -115,17 +117,17 @@ class MLP:
         self.output_act = ACTIVATIONS[output_activation]
         self.precision = precision.validate_precision(dtype, precision.FLOAT_PRECISIONS)
         self.dtype = precision.compute_dtype(self.precision)
-        grad_dtype = np.float64 if self.precision == "fp64" else np.float32
+        storage = precision.storage_dtype(self.precision)
         self.weights: list[np.ndarray] = []
         self.biases: list[np.ndarray] = []
         for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]):
             scale = math.sqrt(2.0 / fan_in)
             self.weights.append(
-                xp.asarray(rng.normal(0.0, scale, size=(fan_in, fan_out)).astype(self.dtype))
+                xp.asarray(rng.normal(0.0, scale, size=(fan_in, fan_out)).astype(storage))
             )
-            self.biases.append(xp.zeros(fan_out, dtype=self.dtype))
-        self.weight_grads = [xp.zeros(w.shape, dtype=grad_dtype) for w in self.weights]
-        self.bias_grads = [xp.zeros(b.shape, dtype=grad_dtype) for b in self.biases]
+            self.biases.append(xp.zeros(fan_out, dtype=storage))
+        self.weight_grads = [xp.zeros(w.shape, dtype=self.dtype) for w in self.weights]
+        self.bias_grads = [xp.zeros(b.shape, dtype=self.dtype) for b in self.biases]
         self._cache: dict | None = None
 
     # ------------------------------------------------------------------ API
@@ -166,7 +168,7 @@ class MLP:
         h = x
         num_layers = len(self.weights)
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            z = h @ w + b
+            z = h @ w.astype(self.dtype, copy=False) + b.astype(self.dtype, copy=False)
             pre_acts.append(z)
             act = self.output_act if i == num_layers - 1 else self.hidden_act
             h = act.fn(z)
@@ -198,7 +200,7 @@ class MLP:
             dz = grad * act.grad(pre_acts[i], activations[i + 1])
             self.weight_grads[i] += activations[i].T @ dz
             self.bias_grads[i] += dz.sum(axis=0)
-            grad = dz @ self.weights[i].T
+            grad = dz @ self.weights[i].astype(self.dtype, copy=False).T
         return grad
 
     # -------------------------------------------------------- introspection

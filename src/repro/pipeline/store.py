@@ -33,8 +33,8 @@ Design points
 
 Layout::
 
-    <root>/v1/<digest[:2]>/<digest>.json   # JSON-typed payloads
-    <root>/v1/<digest[:2]>/<digest>.npz    # ndarray payloads
+    <root>/v2/<digest[:2]>/<digest>.json   # JSON-typed payloads
+    <root>/v2/<digest[:2]>/<digest>.npz    # ndarray payloads
 """
 
 from __future__ import annotations
@@ -63,8 +63,9 @@ __all__ = [
 ]
 
 #: Bump on any change to the payload encoding or artifact semantics; old
-#: store directories (``v<old>/``) are then ignored wholesale.
-STORE_SCHEMA_VERSION = 1
+#: store directories (``v<old>/``) are then ignored wholesale.  Version 2:
+#: fp16 fields compute in float32, which changes every fp16 PSNR.
+STORE_SCHEMA_VERSION = 2
 
 #: Sentinel returned by :meth:`ArtifactStore.get` on a miss (``None`` is a
 #: legitimate artifact value).

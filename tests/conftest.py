@@ -10,6 +10,10 @@ from repro.scenes.dataset import DatasetConfig, SyntheticNeRFDataset
 from repro.scenes.library import build_scene
 
 
+def pytest_configure(config: pytest.Config) -> None:
+    config.addinivalue_line("markers", "slow: trains a field or runs a full experiment")
+
+
 @pytest.fixture(scope="session")
 def tiny_dataset() -> SyntheticNeRFDataset:
     """A very small posed-image dataset rendered once per test session."""

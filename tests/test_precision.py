@@ -2,10 +2,12 @@
 
 Covers: ``repro.core.xp`` backend selection (module forwarding, env
 override, error paths), the ``repro.core.precision`` dtype/quantization
-helpers (including a hypothesis round-trip bound), fp16/int8 encoding and
-MLP equivalence against the fp32 path within documented tolerances, the
-precision field invalidating context/store keys, and a tiny registry-level
-tab05 run with monotone modeled reductions.
+helpers (including a hypothesis round-trip bound), fp16 as a storage format
+(float16 parameters, float32 compute bit-identical to an fp32 twin holding
+the rounded values, parameters still float16 after a training step), stored
+table bytes matching the modeled footprint, int8 encoding equivalence
+within half a code step, the precision field invalidating context/store
+keys, and a tiny registry-level tab05 run with monotone modeled reductions.
 """
 
 from __future__ import annotations
@@ -26,8 +28,9 @@ from hypothesis.extra import numpy as hnp
 from repro.core import precision, xp
 from repro.core.hashing import MortonLocalityHash
 from repro.nerf.encoding import HashGridConfig, HashGridEncoding
+from repro.nerf.field import InstantNGPField
 from repro.nerf.mlp import MLP
-from repro.nerf.trainer import TrainerConfig
+from repro.nerf.trainer import Trainer, TrainerConfig
 from repro.pipeline.context import SimulationContext, config_key
 from repro.core.streaming import StreamingOrder
 from repro.workloads.traces import TraceConfig
@@ -86,9 +89,20 @@ def test_reset_backend_rereads_environment(monkeypatch):
 
 def test_dtype_tables():
     assert [precision.dtype_bytes(d) for d in precision.PRECISIONS] == [8, 4, 2, 1]
-    assert precision.storage_dtype("int8") == np.int8
-    assert precision.compute_dtype("int8") == np.float32
-    assert precision.compute_dtype("fp16") == np.float16
+    assert [precision.storage_dtype(d) for d in precision.PRECISIONS] == [
+        np.float64,
+        np.float32,
+        np.float16,
+        np.int8,
+    ]
+    # Reduced precisions are storage formats: everything below fp64 computes
+    # in float32.
+    assert [precision.compute_dtype(d) for d in precision.PRECISIONS] == [
+        np.float64,
+        np.float32,
+        np.float32,
+        np.float32,
+    ]
     with pytest.raises(ValueError, match="unknown precision"):
         precision.validate_precision("fp8")
     with pytest.raises(ValueError):
@@ -133,16 +147,49 @@ def _small_grid(dtype: str) -> HashGridConfig:
     )
 
 
+def _assert_same_arrays(actual, expected):
+    assert len(actual) == len(expected)
+    for a, e in zip(actual, expected):
+        assert a.dtype == e.dtype
+        np.testing.assert_array_equal(a, e)
+
+
+def test_stored_tables_match_modeled_footprint():
+    """The executed tables occupy exactly the bytes the memory model charges."""
+    stored = []
+    for dtype in precision.PRECISIONS:
+        cfg = _small_grid(dtype)
+        enc = HashGridEncoding(cfg, rng=np.random.default_rng(1))
+        stored.append(sum(e.nbytes for e in enc.embeddings))
+        assert stored[-1] == cfg.table_bytes()
+    assert stored == [262144, 131072, 65536, 32768]
+
+
 def test_fp16_encoding_matches_fp32_within_tolerance():
+    """fp16 tables are storage only: the math is fp32 on the rounded entries."""
     rng = np.random.default_rng(7)
     points = rng.random((256, 3))
-    fp32 = HashGridEncoding(_small_grid("fp32"), rng=np.random.default_rng(1))
     fp16 = HashGridEncoding(_small_grid("fp16"), rng=np.random.default_rng(1))
-    out32, out16 = fp32.forward(points), fp16.forward(points)
-    assert out16.dtype == np.float16
-    # Table values are ~1e-4, fp16 keeps ~3 decimal digits: 1e-6 absolute.
-    np.testing.assert_allclose(out16, out32, atol=1e-6)
+    fp32 = HashGridEncoding(_small_grid("fp32"), rng=np.random.default_rng(1))
+    rounded = HashGridEncoding(_small_grid("fp32"), rng=np.random.default_rng(1))
+    for table, stored in zip(rounded.embeddings, fp16.embeddings):
+        table[...] = stored
+    assert all(e.dtype == np.float16 for e in fp16.embeddings)
+
+    out16 = fp16.forward(points)
+    assert out16.dtype == np.float32
+    np.testing.assert_array_equal(out16, rounded.forward(points))
+    grad = np.random.default_rng(3).standard_normal(out16.shape)
+    fp16.backward(grad)
+    rounded.backward(grad)
+    _assert_same_arrays(fp16.gradients(), rounded.gradients())
+    assert all(g.dtype == np.float32 for g in fp16.gradients())
     np.testing.assert_array_equal(out16, fp16.forward_reference(points))
+    # The rounding still takes effect: unrounded fp32 tables give other
+    # features, off by fp16's ~3 decimal digits of the ~1e-4 entries.
+    out32 = fp32.forward(points)
+    assert not np.array_equal(out16, out32)
+    np.testing.assert_allclose(out16, out32, rtol=0, atol=1e-6)
 
 
 def test_int8_encoding_quantizes_within_half_step_and_is_inference_only():
@@ -165,15 +212,46 @@ def test_int8_encoding_quantizes_within_half_step_and_is_inference_only():
 
 
 def test_mlp_fp16_matches_fp32_within_tolerance():
+    """fp16 weights are storage only: the math is fp32 on the rounded weights."""
     rng = np.random.default_rng(0)
     x = rng.random((64, 8))
-    fp32 = MLP([8, 32, 4], rng=np.random.default_rng(2), dtype="fp32")
     fp16 = MLP([8, 32, 4], rng=np.random.default_rng(2), dtype="fp16")
-    out32, out16 = fp32.forward(x), fp16.forward(x)
-    assert out16.dtype == np.float16
+    fp32 = MLP([8, 32, 4], rng=np.random.default_rng(2), dtype="fp32")
+    rounded = MLP([8, 32, 4], rng=np.random.default_rng(2), dtype="fp32")
+    for param, stored in zip(rounded.parameters(), fp16.parameters()):
+        param[...] = stored
+    assert all(p.dtype == np.float16 for p in fp16.parameters())
+
+    out16 = fp16.forward(x)
+    assert out16.dtype == np.float32
+    np.testing.assert_array_equal(out16, rounded.forward(x))
+    grad = np.random.default_rng(5).standard_normal(out16.shape)
+    _assert_same_arrays([fp16.backward(grad)], [rounded.backward(grad)])
+    _assert_same_arrays(fp16.gradients(), rounded.gradients())
+    assert all(g.dtype == np.float32 for g in fp16.gradients())
+    out32 = fp32.forward(x)
+    assert not np.array_equal(out16, out32)
     np.testing.assert_allclose(out16, out32, rtol=0, atol=5e-3)
     with pytest.raises(ValueError):
         MLP([8, 4], dtype="int8")
+
+
+def test_fp16_field_parameters_stay_fp16_after_a_train_step(tiny_dataset):
+    """Adam updates fp16 storage in place; the modeled 2-byte traffic holds."""
+    field = InstantNGPField(
+        _small_grid("fp16"), hidden_dim=16, geo_features=3, rng=np.random.default_rng(0)
+    )
+    before = [p.copy() for p in field.parameters()]
+    trainer = Trainer(
+        field,
+        tiny_dataset,
+        TrainerConfig(num_iterations=1, rays_per_batch=16, samples_per_ray=8, dtype="fp32"),
+    )
+    assert np.isfinite(trainer.train_step())
+    params = field.parameters()  # every table, then both MLPs' weights and biases
+    assert all(p.dtype == np.float16 for p in params)
+    assert all(g.dtype == np.float32 for g in field.gradients())
+    assert all(not np.array_equal(p, b) for p, b in zip(params, before))
 
 
 # --------------------------------------------------- keys and invalidation
