@@ -146,7 +146,7 @@ def test_count_conflicts_speedup(paper_grid, paper_points):
         TraceConfig(num_rays=NUM_RAYS, points_per_ray=POINTS_PER_RAY, seed=0),
         hash_fn=MortonLocalityHash(),
     )
-    indices = generator.indices_for_level(paper_grid.num_levels - 1).ravel()
+    indices = generator.stream(paper_grid.num_levels - 1).indices.ravel()
     mapper = HashTableMapper(paper_grid, HashTableMappingConfig())
     level = paper_grid.num_levels - 1
     mapper.count_conflicts(level, indices, parallel_points=32)  # warm

@@ -14,7 +14,6 @@ field annotations, and requires everything reachable to be ``frozen=True``.
 | RPR004 | no wall clock in artifact-producing modules; timers allowlisted  |
 | RPR005 | no iteration over unordered sets feeding artifacts; ``sorted()`` |
 | RPR006 | registered experiments reuse context artifacts, never recompute  |
-| RPR007 | backend-portable kernels call ``repro.core.xp``, not numpy       |
 | RPR008 | no ad-hoc print/logging in ``src/repro``; emit via ``repro.obs`` |
 | RPR009 | memory-system consumers take ``RequestStream``s, not inline arrays|
 """
@@ -76,13 +75,6 @@ RULES: tuple[Rule, ...] = (
         "registered experiments must reuse context-memoized artifacts",
         "recomputing traces/streams/datasets inline defeats the shared "
         "SimulationContext and risks drifting from the memoized oracle copy",
-    ),
-    Rule(
-        "RPR007",
-        "backend-portable kernels route arrays through repro.core.xp",
-        "a direct numpy call in a ported hot kernel silently pins it to the "
-        "host backend and diverges from cupy/torch runs; only the pure-numpy "
-        "*_reference oracles may bypass the shim",
     ),
     Rule(
         "RPR008",
@@ -195,7 +187,6 @@ _CONTEXT_EQUIVALENTS: dict[str, str] = {
     "generate_scene_batch_points": "context.batch_points(trace)",
     "point_order": "context.stream_order(trace, order)",
     "level_lookup_indices": "context.level_indices(grid, trace, hash_fn, level)",
-    "lookup_addresses": "context.request_stream(grid, trace, hash_fn, order, level)",
     "memory_requests_for_stream": "context.stream_row_requests(context.request_stream(...))",
     "points_sharing_same_cube": "context.cube_sharing(trace, resolution, order)",
     "register_hit_rate": "context.register_hits(trace, resolution, order)",
@@ -217,50 +208,6 @@ STREAM_BOUNDARY_EXEMPT_DIRS = (
 #: Memory-system entry points that take a ``RequestStream``: an address
 #: array assembled at their call site bypasses the IR.
 _STREAM_CONSUMERS = frozenset({"filter_stream", "filter_stream_reference", "service_batch"})
-
-#: Legacy address-trace producers: feeding their output straight into a
-#: stream consumer sidesteps the IR even though no array literal is visible.
-_RAW_ADDRESS_PRODUCERS = frozenset({"lookup_addresses", "addresses_for_level", "full_trace"})
-
-#: Modules ported to the ``repro.core.xp`` array-backend shim: their batch
-#: compute must stay backend-portable (the ``*_reference`` oracles inside
-#: them are deliberately pure numpy and are exempt).
-XP_PORTABLE_MODULES = (
-    "src/repro/core/hashing.py",
-    "src/repro/nerf/adam.py",
-    "src/repro/nerf/encoding.py",
-    "src/repro/nerf/field.py",
-    "src/repro/nerf/mlp.py",
-    "src/repro/nerf/volume_rendering.py",
-)
-
-#: numpy calls that are backend-neutral metadata/scalar constructors — they
-#: build dtypes or host scalars, never device arrays, so portable kernels may
-#: call them directly.
-_XP_NEUTRAL_CALLS = frozenset(
-    {
-        "bool_",
-        "can_cast",
-        "dtype",
-        "finfo",
-        "float16",
-        "float32",
-        "float64",
-        "iinfo",
-        "int8",
-        "int16",
-        "int32",
-        "int64",
-        "isscalar",
-        "issubdtype",
-        "promote_types",
-        "result_type",
-        "uint8",
-        "uint16",
-        "uint32",
-        "uint64",
-    }
-)
 
 _IDENTIFIER_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
@@ -445,7 +392,6 @@ def run_file_rules(file: FileSource, index: ProjectIndex) -> Iterator[Finding]:
     yield from _rule_rpr004(file, resolver)
     yield from _rule_rpr005(file, resolver)
     yield from _rule_rpr006(file, resolver, index)
-    yield from _rule_rpr007(file, resolver)
     yield from _rule_rpr008(file, resolver)
     yield from _rule_rpr009(file, resolver)
 
@@ -666,36 +612,6 @@ def _rule_rpr006(
             )
 
 
-def _rule_rpr007(file: FileSource, resolver: NameResolver) -> Iterator[Finding]:
-    """Backend-portable kernels route array compute through ``repro.core.xp``."""
-    if file.rel not in XP_PORTABLE_MODULES:
-        return
-    exempt: set[int] = set()
-    for node in ast.walk(file.tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            if node.name.endswith("_reference"):
-                exempt.update(id(sub) for sub in ast.walk(node))
-    for node in ast.walk(file.tree):
-        if not isinstance(node, ast.Call) or id(node) in exempt:
-            continue
-        dotted = resolver.resolve(node.func)
-        if dotted is None or not dotted.startswith("numpy."):
-            continue
-        tail = dotted.removeprefix("numpy.")
-        if tail.startswith("random.") or tail in _XP_NEUTRAL_CALLS:
-            # RNG seeding stays on the host by design (backends consume the
-            # drawn arrays), and dtype/scalar constructors carry no arrays.
-            continue
-        yield _finding(
-            file,
-            node,
-            "RPR007",
-            f"direct numpy call {dotted}() in a backend-portable kernel pins "
-            "it to the host; route it through repro.core.xp (pure-numpy "
-            "*_reference oracles are exempt)",
-        )
-
-
 def _rule_rpr008(file: FileSource, resolver: NameResolver) -> Iterator[Finding]:
     """Span/metric emission goes through ``repro.obs``, not print/logging."""
     if not file.rel.startswith("src/repro/"):
@@ -745,9 +661,6 @@ def _raw_address_expr(node: ast.expr, resolver: NameResolver) -> str | None:
         dotted = resolver.resolve(node.func)
         if dotted is not None and dotted.startswith("numpy."):
             return f"a {dotted}() array constructed inline"
-        name = node.func.attr if isinstance(node.func, ast.Attribute) else dotted
-        if name in _RAW_ADDRESS_PRODUCERS:
-            return f"the raw address trace of {name}()"
     return None
 
 

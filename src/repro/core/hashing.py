@@ -21,7 +21,6 @@ from typing import Any
 import numpy as np
 from numpy.typing import NDArray
 
-from . import xp
 from .morton import _mod_table, morton_corner_codes, morton_encode_3d, morton_hash
 
 __all__ = [
@@ -48,7 +47,7 @@ INGP_PRIMES = (1, 2_654_435_761, 805_459_861)
 
 def cube_vertex_offsets() -> NDArray[Any]:
     """The eight ``(dx, dy, dz)`` corner offsets of a unit cube, shape (8, 3)."""
-    offsets = xp.array(
+    offsets = np.array(
         [[i, j, k] for i in (0, 1) for j in (0, 1) for k in (0, 1)],
         dtype=np.int64,
     )
@@ -69,7 +68,7 @@ def cube_vertices(base_coords: NDArray[Any]) -> NDArray[Any]:
     numpy.ndarray
         Array of shape ``(N, 8, 3)``.
     """
-    base = xp.asarray(base_coords, dtype=np.int64)
+    base = np.asarray(base_coords, dtype=np.int64)
     if base.ndim != 2 or base.shape[1] != 3:
         raise ValueError(f"base_coords must have shape (N, 3), got {base.shape}")
     return base[:, None, :] + cube_vertex_offsets()[None, :, :]
@@ -114,7 +113,7 @@ class OriginalSpatialHash(HashFunction):
             raise ValueError("exactly three primes are required")
 
     def __call__(self, coords: NDArray[Any], table_size: int) -> NDArray[Any]:
-        coords = xp.asarray(coords, dtype=np.uint64)
+        coords = np.asarray(coords, dtype=np.uint64)
         if coords.shape[-1] != 3:
             raise ValueError(f"coords must have a trailing dim of 3, got {coords.shape}")
         acc = coords[..., 0] * np.uint64(self.primes[0])
@@ -125,13 +124,13 @@ class OriginalSpatialHash(HashFunction):
     def corner_hashes(self, base_coords: NDArray[Any], table_size: int) -> NDArray[Any]:
         # (x + dx) * p == x * p + dx * p with uint64 wraparound, so the three
         # per-axis products are computed once and each corner is two XORs.
-        base = xp.asarray(base_coords, dtype=np.uint64)
+        base = np.asarray(base_coords, dtype=np.uint64)
         if base.ndim != 2 or base.shape[1] != 3:
             raise ValueError(f"base_coords must have shape (N, 3), got {base.shape}")
         primes = [np.uint64(p) for p in self.primes]
         products = [base[:, a] * primes[a] for a in range(3)]
         axis = [(products[a], products[a] + primes[a]) for a in range(3)]
-        out = xp.empty((base.shape[0], 8), dtype=np.uint64)
+        out = np.empty((base.shape[0], 8), dtype=np.uint64)
         for m in range(8):
             i, j, k = (m >> 2) & 1, (m >> 1) & 1, m & 1
             out[:, m] = axis[0][i] ^ axis[1][j] ^ axis[2][k]
@@ -151,11 +150,11 @@ class MortonLocalityHash(HashFunction):
         # space replaces eight full interleaves (see morton_corner_codes).
         if table_size <= 0:
             raise ValueError(f"table_size must be positive, got {table_size}")
-        base = xp.asarray(base_coords)
+        base = np.asarray(base_coords)
         if base.ndim != 2 or base.shape[1] != 3:
             raise ValueError(f"base_coords must have shape (N, 3), got {base.shape}")
         if np.issubdtype(base.dtype, np.signedinteger) or np.issubdtype(base.dtype, np.floating):
-            if base.size and xp.any(base < 0):
+            if base.size and np.any(base < 0):
                 raise ValueError("morton_hash requires non-negative coordinates")
         codes = morton_corner_codes(morton_encode_3d(base[:, 0], base[:, 1], base[:, 2]))
         return _mod_table(codes, table_size)
@@ -177,7 +176,7 @@ class DenseGridIndexer(HashFunction):
         self.resolution = int(resolution)
 
     def __call__(self, coords: NDArray[Any], table_size: int) -> NDArray[Any]:
-        coords = xp.asarray(coords, dtype=np.int64)
+        coords = np.asarray(coords, dtype=np.int64)
         r = self.resolution + 1  # vertices per axis
         idx = coords[..., 0] + r * (coords[..., 1] + r * coords[..., 2])
         return (idx % table_size).astype(np.int64)
@@ -185,12 +184,12 @@ class DenseGridIndexer(HashFunction):
     def corner_hashes(self, base_coords: NDArray[Any], table_size: int) -> NDArray[Any]:
         # Row-major indexing is affine, so each corner is the base index plus
         # a constant stride (1, r, or r*r per incremented axis).
-        base = xp.asarray(base_coords, dtype=np.int64)
+        base = np.asarray(base_coords, dtype=np.int64)
         if base.ndim != 2 or base.shape[1] != 3:
             raise ValueError(f"base_coords must have shape (N, 3), got {base.shape}")
         r = self.resolution + 1
         linear = base[:, 0] + r * (base[:, 1] + r * base[:, 2])
-        strides = xp.array(
+        strides = np.array(
             [i * 1 + j * r + k * r * r for i in (0, 1) for j in (0, 1) for k in (0, 1)],
             dtype=np.int64,
         )
@@ -253,9 +252,9 @@ def _neighbor_pairs() -> NDArray[Any]:
     pairs = []
     for a in range(8):
         for b in range(a + 1, 8):
-            if xp.abs(offsets[a] - offsets[b]).sum() == 1:
+            if np.abs(offsets[a] - offsets[b]).sum() == 1:
                 pairs.append((a, b))
-    return xp.array(pairs, dtype=np.int64)
+    return np.array(pairs, dtype=np.int64)
 
 
 def index_distance_breakdown(
@@ -281,7 +280,7 @@ def index_distance_breakdown(
     verts = cube_vertices(base_coords)  # (N, 8, 3)
     idx = hash_fn(verts.reshape(-1, 3), table_size).reshape(verts.shape[0], 8)
     pairs = _neighbor_pairs()  # (12, 2)
-    dist = xp.abs(idx[:, pairs[:, 0]] - idx[:, pairs[:, 1]]).ravel().astype(np.float64)
+    dist = np.abs(idx[:, pairs[:, 0]] - idx[:, pairs[:, 1]]).ravel().astype(np.float64)
     # Distances of zero (same entry) count in the smallest bin.
     edges = list(DISTANCE_BIN_EDGES) + [np.inf]
     fractions: dict[str, float] = {}
@@ -318,12 +317,12 @@ def average_row_requests_per_cube(
     if row_bytes <= 0 or entry_bytes <= 0:
         raise ValueError("row_bytes and entry_bytes must be positive")
     entries_per_row = max(1, row_bytes // entry_bytes)
-    base = xp.asarray(base_coords, dtype=np.int64)
+    base = np.asarray(base_coords, dtype=np.int64)
     if base.shape[0] == 0:
         return 0.0
     idx = hash_fn.corner_hashes(base, table_size)
-    rows = xp.sort(idx // entries_per_row, axis=1)
-    distinct = 1 + xp.count_nonzero(xp.diff(rows, axis=1), axis=1)
+    rows = np.sort(idx // entries_per_row, axis=1)
+    distinct = 1 + np.count_nonzero(np.diff(rows, axis=1), axis=1)
     return float(distinct.mean())
 
 

@@ -1,8 +1,8 @@
 """Table V (extension): rendering quality and memory cost vs table precision.
 
 Not a table of the paper — the paper fixes fp16 hash-table entries and never
-varies precision.  With the :mod:`repro.core.xp` kernel port and the dtype
-axis of :class:`~repro.nerf.encoding.HashGridConfig` /
+varies precision.  With the dtype axis of
+:class:`~repro.nerf.encoding.HashGridConfig` /
 :class:`~repro.workloads.traces.TraceConfig`, precision becomes a sweepable
 scenario axis: this experiment trains the reduced-scale iNGP field with
 ``fp64``/``fp32``/``fp16`` parameter storage (and post-training-quantizes

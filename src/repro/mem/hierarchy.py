@@ -179,11 +179,6 @@ class FilteredStream:
     stats: HierarchyStats = None
 
     @property
-    def demand_addresses(self) -> NDArray[Any]:
-        """Byte addresses of the uncached-baseline DRAM requests."""
-        return self.demand_lines * self.line_bytes
-
-    @property
     def dram_addresses(self) -> NDArray[Any]:
         """Byte addresses of the lines that must actually be fetched."""
         return self.dram_lines * self.line_bytes

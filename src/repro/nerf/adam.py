@@ -1,10 +1,9 @@
-"""Adam optimizer for lists of backend (``repro.core.xp``) parameter arrays."""
+"""Adam optimizer for lists of numpy parameter arrays."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..core import xp
 
 __all__ = ["Adam"]
 
@@ -45,8 +44,8 @@ class Adam:
         self.epsilon = epsilon
         self.weight_decay = weight_decay
         self.step_count = 0
-        self._m = [xp.zeros_like(p, dtype=np.float32) for p in parameters]
-        self._v = [xp.zeros_like(p, dtype=np.float32) for p in parameters]
+        self._m = [np.zeros_like(p, dtype=np.float32) for p in parameters]
+        self._v = [np.zeros_like(p, dtype=np.float32) for p in parameters]
 
     def step(self) -> None:
         """Apply one Adam update using the currently accumulated gradients."""
@@ -63,7 +62,7 @@ class Adam:
             v_hat = v / bias2
             # The in-place subtract casts the float32 update to p.dtype itself
             # (same-kind casting), so no per-step astype temporary is needed.
-            p -= self.learning_rate * m_hat / (xp.sqrt(v_hat) + self.epsilon)
+            p -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.epsilon)
 
     def zero_grad(self) -> None:
         for g in self.gradients:

@@ -9,13 +9,13 @@ Two encodings are provided:
 * :class:`FrequencyEncoding` — the sinusoidal positional encoding of vanilla
   NeRF, used by the vanilla-NeRF baseline and for view-direction encoding.
 
-Array math goes through the :mod:`repro.core.xp` backend shim (numpy by
-default), with hand-written reverse-mode gradients.  The table precision is
-an axis of :class:`HashGridConfig` and a storage format: float tables
-(``fp64``/``fp32``/``fp16``) train end to end, ``fp16`` entries widening to
-float32 on gather, while ``int8`` tables store affine-quantized entries that
-are dequantized on gather (inference only — see :meth:`quantized_int8`).
-The ``*_reference`` oracles stay pure numpy.
+Array math is numpy, with hand-written reverse-mode gradients; the
+``*_reference`` oracles are the correctness anchors of the fused kernels.
+The table precision is an axis of :class:`HashGridConfig` and a storage
+format: float tables (``fp64``/``fp32``/``fp16``) train end to end, ``fp16``
+entries widening to float32 on gather, while ``int8`` tables store
+affine-quantized entries that are dequantized on gather (inference only —
+see :meth:`quantized_int8`).
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ..core import precision, xp
+from ..core import precision
 from ..core.hashing import DenseGridIndexer, HashFunction, OriginalSpatialHash
 
 __all__ = [
@@ -158,14 +158,14 @@ class HashGridEncoding:
             self.embeddings: list[np.ndarray] = []
             for lvl, table in enumerate(init):
                 codes, scale, zero = precision.quantize_int8(table)
-                self.embeddings.append(xp.asarray(codes))
+                self.embeddings.append(np.asarray(codes))
                 self.scales[lvl] = scale
                 self.zero_points[lvl] = zero
         else:
             storage = precision.storage_dtype(cfg.dtype)
-            self.embeddings = [xp.asarray(table.astype(storage)) for table in init]
+            self.embeddings = [np.asarray(table.astype(storage)) for table in init]
         self.grads: list[np.ndarray] = [
-            xp.zeros(e.shape, dtype=self._compute_dtype) for e in self.embeddings
+            np.zeros(e.shape, dtype=self._compute_dtype) for e in self.embeddings
         ]
         self._cache: dict | None = None
 
@@ -198,8 +198,8 @@ class HashGridEncoding:
             raise ValueError("encoding is already int8-quantized")
         out = HashGridEncoding(replace(self.config, dtype="int8"), rng=rng)
         for level, emb in enumerate(self.embeddings):
-            codes, scale, zero = precision.quantize_int8(xp.asnumpy(emb))
-            out.embeddings[level] = xp.asarray(codes)
+            codes, scale, zero = precision.quantize_int8(emb)
+            out.embeddings[level] = np.asarray(codes)
             out.scales[level] = scale
             out.zero_points[level] = zero
         return out
@@ -235,13 +235,13 @@ class HashGridEncoding:
         """
         cfg = self.config
         res = cfg.resolutions[level]
-        pos = xp.clip(xp.asarray(positions, dtype=np.float64), 0.0, 1.0)
+        pos = np.clip(np.asarray(positions, dtype=np.float64), 0.0, 1.0)
         scaled = pos * res
-        base = xp.floor(scaled).astype(np.int64)
-        base = xp.clip(base, 0, res - 1)
+        base = np.floor(scaled).astype(np.int64)
+        base = np.clip(base, 0, res - 1)
         frac = scaled - base  # in [0, 1)
 
-        offsets = xp.array(
+        offsets = np.array(
             [[i, j, k] for i in (0, 1) for j in (0, 1) for k in (0, 1)], dtype=np.int64
         )  # (8, 3)
         corners = base[:, None, :] + offsets[None, :, :]  # (N, 8, 3)
@@ -253,11 +253,11 @@ class HashGridEncoding:
             idx = DenseGridIndexer(res)(corners.reshape(-1, 3), table_entries).reshape(-1, 8)
 
         # Trilinear weights: product over axes of (1-frac) or frac per corner.
-        w = xp.ones((pos.shape[0], 8), dtype=np.float64)
+        w = np.ones((pos.shape[0], 8), dtype=np.float64)
         for axis in range(3):
             take_hi = offsets[:, axis][None, :]  # (1, 8)
             f = frac[:, axis][:, None]  # (N, 1)
-            w = w * xp.where(take_hi == 1, f, 1.0 - f)
+            w = w * np.where(take_hi == 1, f, 1.0 - f)
         return idx, w.astype(self._compute_dtype), base
 
     #: Points per block of the fused multi-level pass.  The block bounds the
@@ -285,13 +285,13 @@ class HashGridEncoding:
             in the encoding's compute dtype (float32 by default).
         """
         cfg = self.config
-        pos = xp.clip(xp.asarray(positions, dtype=np.float64), 0.0, 1.0)
+        pos = np.clip(np.asarray(positions, dtype=np.float64), 0.0, 1.0)
         n = pos.shape[0]
         block = self.MULTILEVEL_BLOCK
         if n <= block:
             return self._multilevel_block(pos)
-        idx = xp.empty((cfg.num_levels, n, 8), dtype=np.int64)
-        w = xp.empty((cfg.num_levels, n, 8), dtype=self._compute_dtype)
+        idx = np.empty((cfg.num_levels, n, 8), dtype=np.int64)
+        w = np.empty((cfg.num_levels, n, 8), dtype=self._compute_dtype)
         for start in range(0, n, block):
             stop = min(start + block, n)
             idx[:, start:stop], w[:, start:stop] = self._multilevel_block(pos[start:stop])
@@ -301,26 +301,26 @@ class HashGridEncoding:
         """Fused multi-level indices/weights for one block of clipped positions."""
         cfg = self.config
         n = pos.shape[0]
-        res = xp.asarray(cfg.resolutions, dtype=np.int64)  # (L,)
+        res = np.asarray(cfg.resolutions, dtype=np.int64)  # (L,)
         scaled = pos[None, :, :] * res[:, None, None].astype(np.float64)  # (L, N, 3)
-        base = xp.floor(scaled).astype(np.int64)
-        base = xp.clip(base, 0, (res - 1)[:, None, None])
+        base = np.floor(scaled).astype(np.int64)
+        base = np.clip(base, 0, (res - 1)[:, None, None])
         frac = scaled - base  # (L, N, 3), in [0, 1)
 
-        offsets = xp.array(
+        offsets = np.array(
             [[i, j, k] for i in (0, 1) for j in (0, 1) for k in (0, 1)], dtype=np.int64
         )  # (8, 3)
         # Trilinear weights for all levels at once; same multiply order as the
         # per-level path so the reduced-precision results match bit-for-bit.
-        w = xp.ones((cfg.num_levels, n, 8), dtype=np.float64)
+        w = np.ones((cfg.num_levels, n, 8), dtype=np.float64)
         for axis in range(3):
             take_hi = offsets[:, axis][None, None, :]  # (1, 1, 8)
             f = frac[:, :, axis][:, :, None]  # (L, N, 1)
-            w = w * xp.where(take_hi == 1, f, 1.0 - f)
+            w = w * np.where(take_hi == 1, f, 1.0 - f)
 
         # Incremental corner hashing from the base vertices: no (L, N, 8, 3)
         # corner expansion is ever materialized.
-        idx = xp.empty((cfg.num_levels, n, 8), dtype=np.int64)
+        idx = np.empty((cfg.num_levels, n, 8), dtype=np.int64)
         for level in range(cfg.num_levels):
             entries = cfg.level_table_entries(level)
             if cfg.level_uses_hash(level):
@@ -337,13 +337,13 @@ class HashGridEncoding:
         :meth:`forward_reference` keeps the original per-level loop as the
         oracle the fused path is tested against.
         """
-        positions = xp.asarray(positions, dtype=np.float64)
+        positions = np.asarray(positions, dtype=np.float64)
         if positions.ndim != 2 or positions.shape[1] != 3:
             raise ValueError(f"positions must have shape (N, 3), got {positions.shape}")
         cfg = self.config
         n = positions.shape[0]
         idx, w = self.multilevel_vertex_indices(positions)
-        features = xp.empty((n, cfg.output_dim), dtype=self._compute_dtype)
+        features = np.empty((n, cfg.output_dim), dtype=self._compute_dtype)
         cache_levels = []
         for level in range(cfg.num_levels):
             emb = self._gathered_values(level, self.embeddings[level][idx[level]])  # (N, 8, F)
@@ -396,13 +396,13 @@ class HashGridEncoding:
         if self._cache is None:
             raise RuntimeError("backward() called before forward()")
         cfg = self.config
-        grad_output = xp.asarray(grad_output, dtype=self._compute_dtype)
+        grad_output = np.asarray(grad_output, dtype=self._compute_dtype)
         expected = (self._cache["n"], cfg.output_dim)
         if grad_output.shape != expected:
             raise ValueError(f"grad_output shape {grad_output.shape} != {expected}")
         # Reusable (N, 8) float64 weight buffer: multiplying straight into
         # float64 lets bincount consume the weights without an internal cast.
-        buf = xp.empty((expected[0], 8), dtype=np.float64)
+        buf = np.empty((expected[0], 8), dtype=np.float64)
         flat_buf = buf.reshape(-1)
         for level, (idx, w) in enumerate(self._cache["levels"]):
             lo = level * cfg.features_per_entry
@@ -410,8 +410,8 @@ class HashGridEncoding:
             entries = self.grads[level].shape[0]
             # dL/d emb[idx] = w * g_feat, segment-summed over the 8 corners.
             for f in range(cfg.features_per_entry):
-                xp.multiply(w, grad_output[:, lo + f][:, None], out=buf)
-                self.grads[level][:, f] += xp.bincount(flat_idx, flat_buf, minlength=entries)
+                np.multiply(w, grad_output[:, lo + f][:, None], out=buf)
+                self.grads[level][:, f] += np.bincount(flat_idx, flat_buf, minlength=entries)
 
     def backward_reference(self, grad_output: np.ndarray) -> None:
         """Original ``np.add.at`` scatter backward, kept as the oracle for tests."""
@@ -450,7 +450,7 @@ class FrequencyEncoding:
         self.input_dim = input_dim
         self.num_frequencies = num_frequencies
         self.include_input = include_input
-        self.freq_bands = (2.0 ** xp.arange(num_frequencies)).astype(np.float64) * np.pi
+        self.freq_bands = (2.0 ** np.arange(num_frequencies)).astype(np.float64) * np.pi
 
     @property
     def output_dim(self) -> int:
@@ -460,16 +460,16 @@ class FrequencyEncoding:
         return dim
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        x = xp.asarray(x, dtype=np.float64)
+        x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.input_dim:
             raise ValueError(f"expected shape (N, {self.input_dim}), got {x.shape}")
         angles = x[:, :, None] * self.freq_bands[None, None, :]  # (N, D, K)
-        enc = xp.concatenate(
-            [xp.sin(angles).reshape(x.shape[0], -1), xp.cos(angles).reshape(x.shape[0], -1)],
+        enc = np.concatenate(
+            [np.sin(angles).reshape(x.shape[0], -1), np.cos(angles).reshape(x.shape[0], -1)],
             axis=1,
         )
         if self.include_input:
-            enc = xp.concatenate([x, enc], axis=1)
+            enc = np.concatenate([x, enc], axis=1)
         return enc.astype(np.float32)
 
     __call__ = forward

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core import precision, xp
+from ..core import precision
 from .encoding import FrequencyEncoding, HashGridConfig, HashGridEncoding
 from .mlp import MLP, sigmoid, sigmoid_grad, softplus, softplus_grad
 
@@ -54,8 +54,8 @@ def _check_inputs(positions: np.ndarray, directions: np.ndarray) -> tuple[np.nda
     # Existing float dtypes are preserved (the encodings cast where they need
     # to); only non-float inputs are promoted, so no copy happens on the
     # common float64 path.
-    positions = xp.asarray(positions)
-    directions = xp.asarray(directions)
+    positions = np.asarray(positions)
+    directions = np.asarray(directions)
     if positions.dtype.kind != "f":
         positions = positions.astype(np.float64)
     if directions.dtype.kind != "f":
@@ -133,7 +133,7 @@ class InstantNGPField(RadianceField):
         sigma = softplus(sigma_logit)
         geo = h[:, 1:]
         dir_enc = self.dir_encoding.forward(directions)
-        color_in = xp.concatenate([geo, dir_enc], axis=1).astype(self._compute_dtype, copy=False)
+        color_in = np.concatenate([geo, dir_enc], axis=1).astype(self._compute_dtype, copy=False)
         rgb_logit = self.color_mlp.forward(color_in)  # (N, 3)   -- "MLPc"
         rgb = sigmoid(rgb_logit)
         self._cache = {
@@ -151,8 +151,8 @@ class InstantNGPField(RadianceField):
             raise RuntimeError("backward() called before forward()")
         cache = self._cache
         n = cache["n"]
-        grad_sigma = xp.asarray(grad_sigma, dtype=self._compute_dtype).reshape(n)
-        grad_rgb = xp.asarray(grad_rgb, dtype=self._compute_dtype).reshape(n, 3)
+        grad_sigma = np.asarray(grad_sigma, dtype=self._compute_dtype).reshape(n)
+        grad_rgb = np.asarray(grad_rgb, dtype=self._compute_dtype).reshape(n, 3)
 
         # Color branch ("MLPc_b"): sigmoid then MLP.
         grad_rgb_logit = grad_rgb * sigmoid_grad(cache["rgb_logit"], cache["rgb"])
@@ -161,7 +161,7 @@ class InstantNGPField(RadianceField):
         # Direction encoding has no trainable parameters; its grad is dropped.
 
         # Density branch ("MLPd_b"): softplus on the first channel.
-        grad_h = xp.zeros((n, 1 + self.geo_features), dtype=self._compute_dtype)
+        grad_h = np.zeros((n, 1 + self.geo_features), dtype=self._compute_dtype)
         grad_h[:, 0] = grad_sigma * softplus_grad(cache["sigma_logit"], cache["sigma"])
         grad_h[:, 1:] = grad_geo
         grad_features = self.density_mlp.backward(grad_h)
@@ -228,7 +228,7 @@ class VanillaNeRFField(RadianceField):
         positions, directions = _check_inputs(positions, directions)
         pos_enc = self.pos_encoding.forward(positions)
         dir_enc = self.dir_encoding.forward(directions)
-        x = xp.concatenate([pos_enc, dir_enc], axis=1).astype(np.float32, copy=False)
+        x = np.concatenate([pos_enc, dir_enc], axis=1).astype(np.float32, copy=False)
         out = self.mlp.forward(x)  # (N, 4)
         sigma_logit = out[:, 0]
         rgb_logit = out[:, 1:]
@@ -248,9 +248,9 @@ class VanillaNeRFField(RadianceField):
             raise RuntimeError("backward() called before forward()")
         cache = self._cache
         n = cache["n"]
-        grad_sigma = xp.asarray(grad_sigma, dtype=np.float32).reshape(n)
-        grad_rgb = xp.asarray(grad_rgb, dtype=np.float32).reshape(n, 3)
-        grad_out = xp.zeros((n, 4), dtype=np.float32)
+        grad_sigma = np.asarray(grad_sigma, dtype=np.float32).reshape(n)
+        grad_rgb = np.asarray(grad_rgb, dtype=np.float32).reshape(n, 3)
+        grad_out = np.zeros((n, 4), dtype=np.float32)
         grad_out[:, 0] = grad_sigma * softplus_grad(cache["sigma_logit"], cache["sigma"])
         grad_out[:, 1:] = grad_rgb * sigmoid_grad(cache["rgb_logit"], cache["rgb"])
         self.mlp.backward(grad_out)

@@ -3,11 +3,11 @@
 iNGP replaces vanilla NeRF's large MLP with two small MLPs: a density MLP
 (one hidden layer of 64 units) and a color MLP (two hidden layers of 64
 units).  This module provides a generic :class:`MLP` used by both, plus the
-activation functions and their derivatives.  Array math goes through the
-:mod:`repro.core.xp` backend shim; the parameter precision is a constructor
-axis (``fp64``/``fp32``/``fp16``).  ``fp16`` is a storage format: weights
-and biases are stored in float16 and widened to float32 for every matmul,
-and activations and gradients stay float32 (standard mixed precision).
+activation functions and their derivatives.  Array math is numpy; the
+parameter precision is a constructor axis (``fp64``/``fp32``/``fp16``).
+``fp16`` is a storage format: weights and biases are stored in float16 and
+widened to float32 for every matmul, and activations and gradients stay
+float32 (standard mixed precision).
 """
 
 from __future__ import annotations
@@ -17,14 +17,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core import precision, xp
+from ..core import precision
 
 __all__ = ["MLP", "Activation", "relu", "sigmoid", "softplus", "identity"]
 
 
 # --------------------------------------------------------------- activations
 def relu(x: np.ndarray) -> np.ndarray:
-    return xp.maximum(x, 0.0)
+    return np.maximum(x, 0.0)
 
 
 def relu_grad(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -32,10 +32,10 @@ def relu_grad(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    out = xp.empty_like(x)
+    out = np.empty_like(x)
     pos = x >= 0
-    out[pos] = 1.0 / (1.0 + xp.exp(-x[pos]))
-    ex = xp.exp(x[~pos])
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
     out[~pos] = ex / (1.0 + ex)
     return out
 
@@ -45,7 +45,7 @@ def sigmoid_grad(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def softplus(x: np.ndarray) -> np.ndarray:
-    return xp.where(x > 20.0, x, xp.log1p(xp.exp(xp.minimum(x, 20.0))))
+    return np.where(x > 20.0, x, np.log1p(np.exp(np.minimum(x, 20.0))))
 
 
 def softplus_grad(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -57,7 +57,7 @@ def identity(x: np.ndarray) -> np.ndarray:
 
 
 def identity_grad(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    return xp.ones_like(x)
+    return np.ones_like(x)
 
 
 @dataclass(frozen=True)
@@ -123,11 +123,11 @@ class MLP:
         for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]):
             scale = math.sqrt(2.0 / fan_in)
             self.weights.append(
-                xp.asarray(rng.normal(0.0, scale, size=(fan_in, fan_out)).astype(storage))
+                np.asarray(rng.normal(0.0, scale, size=(fan_in, fan_out)).astype(storage))
             )
-            self.biases.append(xp.zeros(fan_out, dtype=storage))
-        self.weight_grads = [xp.zeros(w.shape, dtype=self.dtype) for w in self.weights]
-        self.bias_grads = [xp.zeros(b.shape, dtype=self.dtype) for b in self.biases]
+            self.biases.append(np.zeros(fan_out, dtype=storage))
+        self.weight_grads = [np.zeros(w.shape, dtype=self.dtype) for w in self.weights]
+        self.bias_grads = [np.zeros(b.shape, dtype=self.dtype) for b in self.biases]
         self._cache: dict | None = None
 
     # ------------------------------------------------------------------ API
@@ -160,7 +160,7 @@ class MLP:
 
     # ------------------------------------------------------------- forward
     def forward(self, x: np.ndarray) -> np.ndarray:
-        x = xp.asarray(x, dtype=self.dtype)
+        x = np.asarray(x, dtype=self.dtype)
         if x.ndim != 2 or x.shape[1] != self.input_dim:
             raise ValueError(f"expected input of shape (N, {self.input_dim}), got {x.shape}")
         activations = [x]
@@ -187,7 +187,7 @@ class MLP:
         """
         if self._cache is None:
             raise RuntimeError("backward() called before forward()")
-        grad = xp.asarray(grad_output, dtype=self.dtype)
+        grad = np.asarray(grad_output, dtype=self.dtype)
         activations = self._cache["activations"]
         pre_acts = self._cache["pre_acts"]
         num_layers = len(self.weights)

@@ -7,11 +7,10 @@ segment lengths ``delta_i = t_{i+1} - t_i``, the rendered pixel color is
     T_i      = exp(-sum_{j<i} sigma_j * delta_j)
 
 Both the forward compositing and the reverse-mode gradients w.r.t. densities
-and colors are implemented as vectorised array math over rays x samples
-batches, routed through the :mod:`repro.core.xp` backend shim (numpy by
-default).  Rendering always runs in float64 regardless of the field's
-precision: compositing sums many small terms and is cheap relative to the
-field evaluation it post-processes.
+and colors are implemented as vectorised numpy over rays x samples batches.
+Rendering always runs in float64 regardless of the field's precision:
+compositing sums many small terms and is cheap relative to the field
+evaluation it post-processes.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core import xp
 
 __all__ = ["render_rays", "render_rays_backward", "RenderOutput", "accumulate_transmittance"]
 
@@ -56,10 +54,10 @@ class RenderOutput:
 def accumulate_transmittance(sigma: np.ndarray, deltas: np.ndarray) -> np.ndarray:
     """Transmittance ``T_i = exp(-sum_{j<i} sigma_j delta_j)``, shape (R, S)."""
     tau = sigma * deltas
-    cum = xp.cumsum(tau, axis=-1)
+    cum = np.cumsum(tau, axis=-1)
     # Exclusive cumulative sum: T_0 = 1.
-    shifted = xp.concatenate([xp.zeros_like(cum[..., :1]), cum[..., :-1]], axis=-1)
-    return xp.exp(-shifted)
+    shifted = np.concatenate([np.zeros_like(cum[..., :1]), cum[..., :-1]], axis=-1)
+    return np.exp(-shifted)
 
 
 def render_rays(
@@ -82,31 +80,31 @@ def render_rays(
         Optional ``(3,)`` background color composited behind the volume with
         the residual transmittance (Synthetic-NeRF uses white).
     """
-    sigma = xp.asarray(sigma, dtype=np.float64)
-    colors = xp.asarray(colors, dtype=np.float64)
-    t_values = xp.asarray(t_values, dtype=np.float64)
+    sigma = np.asarray(sigma, dtype=np.float64)
+    colors = np.asarray(colors, dtype=np.float64)
+    t_values = np.asarray(t_values, dtype=np.float64)
     if sigma.ndim != 2:
         raise ValueError(f"sigma must be (R, S), got {sigma.shape}")
     if colors.shape != sigma.shape + (3,):
         raise ValueError(f"colors must be (R, S, 3), got {colors.shape}")
     if t_values.ndim == 1:
-        t_values = xp.broadcast_to(t_values, sigma.shape)
+        t_values = np.broadcast_to(t_values, sigma.shape)
     if t_values.shape != sigma.shape:
         raise ValueError(f"t_values must broadcast to {sigma.shape}, got {t_values.shape}")
 
-    deltas = xp.diff(t_values, axis=-1)
+    deltas = np.diff(t_values, axis=-1)
     # The last segment duplicates the last spacing so every sample has a width.
-    last = deltas[..., -1:] if deltas.shape[-1] > 0 else xp.full(sigma[..., :1].shape, 1e10)
-    deltas = xp.concatenate([deltas, last], axis=-1)
+    last = deltas[..., -1:] if deltas.shape[-1] > 0 else np.full(sigma[..., :1].shape, 1e10)
+    deltas = np.concatenate([deltas, last], axis=-1)
 
-    alpha = 1.0 - xp.exp(-xp.maximum(sigma, 0.0) * deltas)
-    transmittance = accumulate_transmittance(xp.maximum(sigma, 0.0), deltas)
+    alpha = 1.0 - np.exp(-np.maximum(sigma, 0.0) * deltas)
+    transmittance = accumulate_transmittance(np.maximum(sigma, 0.0), deltas)
     weights = transmittance * alpha
     rgb = (weights[..., None] * colors).sum(axis=-2)
     opacity = weights.sum(axis=-1)
     depth = (weights * t_values).sum(axis=-1)
     if background is not None:
-        background = xp.asarray(background, dtype=np.float64).reshape(1, 3)
+        background = np.asarray(background, dtype=np.float64).reshape(1, 3)
         rgb = rgb + (1.0 - opacity)[..., None] * background
     return RenderOutput(
         rgb=rgb,
@@ -156,17 +154,17 @@ def render_rays_backward(
       (``-delta_i * sum_{j>i} w_j c_j``), plus ``-delta_i * (1 - O) * bg``
       when a background is composited.
     """
-    sigma = xp.asarray(sigma, dtype=np.float64)
-    colors = xp.asarray(colors, dtype=np.float64)
-    t_values = xp.asarray(t_values, dtype=np.float64)
-    grad_rgb = xp.asarray(grad_rgb, dtype=np.float64)
+    sigma = np.asarray(sigma, dtype=np.float64)
+    colors = np.asarray(colors, dtype=np.float64)
+    t_values = np.asarray(t_values, dtype=np.float64)
+    grad_rgb = np.asarray(grad_rgb, dtype=np.float64)
     if t_values.ndim == 1:
-        t_values = xp.broadcast_to(t_values, sigma.shape)
+        t_values = np.broadcast_to(t_values, sigma.shape)
 
-    deltas = xp.diff(t_values, axis=-1)
+    deltas = np.diff(t_values, axis=-1)
     # Same segment widths as the forward pass: the last spacing is duplicated.
-    last = deltas[..., -1:] if deltas.shape[-1] > 0 else xp.full(sigma[..., :1].shape, 1e10)
-    deltas = xp.concatenate([deltas, last], axis=-1)
+    last = deltas[..., -1:] if deltas.shape[-1] > 0 else np.full(sigma[..., :1].shape, 1e10)
+    deltas = np.concatenate([deltas, last], axis=-1)
 
     weights = output.weights
     transmittance = output.transmittance
@@ -178,20 +176,20 @@ def render_rays_backward(
     contrib = (colors * grad_rgb[..., None, :]).sum(axis=-1)  # (R, S) = c_i . dL/dC
 
     # Local term: d alpha_i / d sigma_i = delta_i * exp(-sigma_i delta_i)
-    exp_term = xp.exp(-xp.maximum(sigma, 0.0) * deltas)
+    exp_term = np.exp(-np.maximum(sigma, 0.0) * deltas)
     local = transmittance * exp_term * deltas * contrib
 
     # Occlusion term: increasing sigma_i reduces T_j for all j > i by delta_i.
     weighted_contrib = weights * contrib  # (R, S) = w_j * (c_j . dL/dC)
     # suffix_sum[i] = sum_{j > i} weighted_contrib[j]
-    rev_cum = xp.cumsum(weighted_contrib[..., ::-1], axis=-1)[..., ::-1]
+    rev_cum = np.cumsum(weighted_contrib[..., ::-1], axis=-1)[..., ::-1]
     suffix = rev_cum - weighted_contrib
     occlusion = -deltas * suffix
 
     grad_sigma = local + occlusion
 
     if background is not None:
-        background = xp.asarray(background, dtype=np.float64).reshape(1, 3)
+        background = np.asarray(background, dtype=np.float64).reshape(1, 3)
         bg_contrib = (background * grad_rgb).sum(axis=-1)  # (R,)
         # The background term is (1 - sum_j w_j) * bg; d(1 - O)/d sigma_i = -delta_i * T_residual_i
         # where the residual transmittance after the last sample equals
@@ -201,5 +199,5 @@ def render_rays_backward(
 
     # Densities are clamped at zero in the forward pass; gradient is zero there
     # when sigma < 0 (subgradient convention).
-    grad_sigma = xp.where(sigma < 0.0, 0.0, grad_sigma)
+    grad_sigma = np.where(sigma < 0.0, 0.0, grad_sigma)
     return grad_sigma, grad_colors

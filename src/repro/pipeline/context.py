@@ -358,20 +358,12 @@ class SimulationContext:
     def level_indices(
         self, grid: HashGridConfig, trace: TraceConfig, hash_fn: HashFunction, level: int
     ) -> NDArray[Any]:
-        """Corner table indices of the trace at one level (ray-major).
+        """Corner table indices of the trace's batch at one level, ``(N, 8)``.
 
-        Dense traces return the full ``(N, 8)`` stream; occupancy traces
-        return the pruned ``(K, 8)`` subset, derived from (and sharing) the
-        dense artifact.
+        Like :meth:`batch_points` these are always dense (ray-major), so
+        every occupancy variant of a trace shares one artifact;
+        :meth:`request_stream` prunes by subsetting the dense stream.
         """
-        if trace.occupancy:
-            key = ("pruned_level_indices", config_key(grid), config_key(trace), hash_fn.name, level)
-            return self.memoize(
-                key,
-                lambda: self.level_indices(grid, trace.dense(), hash_fn, level)[
-                    self.occupancy_mask(trace)
-                ],
-            )
         key = ("level_indices", config_key(grid), config_key(trace.dense()), hash_fn.name, level)
         return self.memoize(
             key,
@@ -409,7 +401,7 @@ class SimulationContext:
         )
 
         def compute() -> RequestStream:
-            indices = self.level_indices(grid, trace.dense(), hash_fn, level)
+            indices = self.level_indices(grid, trace, hash_fn, level)
             perm = self.stream_order(trace, order)
             points = self.batch_points(trace).reshape(-1, 3)[perm]
             stream = RequestStream(

@@ -14,10 +14,9 @@ which front-end produced it.
 A stream is *table-relative*: it stores per-point table ``indices`` plus the
 layout facts (``entry_bytes``, ``table_entries``, ``base_address``) needed
 to derive flat byte addresses on demand.  Keeping indices rather than
-addresses preserves the information the mapping/conflict analyses need and
-makes address derivation exactly the arithmetic of
-:func:`repro.workloads.traces.lookup_addresses` — which is what guarantees
-byte-identical artifacts across the redesign.
+addresses preserves the information the mapping/conflict analyses need, and
+every front-end derives addresses with the same arithmetic: the table's
+:func:`table_base_address` plus ``index * entry_bytes``.
 
 ``group_ids`` is the per-point reuse-group axis: consecutive points with
 equal ids access identical entry sets (the NeRF cube id of a point; the
@@ -75,9 +74,8 @@ def table_base_address(layout: TableLayout, level: int, entry_bytes: int) -> int
     """Byte offset of one table in the back-to-back flat layout.
 
     Tables (hash-grid levels, embedding tables) are laid out contiguously in
-    index order; this is the same arithmetic
-    :func:`repro.workloads.traces.lookup_addresses` applies, hoisted to the
-    IR so every front-end derives identical flat addresses.
+    index order, and every front-end takes its base addresses from here, so
+    all of them derive identical flat addresses.
     """
     if level < 0 or level >= layout.num_levels:
         raise ValueError(f"level {level} out of range for {layout.num_levels} tables")
@@ -198,8 +196,8 @@ class RequestStream:
     def addresses(self) -> NDArray[Any]:
         """Flat byte addresses, point-major.
 
-        Exactly ``base_address + index * entry_bytes`` — bit-identical to
-        :func:`repro.workloads.traces.lookup_addresses` on the same indices.
+        Exactly ``base_address + index * entry_bytes``; the front-ends set
+        ``base_address`` with :func:`table_base_address`.
         """
         return self.base_address + self.indices.ravel() * self.entry_bytes
 

@@ -9,7 +9,6 @@ from .traces import (
     TraceConfig,
     generate_batch_points,
     level_lookup_indices,
-    lookup_addresses,
 )
 
 __all__ = [
@@ -27,5 +26,4 @@ __all__ = [
     "TraceConfig",
     "generate_batch_points",
     "level_lookup_indices",
-    "lookup_addresses",
 ]

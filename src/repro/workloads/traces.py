@@ -27,7 +27,6 @@ __all__ = [
     "occupancy_grid_for_trace",
     "occupancy_point_mask",
     "level_lookup_indices",
-    "lookup_addresses",
     "HashTraceGenerator",
 ]
 
@@ -311,25 +310,6 @@ def level_lookup_indices(
     return idx.reshape(-1, 8)
 
 
-def lookup_addresses(
-    indices: np.ndarray,
-    level: int,
-    grid_config: HashGridConfig,
-    entry_bytes: int = 4,
-    base_address: int = 0,
-) -> np.ndarray:
-    """Convert per-level table indices to byte addresses.
-
-    Levels are laid out back to back starting at ``base_address``; the
-    Instant-NeRF hash-table mapping scheme later remaps these linear
-    addresses onto banks/subarrays (see :mod:`repro.core.mapping`).
-    """
-    level_offset = base_address
-    for lvl in range(level):
-        level_offset += grid_config.level_table_entries(lvl) * entry_bytes
-    return level_offset + np.asarray(indices, dtype=np.int64).ravel() * entry_bytes
-
-
 class HashTraceGenerator:
     """Generates complete hash-lookup address traces for a training batch.
 
@@ -408,25 +388,3 @@ class HashTraceGenerator:
             )
             stream = stream.subset(keep)
         return stream
-
-    # ------------------------------------------------- legacy ndarray views
-    def indices_for_level(self, level: int, point_order: np.ndarray | None = None) -> np.ndarray:
-        """Per-point corner indices at a level, optionally reordering points.
-
-        A thin view over :meth:`stream` (one code path for ordering and
-        occupancy pruning); the returned array is read-only because it is
-        the stream's own index storage.
-        """
-        return self.stream(level, point_order).indices
-
-    def addresses_for_level(
-        self, level: int, point_order: np.ndarray | None = None, base_address: int = 0
-    ) -> np.ndarray:
-        """Flattened byte-address trace (8 lookups per point, in point order)."""
-        return base_address + self.stream(level, point_order).addresses
-
-    def full_trace(self, point_order: np.ndarray | None = None) -> np.ndarray:
-        """Concatenated address trace across all levels (level-major)."""
-        return np.concatenate(
-            [self.stream(level, point_order).addresses for level in range(self.grid.num_levels)]
-        )

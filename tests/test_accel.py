@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.accel import (
     FP32_PE_GROUP,
@@ -20,6 +22,9 @@ from repro.accel import (
 )
 from repro.core.parallelism import all_data_parallel_plan
 from repro.gpu import TX2, XNX
+from repro.mem import CacheConfig, CacheHierarchy
+from repro.nerf.encoding import HashGridConfig
+from repro.workloads.traces import HashTraceGenerator, TraceConfig
 
 
 # ----------------------------------------------------------------------- PEs
@@ -184,6 +189,37 @@ def test_heterogeneous_plan_beats_all_data_parallel_on_nmp():
     hetero = NMPAccelerator()
     data_parallel = NMPAccelerator(NMPConfig(plan=all_data_parallel_plan()))
     assert hetero.iteration_cost().seconds < data_parallel.iteration_cost().seconds
+
+
+@pytest.fixture(scope="module")
+def filtered_stats():
+    """Hierarchy stats of one NeRF lookup stream (about 71% of it reaches DRAM)."""
+    stream = HashTraceGenerator(
+        HashGridConfig(num_levels=4), TraceConfig(num_rays=32, points_per_ray=16, seed=0)
+    ).stream(0)
+    return CacheHierarchy(CacheConfig(capacity_bytes=16 * 1024)).filter_stream(stream).stats
+
+
+@settings(max_examples=40, deadline=None)
+@given(fraction=st.floats(min_value=0.0, max_value=1.0, exclude_min=True))
+def test_nmp_sample_fraction_scales_per_point_costs_linearly(filtered_stats, fraction):
+    """Occupancy pruning scales every per-point term; inter-bank traffic stays.
+
+    Energy is not checked: static energy scales with busy time, which
+    includes the unscaled inter-bank term.
+    """
+    for stats in (None, filtered_stats):
+        dense = NMPAccelerator(cache_stats=stats)
+        pruned = NMPAccelerator(cache_stats=stats, sample_fraction=fraction)
+        for step in ("HT", "MLP", "MLP_b", "HT_b"):
+            full, part = dense.step_cost(step), pruned.step_cost(step)
+            assert part.memory_seconds == pytest.approx(
+                fraction * full.memory_seconds, rel=1e-12, abs=0.0
+            )
+            assert part.compute_seconds == pytest.approx(
+                fraction * full.compute_seconds, rel=1e-12, abs=0.0
+            )
+            assert part.interbank_seconds == full.interbank_seconds
 
 
 def test_comparison_model_fig11_ranges():

@@ -97,7 +97,7 @@ def level_indices():
     generator = HashTraceGenerator(
         grid, TraceConfig(num_rays=32, points_per_ray=32, seed=2), hash_fn=MortonLocalityHash()
     )
-    return grid, generator.indices_for_level(15).ravel()
+    return grid, generator.stream(15).indices.ravel()
 
 
 def test_subarray_parallelism_reduces_conflicts(level_indices):

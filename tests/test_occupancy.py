@@ -147,8 +147,8 @@ def test_pruned_streams_are_subsets():
     perm = rng.permutation(mask.size)
     for level in (0, 6):
         for order in (None, perm):
-            dense_idx = dense_gen.indices_for_level(level, order)
-            pruned_idx = pruned_gen.indices_for_level(level, order)
+            dense_idx = dense_gen.stream(level, order).indices
+            pruned_idx = pruned_gen.stream(level, order).indices
             keep = mask if order is None else mask[order]
             assert np.array_equal(pruned_idx, dense_idx[keep])
 
@@ -180,19 +180,20 @@ def test_context_pruned_artifacts_and_store_round_trip(tmp_path):
     store = ArtifactStore(tmp_path / "store")
     ctx = SimulationContext(store=store)
     mask = ctx.occupancy_mask(trace)
-    pruned = ctx.level_indices(grid, trace, hash_fn, 3)
-    dense = ctx.level_indices(grid, trace.dense(), hash_fn, 3)
-    assert np.array_equal(pruned, dense[mask])
+
+    # Ray-first order is ray-major, so the pruned stream is the dense stream
+    # under the keep mask.
+    def stream(t):
+        return ctx.request_stream(grid, t, hash_fn, StreamingOrder.RAY_FIRST, 3)
+
+    pruned, dense = stream(trace), stream(trace.dense())
+    assert np.array_equal(pruned.indices, dense.indices[mask])
 
     # Pruned row requests never exceed dense ones; the stream path over the
-    # cached corner indices (dense stream warmed above) must agree with
-    # re-hashing the surviving points directly (ray-first order is ray-major).
-    def row_requests(t):
-        stream = ctx.request_stream(grid, t, hash_fn, StreamingOrder.RAY_FIRST, 3)
-        return ctx.stream_row_requests(stream)
-
-    dense_rows = row_requests(trace.dense())
-    pruned_rows = row_requests(trace)
+    # cached corner indices must agree with re-hashing the surviving points
+    # directly.
+    dense_rows = ctx.stream_row_requests(dense)
+    pruned_rows = ctx.stream_row_requests(pruned)
     assert 0 < pruned_rows <= dense_rows
     kept_points = ctx.batch_points(trace).reshape(-1, 3)[mask]
     direct = memory_requests_for_stream(

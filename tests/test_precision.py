@@ -1,10 +1,9 @@
-"""Tests for the array-backend shim and the end-to-end precision axis.
+"""Tests for the end-to-end precision axis.
 
-Covers: ``repro.core.xp`` backend selection (module forwarding, env
-override, error paths), the ``repro.core.precision`` dtype/quantization
-helpers (including a hypothesis round-trip bound), fp16 as a storage format
-(float16 parameters, float32 compute bit-identical to an fp32 twin holding
-the rounded values, parameters still float16 after a training step), stored
+Covers: the ``repro.core.precision`` dtype/quantization helpers (including
+a hypothesis round-trip bound), fp16 as a storage format (float16
+parameters, float32 compute bit-identical to an fp32 twin holding the
+rounded values, parameters still float16 after a training step), stored
 table bytes matching the modeled footprint, int8 encoding equivalence
 within half a code step, the precision field invalidating context/store
 keys, and a tiny registry-level tab05 run with monotone modeled reductions.
@@ -12,12 +11,7 @@ keys, and a tiny registry-level tab05 run with monotone modeled reductions.
 
 from __future__ import annotations
 
-import importlib.util
-import os
-import subprocess
-import sys
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.core import precision, xp
+from repro.core import precision
 from repro.core.hashing import MortonLocalityHash
 from repro.nerf.encoding import HashGridConfig, HashGridEncoding
 from repro.nerf.field import InstantNGPField
@@ -34,54 +28,6 @@ from repro.nerf.trainer import Trainer, TrainerConfig
 from repro.pipeline.context import SimulationContext, config_key
 from repro.core.streaming import StreamingOrder
 from repro.workloads.traces import TraceConfig
-
-REPO_ROOT = Path(__file__).resolve().parent.parent
-
-
-# ------------------------------------------------------------------ xp shim
-
-
-def test_numpy_backend_forwards_module_attributes():
-    assert xp.get_backend() == "numpy"
-    assert xp.empty is np.empty
-    assert xp.float32 is np.float32
-    out = xp.asarray([1.0, 2.0])
-    assert isinstance(out, np.ndarray)
-    assert xp.asnumpy(out) is out
-    assert "numpy" in xp.available_backends()
-
-
-def test_set_backend_rejects_unknown_and_uninstalled():
-    with pytest.raises(ValueError, match="unknown array backend"):
-        xp.set_backend("jax")
-    for backend in ("cupy", "torch"):
-        if importlib.util.find_spec(backend) is None:
-            with pytest.raises(ImportError):
-                xp.set_backend(backend)
-            assert xp.get_backend() == "numpy"
-    xp.set_backend("numpy")
-    assert xp.backend_module() is np
-
-
-def test_env_override_selects_and_validates_backend():
-    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"), REPRO_XP="numpy")
-    script = "from repro.core import xp; assert xp.get_backend() == 'numpy'"
-    subprocess.run([sys.executable, "-c", script], check=True, env=env)
-    env["REPRO_XP"] = "not-a-backend"
-    bad = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True
-    )
-    assert bad.returncode != 0
-    assert "unknown array backend" in bad.stderr
-
-
-def test_reset_backend_rereads_environment(monkeypatch):
-    monkeypatch.setenv(xp.ENV_VAR, "numpy")
-    xp.reset_backend()
-    assert xp.get_backend() == "numpy"
-    monkeypatch.delenv(xp.ENV_VAR)
-    xp.reset_backend()
-    assert xp.get_backend() == "numpy"
 
 
 # ------------------------------------------------------- precision helpers

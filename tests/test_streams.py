@@ -4,8 +4,9 @@ Covers:
 
 * ``RequestStream`` construction, validation, derived properties and the
   reshape operations (``with_order`` / ``subset`` / ``run_starts``);
-* address derivation bit-identical to the legacy
-  :func:`repro.workloads.traces.lookup_addresses` arithmetic;
+* the two NeRF stream emitters (``HashTraceGenerator.stream`` and
+  ``SimulationContext.request_stream``) agree field for field, with
+  addresses at ``base_address + index * entry_bytes``;
 * both front-ends satisfy the ``StreamSource`` protocol, and occupancy
   pruning yields exact IR subsets of the dense stream;
 * ``RequestStream`` round-trips through the :class:`ArtifactStore` (npz
@@ -22,6 +23,7 @@ Covers:
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import numpy as np
@@ -35,7 +37,6 @@ from repro.core.mapping import HashTableMapper, HashTableMappingConfig, IntraLev
 from repro.core.streaming import (
     StreamingOrder,
     memory_requests_for_stream,
-    point_order,
     row_requests_for_stream,
     stream_register_hit_rate,
     stream_sharing_run_length,
@@ -60,7 +61,7 @@ from repro.workloads.embedding import (
     EmbeddingTraceConfig,
     zipfian_indices,
 )
-from repro.workloads.traces import HashTraceGenerator, TraceConfig, lookup_addresses
+from repro.workloads.traces import HashTraceGenerator, TraceConfig
 
 GRID = HashGridConfig(num_levels=4)
 TRACE = TraceConfig(num_rays=16, points_per_ray=8, seed=3)
@@ -151,19 +152,30 @@ def test_both_front_ends_satisfy_the_stream_source_protocol():
         assert streams[0].source == source.name
 
 
-def test_nerf_stream_addresses_match_legacy_lookup_addresses():
-    gen = HashTraceGenerator(GRID, TRACE, MortonLocalityHash())
-    order = point_order(
-        TRACE.num_rays, TRACE.points_per_ray, StreamingOrder.RANDOM, np.random.default_rng(7)
+def test_nerf_generator_streams_match_context_request_streams():
+    """The two NeRF stream emitters agree on every field but ``source``."""
+    ctx = SimulationContext()
+    scalar_fields = ("entry_bytes", "table_entries", "base_address", "dtype", "kind", "label")
+    traces = (
+        TRACE,  # dense, with the default fp16 entries
+        dataclasses.replace(TRACE, dtype="fp32"),
+        dataclasses.replace(TRACE, scene="lego", occupancy=True),
     )
-    for level in range(GRID.num_levels):
-        for perm in (None, order):
-            stream = gen.stream(level, perm)
-            legacy = lookup_addresses(stream.indices, level, GRID, TRACE.entry_bytes)
-            assert np.array_equal(stream.addresses, legacy)
-            assert stream.entry_bytes == TRACE.entry_bytes
-            assert stream.table_entries == GRID.level_table_entries(level)
-            assert stream.label == f"level={level}"
+    for trace in traces:
+        for hash_fn in (MortonLocalityHash(), OriginalSpatialHash()):
+            gen = HashTraceGenerator(GRID, trace, hash_fn)
+            for order in (StreamingOrder.RAY_FIRST, StreamingOrder.RANDOM):
+                for level in range(GRID.num_levels):
+                    emitted = gen.stream(level, ctx.stream_order(trace, order))
+                    memoized = ctx.request_stream(GRID, trace, hash_fn, order, level)
+                    assert np.array_equal(emitted.indices, memoized.indices)
+                    assert np.array_equal(emitted.group_ids, memoized.group_ids)
+                    for attr in scalar_fields:
+                        assert getattr(emitted, attr) == getattr(memoized, attr), attr
+                    assert np.array_equal(
+                        emitted.addresses,
+                        emitted.base_address + emitted.indices.ravel() * emitted.entry_bytes,
+                    )
 
 
 def test_pruned_occupancy_streams_are_exact_ir_subsets_of_dense():

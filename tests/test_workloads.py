@@ -16,7 +16,6 @@ from repro.workloads import (
     TraceConfig,
     generate_batch_points,
     level_lookup_indices,
-    lookup_addresses,
 )
 
 
@@ -110,36 +109,37 @@ def test_level_lookup_indices_bounds():
         assert idx.max() < grid.level_table_entries(level)
 
 
-def test_lookup_addresses_respect_level_offsets():
+def test_stream_addresses_respect_level_offsets():
     grid = HashGridConfig(num_levels=4, table_size=2**12, max_resolution=64)
-    indices = np.array([0, 1, 2])
-    addr_l0 = lookup_addresses(indices, 0, grid, entry_bytes=4)
-    addr_l1 = lookup_addresses(indices, 1, grid, entry_bytes=4)
-    assert list(addr_l0) == [0, 4, 8]
-    assert addr_l1.min() >= grid.level_table_entries(0) * 4
+    trace_cfg = TraceConfig(num_rays=8, points_per_ray=8)
+    generator = HashTraceGenerator(grid, trace_cfg)
+    entry_bytes = trace_cfg.entry_bytes
+    level0, level1 = generator.stream(0), generator.stream(1)
+    assert level0.base_address == 0
+    assert np.array_equal(level0.addresses, level0.indices.ravel() * entry_bytes)
+    assert level1.base_address == grid.level_table_entries(0) * entry_bytes
+    assert level1.addresses.min() >= grid.level_table_entries(0) * entry_bytes
 
 
-def test_hash_trace_generator_full_trace():
+def test_hash_trace_generator_streams_every_level():
     grid = HashGridConfig(num_levels=4, table_size=2**12, max_resolution=64)
     generator = HashTraceGenerator(
         grid, TraceConfig(num_rays=8, points_per_ray=8), hash_fn=MortonLocalityHash()
     )
-    trace = generator.full_trace()
-    assert trace.shape == (4 * 64 * 8,)
-    assert np.all(trace >= 0)
-    # A point permutation changes the trace order but not its multiset size.
+    # A point permutation reorders each level's stream point by point.
     order = np.random.default_rng(0).permutation(64)
-    permuted = generator.full_trace(order)
-    assert permuted.shape == trace.shape
+    for level in range(grid.num_levels):
+        stream = generator.stream(level)
+        assert stream.indices.shape == (64, 8)
+        assert stream.addresses.shape == (64 * 8,)
+        assert np.all(stream.addresses >= 0)
+        permuted = generator.stream(level, order)
+        assert np.array_equal(permuted.indices, stream.indices[order])
 
 
 def test_trace_generator_hash_function_changes_addresses():
     grid = HashGridConfig(num_levels=6, table_size=2**12, max_resolution=256)
     trace_cfg = TraceConfig(num_rays=8, points_per_ray=8)
-    morton = HashTraceGenerator(grid, trace_cfg, hash_fn=MortonLocalityHash()).addresses_for_level(
-        5
-    )
-    original = HashTraceGenerator(
-        grid, trace_cfg, hash_fn=OriginalSpatialHash()
-    ).addresses_for_level(5)
-    assert not np.array_equal(morton, original)
+    morton = HashTraceGenerator(grid, trace_cfg, hash_fn=MortonLocalityHash()).stream(5)
+    original = HashTraceGenerator(grid, trace_cfg, hash_fn=OriginalSpatialHash()).stream(5)
+    assert not np.array_equal(morton.addresses, original.addresses)
