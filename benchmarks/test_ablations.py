@@ -11,9 +11,9 @@ import numpy as np
 
 from repro.accel import AlgorithmLocality, NMPAccelerator, NMPConfig
 from repro.core.hashing import MortonLocalityHash, OriginalSpatialHash
-from repro.core.streaming import StreamingOrder, memory_requests_for_stream, point_order
+from repro.core.streaming import StreamingOrder, point_order, row_requests_for_stream
 from repro.nerf.encoding import HashGridConfig
-from repro.workloads.traces import TraceConfig, generate_batch_points
+from repro.workloads.traces import HashTraceGenerator, TraceConfig
 
 
 def test_ablation_bank_count_sweep(benchmark):
@@ -54,21 +54,18 @@ def test_ablation_hash_and_order_in_isolation(benchmark):
     """Decompose the Fig. 7(b) gain into hash-only and order-only parts."""
     grid = HashGridConfig(num_levels=8, table_size=2**14, max_resolution=1024)
     trace = TraceConfig(num_rays=48, points_per_ray=48, seed=0)
-    points = generate_batch_points(trace).reshape(-1, 3)
+    original = HashTraceGenerator(grid, trace, OriginalSpatialHash())
+    morton = HashTraceGenerator(grid, trace, MortonLocalityHash())
     random_order = point_order(
         trace.num_rays, trace.points_per_ray, StreamingOrder.RANDOM, np.random.default_rng(0)
     )
     level = 5
 
     def measure():
-        baseline = memory_requests_for_stream(
-            points, level, grid, OriginalSpatialHash(), random_order
-        )
-        hash_only = memory_requests_for_stream(
-            points, level, grid, MortonLocalityHash(), random_order
-        )
-        order_only = memory_requests_for_stream(points, level, grid, OriginalSpatialHash())
-        combined = memory_requests_for_stream(points, level, grid, MortonLocalityHash())
+        baseline = row_requests_for_stream(original.stream(level, random_order))
+        hash_only = row_requests_for_stream(morton.stream(level, random_order))
+        order_only = row_requests_for_stream(original.stream(level))
+        combined = row_requests_for_stream(morton.stream(level))
         return baseline, hash_only, order_only, combined
 
     baseline, hash_only, order_only, combined = benchmark(measure)

@@ -187,9 +187,6 @@ _CONTEXT_EQUIVALENTS: dict[str, str] = {
     "generate_scene_batch_points": "context.batch_points(trace)",
     "point_order": "context.stream_order(trace, order)",
     "level_lookup_indices": "context.level_indices(grid, trace, hash_fn, level)",
-    "memory_requests_for_stream": "context.stream_row_requests(context.request_stream(...))",
-    "points_sharing_same_cube": "context.cube_sharing(trace, resolution, order)",
-    "register_hit_rate": "context.register_hits(trace, resolution, order)",
     "build_scene": "context.scene(name)",
     "SyntheticNeRFDataset": "context.dataset(scene_name, config)",
     "occupancy_grid_for_trace": "context.occupancy_grid(trace)",

@@ -29,12 +29,7 @@ _LAZY_EXPORTS = {
     # streaming
     "LocalityReport": "streaming",
     "StreamingOrder": "streaming",
-    "effective_bandwidth_improvement": "streaming",
-    "memory_requests_for_stream": "streaming",
-    "memory_requests_for_stream_reference": "streaming",
     "point_order": "streaming",
-    "points_sharing_same_cube": "streaming",
-    "register_hit_rate": "streaming",
     # mapping
     "BankConflictStats": "mapping",
     "HashTableMapper": "mapping",

@@ -25,15 +25,16 @@ from ..accel.cost_model import ComparisonModel, SceneComparison
 from ..accel.nmp import AlgorithmLocality, NMPAccelerator, NMPConfig
 from ..gpu.specs import GPUSpec
 from ..nerf.encoding import HashGridConfig
+from ..streams.ir import RequestStream
 from ..workloads.steps import INGPWorkloadModel
-from ..workloads.traces import TraceConfig, generate_batch_points
+from ..workloads.traces import HashTraceGenerator, TraceConfig
 from .hashing import (
     HashFunction,
     MortonLocalityHash,
     OriginalSpatialHash,
     average_row_requests_per_cube,
 )
-from .streaming import StreamingOrder, point_order, points_sharing_same_cube
+from .streaming import StreamingOrder, point_order, stream_sharing_run_length
 
 __all__ = ["AlgorithmConfig", "InstantNeRFSystem", "SCENE_DIFFICULTY"]
 
@@ -82,7 +83,14 @@ class LocalityContext(Protocol):
         self, grid: HashGridConfig, trace: TraceConfig, hash_fn: HashFunction, level: int
     ) -> float: ...
 
-    def cube_sharing(self, trace: TraceConfig, resolution: int, order: StreamingOrder) -> float: ...
+    def request_stream(
+        self,
+        grid: HashGridConfig,
+        trace: TraceConfig,
+        hash_fn: HashFunction,
+        order: StreamingOrder,
+        level: int,
+    ) -> RequestStream: ...
 
 
 class InstantNeRFSystem:
@@ -97,10 +105,9 @@ class InstantNeRFSystem:
         context: LocalityContext | None = None,
     ):
         """``context`` optionally is a :class:`repro.pipeline.context.SimulationContext`
-        (any object with ``batch_points``/``stream_order``/``cube_sharing``/
-        ``requests_per_cube`` works); the locality measurement then reuses
-        the traces and per-level statistics other experiments already built
-        instead of recomputing them."""
+        (any :class:`LocalityContext` works); the locality measurement then
+        reuses the per-level request streams and requests-per-cube statistic
+        other experiments already built instead of recomputing them."""
         self.algorithm = algorithm or AlgorithmConfig.instant_nerf()
         self.grid = grid_config or HashGridConfig()
         self.workload = INGPWorkloadModel(self.grid)
@@ -117,43 +124,37 @@ class InstantNeRFSystem:
 
         Samples a small batch of ray-ordered points, measures the average
         number of DRAM rows per cube under the configured hash function and
-        the cube-sharing run length under the configured streaming order,
-        and maps residual conflicts to a stall factor.
+        the cube-sharing run length of each level's request stream under the
+        configured streaming order, and maps residual conflicts to a stall
+        factor.
         """
         ctx = self._context
-        fine_level = self.grid.num_levels - 1
+        grid, trace = self.grid, self.trace_config
+        hash_fn, order = self.algorithm.hash_fn, self.algorithm.streaming_order
+        levels = range(grid.num_levels)
+        fine_level = grid.num_levels - 1
         if ctx is not None:
-            requests_per_cube = ctx.requests_per_cube(
-                self.grid, self.trace_config, self.algorithm.hash_fn, fine_level
-            )
-            run_lengths = [
-                ctx.cube_sharing(
-                    self.trace_config, self.grid.resolutions[lvl], self.algorithm.streaming_order
-                )
-                for lvl in range(self.grid.num_levels)
-            ]
+            requests_per_cube = ctx.requests_per_cube(grid, trace, hash_fn, fine_level)
+            streams = [ctx.request_stream(grid, trace, hash_fn, order, lvl) for lvl in levels]
         else:
-            points = generate_batch_points(self.trace_config)
-            flat = points.reshape(-1, 3)
-            order = point_order(
-                self.trace_config.num_rays,
-                self.trace_config.points_per_ray,
-                self.algorithm.streaming_order,
-                rng=np.random.default_rng(self.trace_config.seed),
-            )
+            generator = HashTraceGenerator(grid, trace, hash_fn)
+            flat = generator.points.reshape(-1, 3)
 
             # Requests per cube at a representative fine (hashed) level.
-            resolution = self.grid.resolutions[fine_level]
+            resolution = grid.resolutions[fine_level]
             base_coords = np.clip((flat * resolution).astype(np.int64), 0, resolution - 1)
             requests_per_cube = average_row_requests_per_cube(
-                self.algorithm.hash_fn, base_coords, self.grid.level_table_entries(fine_level)
+                hash_fn,
+                base_coords,
+                grid.level_table_entries(fine_level),
+                entry_bytes=trace.entry_bytes,
             )
-
-            # Cube sharing averaged over levels (coarse levels share heavily).
-            run_lengths = [
-                points_sharing_same_cube(flat, self.grid.resolutions[lvl], order)
-                for lvl in range(self.grid.num_levels)
-            ]
+            perm = point_order(
+                trace.num_rays, trace.points_per_ray, order, rng=np.random.default_rng(trace.seed)
+            )
+            streams = [generator.stream(lvl, perm) for lvl in levels]
+        # Cube sharing averaged over levels (coarse levels share heavily).
+        run_lengths = [stream_sharing_run_length(stream) for stream in streams]
         sharing = float(np.mean(run_lengths))
 
         # Residual bank-conflict stalls: the locality-sensitive hash keeps
@@ -200,7 +201,7 @@ class InstantNeRFSystem:
         paper measures a 1.15x end-to-end boost on the 2080Ti.
         """
         baseline = baseline or InstantNeRFSystem(
-            AlgorithmConfig.ingp(), self.grid, trace_config=self.trace_config
+            AlgorithmConfig.ingp(), self.grid, trace_config=self.trace_config, context=self._context
         )
         # Effective-bandwidth improvement for hash-table traffic.
         ours = self.locality

@@ -106,6 +106,18 @@ class HashGridConfig:
         res = self.resolutions[level]
         return (res + 1) ** 3 > self.table_size
 
+    def level_indexer(self, level: int, hash_fn: HashFunction | None = None) -> HashFunction:
+        """The function that maps one level's grid vertices to table indices.
+
+        A hashed level uses ``hash_fn`` (the config's ``hash_fn`` when
+        ``None``); a coarse level stored dense is indexed row-major by a
+        :class:`~repro.core.hashing.DenseGridIndexer`.  Every index pass —
+        the encoding's and the memory path's — picks its indexer here.
+        """
+        if self.level_uses_hash(level):
+            return hash_fn or self.hash_fn
+        return DenseGridIndexer(self.resolutions[level])
+
     def table_bytes(self, dtype_bytes: int | None = None) -> int:
         """Total hash-table parameter footprint in bytes.
 
@@ -246,11 +258,8 @@ class HashGridEncoding:
         )  # (8, 3)
         corners = base[:, None, :] + offsets[None, :, :]  # (N, 8, 3)
 
-        table_entries = cfg.level_table_entries(level)
-        if cfg.level_uses_hash(level):
-            idx = cfg.hash_fn(corners.reshape(-1, 3), table_entries).reshape(-1, 8)
-        else:
-            idx = DenseGridIndexer(res)(corners.reshape(-1, 3), table_entries).reshape(-1, 8)
+        indexer = cfg.level_indexer(level)
+        idx = indexer(corners.reshape(-1, 3), cfg.level_table_entries(level)).reshape(-1, 8)
 
         # Trilinear weights: product over axes of (1-frac) or frac per corner.
         w = np.ones((pos.shape[0], 8), dtype=np.float64)
@@ -322,11 +331,8 @@ class HashGridEncoding:
         # corner expansion is ever materialized.
         idx = np.empty((cfg.num_levels, n, 8), dtype=np.int64)
         for level in range(cfg.num_levels):
-            entries = cfg.level_table_entries(level)
-            if cfg.level_uses_hash(level):
-                idx[level] = cfg.hash_fn.corner_hashes(base[level], entries)
-            else:
-                idx[level] = DenseGridIndexer(int(res[level])).corner_hashes(base[level], entries)
+            indexer = cfg.level_indexer(level)
+            idx[level] = indexer.corner_hashes(base[level], cfg.level_table_entries(level))
         return idx, w.astype(self._compute_dtype)
 
     # ------------------------------------------------------------- forward

@@ -36,9 +36,9 @@ from ..core.streaming import (
     LocalityReport,
     cube_ids,
     point_order,
-    points_sharing_same_cube,
-    register_hit_rate,
     row_requests_for_stream,
+    stream_register_hit_rate,
+    stream_sharing_run_length,
 )
 from ..streams.ir import RequestStream, table_base_address
 from ..dram.spec import DRAMSpec, get_dram_spec
@@ -508,30 +508,6 @@ class SimulationContext:
         )
 
     # ----------------------------------------------------------- locality
-    def cube_sharing(self, trace: TraceConfig, resolution: int, order: StreamingOrder) -> float:
-        """Average same-cube run length of the trace at one resolution."""
-        key = ("cube_sharing", config_key(trace), resolution, order.value)
-        return self.memoize(
-            key,
-            lambda: points_sharing_same_cube(
-                self.batch_points(trace).reshape(-1, 3),
-                resolution,
-                self.stream_order(trace, order),
-            ),
-        )
-
-    def register_hits(self, trace: TraceConfig, resolution: int, order: StreamingOrder) -> float:
-        """Register hit rate of the trace at one resolution."""
-        key = ("register_hits", config_key(trace), resolution, order.value)
-        return self.memoize(
-            key,
-            lambda: register_hit_rate(
-                self.batch_points(trace).reshape(-1, 3),
-                resolution,
-                self.stream_order(trace, order),
-            ),
-        )
-
     def locality_reports(
         self,
         grid: HashGridConfig,
@@ -540,7 +516,12 @@ class SimulationContext:
         optimized_hash: HashFunction,
         row_bytes: int = 1024,
     ) -> list[LocalityReport]:
-        """Fig. 7 per-level locality comparison, assembled from cached parts."""
+        """Fig. 7 per-level locality comparison, assembled from cached streams.
+
+        Row requests compare the baseline hash under random order with the
+        optimized hash under ray-first order; cube sharing and register hits
+        are read off the same ray-first stream.
+        """
         key = (
             "locality_reports",
             config_key(grid),
@@ -551,22 +532,21 @@ class SimulationContext:
         )
 
         def compute() -> list[LocalityReport]:
-            def requests(hash_fn: HashFunction, order: StreamingOrder, level: int) -> int:
-                stream = self.request_stream(grid, trace, hash_fn, order, level)
-                return self.stream_row_requests(stream, row_bytes)
-
             reports = []
             for level in range(grid.num_levels):
-                res = grid.resolutions[level]
+                baseline = self.request_stream(
+                    grid, trace, baseline_hash, StreamingOrder.RANDOM, level
+                )
+                optimized = self.request_stream(
+                    grid, trace, optimized_hash, StreamingOrder.RAY_FIRST, level
+                )
                 reports.append(
                     LocalityReport(
                         level=level,
-                        baseline_requests=requests(baseline_hash, StreamingOrder.RANDOM, level),
-                        optimized_requests=requests(
-                            optimized_hash, StreamingOrder.RAY_FIRST, level
-                        ),
-                        sharing_run_length=self.cube_sharing(trace, res, StreamingOrder.RAY_FIRST),
-                        register_hit_rate=self.register_hits(trace, res, StreamingOrder.RAY_FIRST),
+                        baseline_requests=self.stream_row_requests(baseline, row_bytes),
+                        optimized_requests=self.stream_row_requests(optimized, row_bytes),
+                        sharing_run_length=stream_sharing_run_length(optimized),
+                        register_hit_rate=stream_register_hit_rate(optimized),
                     )
                 )
             return reports
@@ -604,7 +584,7 @@ class SimulationContext:
         """A co-designed :class:`~repro.core.codesign.InstantNeRFSystem`.
 
         The system measures its algorithm locality through this context, so
-        traces and per-level sharing statistics are shared with the locality
+        traces and per-level request streams are shared with the locality
         experiments instead of being rebuilt.
         """
         from ..core.codesign import AlgorithmConfig, InstantNeRFSystem

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core import precision
-from ..core.hashing import DenseGridIndexer, HashFunction
+from ..core.hashing import HashFunction
 from ..nerf.encoding import HashGridConfig
 from ..nerf.occupancy import OccupancyGrid, OccupancyGridConfig, adaptive_sample_mask
 from ..streams.ir import RequestStream, TableLayout, table_base_address
@@ -278,6 +278,14 @@ def level_lookup_indices(
 ) -> np.ndarray:
     """Hash-table indices of the 8 cube corners of each point at one level.
 
+    The index half of the encoding's fused pass
+    (:meth:`repro.nerf.encoding.HashGridEncoding.multilevel_vertex_indices`):
+    each point's cube base vertex, then one incremental
+    :meth:`~repro.core.hashing.HashFunction.corner_hashes` call of
+    :meth:`HashGridConfig.level_indexer`.
+    :meth:`~repro.nerf.encoding.HashGridEncoding.vertex_indices` is the
+    oracle both are tested against.
+
     Parameters
     ----------
     points:
@@ -295,19 +303,11 @@ def level_lookup_indices(
     numpy.ndarray
         Integer indices of shape ``(N, 8)`` in ``[0, level_table_entries)``.
     """
-    pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
+    pts = np.clip(np.asarray(points, dtype=np.float64).reshape(-1, 3), 0.0, 1.0)
     res = grid_config.resolutions[level]
-    table_entries = grid_config.level_table_entries(level)
-    scaled = np.clip(pts, 0.0, 1.0) * res
-    base = np.clip(np.floor(scaled).astype(np.int64), 0, res - 1)
-    offsets = np.array([[i, j, k] for i in (0, 1) for j in (0, 1) for k in (0, 1)], dtype=np.int64)
-    corners = base[:, None, :] + offsets[None, :, :]
-    fn = hash_fn or grid_config.hash_fn
-    if grid_config.level_uses_hash(level):
-        idx = fn(corners.reshape(-1, 3), table_entries)
-    else:
-        idx = DenseGridIndexer(res)(corners.reshape(-1, 3), table_entries)
-    return idx.reshape(-1, 8)
+    base = np.clip(np.floor(pts * res).astype(np.int64), 0, res - 1)
+    indexer = grid_config.level_indexer(level, hash_fn)
+    return indexer.corner_hashes(base, grid_config.level_table_entries(level))
 
 
 class HashTraceGenerator:

@@ -9,6 +9,7 @@ from repro.core.hashing import MortonLocalityHash, OriginalSpatialHash
 from repro.core.streaming import StreamingOrder
 from repro.gpu import TX2, XNX
 from repro.nerf.encoding import HashGridConfig
+from repro.pipeline import SimulationContext
 from repro.scenes.library import SCENE_NAMES
 from repro.workloads.traces import TraceConfig
 
@@ -52,6 +53,17 @@ def test_measured_locality_reproduces_paper_statistics(instant_system, ingp_syst
     assert ours.cube_sharing_run_length > 1.5
     assert theirs.cube_sharing_run_length == pytest.approx(1.0, abs=0.1)
     assert ours.bank_conflict_stall_factor < theirs.bank_conflict_stall_factor
+
+
+@pytest.mark.parametrize("dtype", ["fp16", "fp32", "fp64"])
+def test_locality_is_the_same_with_and_without_a_context(dtype):
+    """The context-free measurement prices the trace's entry width too."""
+    grid = HashGridConfig(num_levels=8, table_size=2**14)
+    trace = TraceConfig(num_rays=32, points_per_ray=32, seed=0, dtype=dtype)
+    for algorithm in (AlgorithmConfig.instant_nerf(), AlgorithmConfig.ingp()):
+        alone = InstantNeRFSystem(algorithm, grid, trace_config=trace)
+        shared = SimulationContext().system(algorithm, grid, trace)
+        assert alone.locality == shared.locality
 
 
 def test_codesign_outperforms_ingp_on_nmp(instant_system, ingp_system):

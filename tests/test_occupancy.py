@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from repro.core.hashing import MortonLocalityHash
-from repro.core.streaming import StreamingOrder, memory_requests_for_stream
+from repro.core.streaming import StreamingOrder, cube_ids, row_requests_for_stream_reference
 from repro.nerf import (
     HashGridConfig,
     InstantNGPField,
@@ -39,9 +39,11 @@ from repro.pipeline.store import ArtifactStore
 from repro.scenes import DatasetConfig
 from repro.scenes.camera import CameraIntrinsics, poses_on_sphere
 from repro.scenes.library import build_scene
+from repro.streams import RequestStream
 from repro.workloads.traces import (
     HashTraceGenerator,
     TraceConfig,
+    level_lookup_indices,
     occupancy_grid_for_trace,
     occupancy_point_mask,
 )
@@ -196,10 +198,13 @@ def test_context_pruned_artifacts_and_store_round_trip(tmp_path):
     pruned_rows = ctx.stream_row_requests(pruned)
     assert 0 < pruned_rows <= dense_rows
     kept_points = ctx.batch_points(trace).reshape(-1, 3)[mask]
-    direct = memory_requests_for_stream(
-        kept_points, 3, grid, hash_fn, entry_bytes=trace.entry_bytes
+    direct = RequestStream(
+        indices=level_lookup_indices(kept_points, 3, grid, hash_fn),
+        entry_bytes=trace.entry_bytes,
+        table_entries=grid.level_table_entries(3),
+        group_ids=cube_ids(kept_points, grid.resolutions[3]),
     )
-    assert direct == pruned_rows
+    assert row_requests_for_stream_reference(direct) == pruned_rows
     # A fresh context over the same store loads instead of recomputing.
     ctx2 = SimulationContext(store=ArtifactStore(tmp_path / "store"))
     mask2 = ctx2.occupancy_mask(trace)

@@ -8,11 +8,7 @@ import numpy as np
 import pytest
 
 from repro.core.hashing import MortonLocalityHash, OriginalSpatialHash, get_hash_function
-from repro.core.streaming import (
-    StreamingOrder,
-    memory_requests_for_stream,
-    memory_requests_for_stream_reference,
-)
+from repro.core.streaming import StreamingOrder, row_requests_for_stream_reference
 from repro.dram.spec import DDR4_3200, LPDDR4_2400, get_dram_spec
 from repro.experiments import run_fig07
 from repro.nerf.encoding import HashGridConfig
@@ -27,7 +23,7 @@ from repro.pipeline import (
     sweep,
 )
 from repro.pipeline.cli import main
-from repro.workloads.traces import TraceConfig
+from repro.workloads.traces import HashTraceGenerator, TraceConfig
 
 EXPECTED_SPECS = (
     "fig01", "fig04", "fig06", "fig07", "fig09", "fig10", "fig11",
@@ -129,22 +125,20 @@ def test_context_failed_computation_is_retryable():
     assert ctx.memoize(("flaky",), flaky) == 42
 
 
-def test_context_row_requests_with_and_without_cached_indices_agree():
+def test_context_row_requests_match_the_oracle():
     """The context's stream path (hash once, cache the corner indices, count
-    on the IR) equals the point kernel that hashes the stream directly."""
+    on the IR) equals the loop oracle on a stream hashed afresh."""
     grid = HashGridConfig(num_levels=6, table_size=2**12, max_resolution=256)
     trace = TraceConfig(num_rays=16, points_per_ray=16, seed=2)
     fn = MortonLocalityHash()
     ctx = SimulationContext()
-    points = ctx.batch_points(trace)
+    generator = HashTraceGenerator(grid, trace, fn)
     for order in StreamingOrder:
         perm = ctx.stream_order(trace, order)
         for level in range(grid.num_levels):
             stream = ctx.request_stream(grid, trace, fn, order, level)
-            args = (points, level, grid, fn, perm)
-            direct = memory_requests_for_stream(*args, entry_bytes=trace.entry_bytes)
-            oracle = memory_requests_for_stream_reference(*args, entry_bytes=trace.entry_bytes)
-            assert ctx.stream_row_requests(stream) == direct == oracle
+            oracle = row_requests_for_stream_reference(generator.stream(level, perm))
+            assert ctx.stream_row_requests(stream) == oracle
 
 
 def test_context_serviced_batch_summary():

@@ -8,20 +8,34 @@ import pytest
 from repro.core.hashing import MortonLocalityHash, OriginalSpatialHash
 from repro.core.streaming import (
     StreamingOrder,
-    effective_bandwidth_improvement,
-    memory_requests_for_stream,
-    memory_requests_for_stream_reference,
     point_order,
-    points_sharing_same_cube,
-    register_hit_rate,
+    row_requests_for_stream,
+    row_requests_for_stream_reference,
+    stream_register_hit_rate,
+    stream_sharing_run_length,
 )
 from repro.nerf.encoding import HashGridConfig
-from repro.workloads.traces import TraceConfig, generate_batch_points
+from repro.workloads.traces import HashTraceGenerator, TraceConfig
+
+#: Level 0 (resolution 16) is stored dense, levels 1-7 (28 ... 1024) hashed.
+GRID = HashGridConfig(num_levels=8, table_size=2**14, max_resolution=1024)
+TRACE = TraceConfig(num_rays=32, points_per_ray=32, seed=0)
+
+
+def random_order(seed):
+    return point_order(
+        TRACE.num_rays, TRACE.points_per_ray, StreamingOrder.RANDOM, rng=np.random.default_rng(seed)
+    )
 
 
 @pytest.fixture(scope="module")
-def ray_points():
-    return generate_batch_points(TraceConfig(num_rays=32, points_per_ray=32, seed=0))
+def morton():
+    return HashTraceGenerator(GRID, TRACE, MortonLocalityHash())
+
+
+@pytest.fixture(scope="module")
+def original():
+    return HashTraceGenerator(GRID, TRACE, OriginalSpatialHash())
 
 
 def test_point_order_shapes_and_kinds():
@@ -34,98 +48,62 @@ def test_point_order_shapes_and_kinds():
         point_order(0, 8, StreamingOrder.RANDOM)
 
 
-def test_ray_first_order_shares_cubes_more_than_random(ray_points):
+def test_ray_first_order_shares_cubes_more_than_random(morton):
     """Fig. 7(a): ray-first streaming keeps consecutive points in the same cube."""
-    flat = ray_points.reshape(-1, 3)
-    num = ray_points.shape[0] * ray_points.shape[1]
-    ray_order = point_order(ray_points.shape[0], ray_points.shape[1], StreamingOrder.RAY_FIRST)
-    random_order = point_order(
-        ray_points.shape[0],
-        ray_points.shape[1],
-        StreamingOrder.RANDOM,
-        rng=np.random.default_rng(1),
-    )
-    for resolution in (16, 64):
-        ray_sharing = points_sharing_same_cube(flat, resolution, ray_order)
-        random_sharing = points_sharing_same_cube(flat, resolution, random_order)
+    shuffled = random_order(1)
+    for level in (0, 3):  # resolutions 16 and 95
+        ray_sharing = stream_sharing_run_length(morton.stream(level))
+        random_sharing = stream_sharing_run_length(morton.stream(level, shuffled))
         assert ray_sharing > random_sharing
         assert ray_sharing > 1.5
         assert random_sharing < 1.5
-    assert register_hit_rate(flat, 16, ray_order) > register_hit_rate(flat, 16, random_order)
+    assert stream_register_hit_rate(morton.stream(0)) > stream_register_hit_rate(
+        morton.stream(0, shuffled)
+    )
 
 
-def test_sharing_decreases_with_resolution(ray_points):
+def test_sharing_decreases_with_resolution(morton):
     """Fig. 7(a) shape: coarse levels share much more than fine levels."""
-    flat = ray_points.reshape(-1, 3)
-    coarse = points_sharing_same_cube(flat, 16)
-    fine = points_sharing_same_cube(flat, 1024)
+    coarse = stream_sharing_run_length(morton.stream(0))
+    fine = stream_sharing_run_length(morton.stream(GRID.num_levels - 1))
     assert coarse > fine
     assert fine >= 1.0
 
 
-def test_memory_requests_reduced_by_morton_and_ray_order(ray_points):
-    grid = HashGridConfig(num_levels=8, table_size=2**14, max_resolution=512)
-    flat = ray_points.reshape(-1, 3)
+def test_memory_requests_reduced_by_morton_and_ray_order(morton, original):
     level = 6
-    baseline = memory_requests_for_stream(
-        flat, level, grid, OriginalSpatialHash(),
-        order=point_order(32, 32, StreamingOrder.RANDOM, rng=np.random.default_rng(2)),
-    )
-    optimized = memory_requests_for_stream(flat, level, grid, MortonLocalityHash())
+    baseline = row_requests_for_stream(original.stream(level, random_order(2)))
+    optimized = row_requests_for_stream(morton.stream(level))
     assert optimized < baseline
     assert optimized >= 1
 
 
-def test_effective_bandwidth_improvement_matches_paper_shape(ray_points):
-    """Fig. 7(b): the combined techniques give a multi-x improvement on every level."""
-    grid = HashGridConfig(num_levels=8, table_size=2**14, max_resolution=1024)
-    reports = effective_bandwidth_improvement(
-        points=ray_points,
-        grid_config=grid,
-        baseline_hash=OriginalSpatialHash(),
-        optimized_hash=MortonLocalityHash(),
-        num_rays=32,
-        points_per_ray=32,
-    )
-    assert len(reports) == 8
-    improvements = [r.effective_bandwidth_improvement for r in reports]
-    assert all(imp > 1.5 for imp in improvements)
-    assert max(improvements) > 5.0
-    # Coarse levels improve at least as much as the finest level (paper shape).
-    assert improvements[0] > improvements[-1]
-    for report in reports:
-        assert report.baseline_requests >= report.optimized_requests
-        assert 0.0 <= report.register_hit_rate <= 1.0
+def test_memory_requests_vectorized_matches_loop_oracle(morton, original):
+    """The vectorized run-length/row-set accounting must equal the retained loop.
+
+    A 3000-byte row holds 750 four-byte entries: not a power of two, so the
+    kernel divides instead of shifting.
+    """
+    for generator in (original, morton):
+        for level in range(GRID.num_levels):
+            for order in (None, random_order(5)):
+                stream = generator.stream(level, order)
+                for row_bytes in (64, 1024, 3000):
+                    fast = row_requests_for_stream(stream, row_bytes)
+                    assert fast == row_requests_for_stream_reference(stream, row_bytes)
 
 
-def test_points_sharing_empty_input():
-    assert points_sharing_same_cube(np.zeros((0, 3)), 16) == 0.0
-    assert register_hit_rate(np.zeros((1, 3)), 16) == 0.0
-
-
-def test_memory_requests_vectorized_matches_loop_oracle(ray_points):
-    """The vectorized run-length/row-set accounting must equal the retained loop."""
-    flat = ray_points.reshape(-1, 3)
-    grid = HashGridConfig(num_levels=8, table_size=2**14, max_resolution=512)
-    orders = [
-        None,
-        point_order(32, 32, StreamingOrder.RANDOM, rng=np.random.default_rng(5)),
-    ]
-    for hash_fn in (OriginalSpatialHash(), MortonLocalityHash()):
-        for level in range(grid.num_levels):
-            for order in orders:
-                fast = memory_requests_for_stream(flat, level, grid, hash_fn, order)
-                slow = memory_requests_for_stream_reference(flat, level, grid, hash_fn, order)
-                assert fast == slow
-
-
-def test_memory_requests_empty_and_single_point():
-    grid = HashGridConfig(num_levels=4, table_size=2**10, max_resolution=64)
-    empty = np.zeros((0, 3))
-    one = np.array([[0.3, 0.4, 0.5]])
-    for level in range(grid.num_levels):
-        assert memory_requests_for_stream(empty, level, grid, MortonLocalityHash()) == 0
-        fast = memory_requests_for_stream(one, level, grid, MortonLocalityHash())
-        slow = memory_requests_for_stream_reference(one, level, grid, MortonLocalityHash())
-        assert fast == slow
+def test_memory_requests_empty_and_single_point(morton):
+    for level in range(GRID.num_levels):
+        stream = morton.stream(level)
+        first = np.arange(stream.num_points) == 0
+        empty, one = stream.subset(np.zeros_like(first)), stream.subset(first)
+        assert row_requests_for_stream(empty) == 0
+        assert row_requests_for_stream_reference(empty) == 0
+        assert stream_sharing_run_length(empty) == 0.0
+        assert stream_register_hit_rate(empty) == 0.0
+        assert stream_sharing_run_length(one) == 1.0
+        assert stream_register_hit_rate(one) == 0.0
+        fast = row_requests_for_stream(one)
+        assert fast == row_requests_for_stream_reference(one)
         assert 1 <= fast <= 8

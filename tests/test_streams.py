@@ -11,9 +11,10 @@ Covers:
   pruning yields exact IR subsets of the dense stream;
 * ``RequestStream`` round-trips through the :class:`ArtifactStore` (npz
   payload with a typed JSON metadata document);
-* fig07/fig09 artifacts are byte-identical to values recomputed with the
-  point kernels, and the DRAM model services a stream exactly like its raw
-  byte addresses;
+* fig07/fig09 artifacts are byte-identical to values recomputed on freshly
+  emitted streams (fig07 with the row-request loop oracle), the row-request
+  kernel equals that oracle on arbitrary streams, and the DRAM model
+  services a stream exactly like its raw byte addresses;
 * a ``run_*`` function and its registered experiment return identical
   results;
 * the embedding front-end: determinism, Zipfian skew, bag sorting, and the
@@ -36,8 +37,8 @@ from repro.core.hashing import MortonLocalityHash, OriginalSpatialHash
 from repro.core.mapping import HashTableMapper, HashTableMappingConfig, IntraLevelPolicy
 from repro.core.streaming import (
     StreamingOrder,
-    memory_requests_for_stream,
     row_requests_for_stream,
+    row_requests_for_stream_reference,
     stream_register_hit_rate,
     stream_sharing_run_length,
 )
@@ -227,23 +228,19 @@ def test_warm_store_reproduces_fig09_byte_identically(tmp_path):
 
 
 # --------------------------------------------- byte-identity vs legacy paths
-def test_fig07_row_requests_match_the_legacy_kernel():
+def test_fig07_row_requests_match_the_oracle():
     ctx = SimulationContext()
     baseline, optimized = OriginalSpatialHash(), MortonLocalityHash()
     result = run_fig07(GRID, TRACE, context=ctx, baseline_hash=baseline, optimized_hash=optimized)
-    points = ctx.batch_points(TRACE).reshape(-1, 3)
+    random_order = ctx.stream_order(TRACE, StreamingOrder.RANDOM)
     for row in result.rows:
         level = row["level"]
-        legacy_base = memory_requests_for_stream(
-            points, level, GRID, baseline,
-            order=ctx.stream_order(TRACE, StreamingOrder.RANDOM),
-        )
-        legacy_opt = memory_requests_for_stream(
-            points, level, GRID, optimized,
-            order=ctx.stream_order(TRACE, StreamingOrder.RAY_FIRST),
-        )
-        assert row["baseline_row_requests"] == legacy_base
-        assert row["optimized_row_requests"] == legacy_opt
+        base_stream = HashTraceGenerator(GRID, TRACE, baseline).stream(level, random_order)
+        opt_stream = HashTraceGenerator(GRID, TRACE, optimized).stream(level)
+        assert row["baseline_row_requests"] == row_requests_for_stream_reference(base_stream)
+        assert row["optimized_row_requests"] == row_requests_for_stream_reference(opt_stream)
+        assert row["points_sharing_cube"] == stream_sharing_run_length(opt_stream)
+        assert row["register_hit_rate"] == stream_register_hit_rate(opt_stream)
 
 
 def test_fig09_conflicts_match_the_legacy_level_indices_path():
@@ -331,6 +328,35 @@ def test_stream_accounting_balances_through_hierarchy_and_dram(
     stats = filtered.stats
     assert filtered.dram_lines.size == stats.cache.misses + stats.cache.prefetch_fills
     assert stats.l0_hits + stats.cache.demand_accesses == stats.l0_accesses
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    num_points=st.integers(min_value=0, max_value=60),
+    per_point=st.integers(min_value=1, max_value=8),
+    entry_bytes=st.sampled_from([1, 2, 4, 8, 12, 16]),
+    row_bytes=st.sampled_from([1, 3, 64, 100, 1024, 3000]),
+    grouped=st.booleans(),
+)
+def test_row_requests_match_the_oracle_on_arbitrary_streams(
+    seed, num_points, per_point, entry_bytes, row_bytes, grouped
+):
+    """Property: the vectorized row-request count equals the per-point loop,
+    including rows that hold a non-power-of-two number of entries and rows
+    narrower than one entry, which trace-derived streams never produce."""
+    rng = np.random.default_rng(seed)
+    table_entries = int(rng.integers(1, 1 << 12))
+    stream = RequestStream(
+        indices=rng.integers(0, table_entries, (num_points, per_point)),
+        entry_bytes=entry_bytes,
+        table_entries=table_entries,
+        # Few distinct groups, so equal neighbours (register hits) are common.
+        group_ids=rng.integers(0, 3, num_points) if grouped else None,
+    )
+    assert row_requests_for_stream(stream, row_bytes) == row_requests_for_stream_reference(
+        stream, row_bytes
+    )
 
 
 def test_legacy_run_wrappers_warn_and_return_identical_results():

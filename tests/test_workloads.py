@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.hashing import MortonLocalityHash, OriginalSpatialHash
-from repro.nerf.encoding import HashGridConfig
+from repro.nerf.encoding import HashGridConfig, HashGridEncoding
 from repro.workloads import (
     PAPER_BATCH,
     BatchGeometry,
@@ -107,6 +111,30 @@ def test_level_lookup_indices_bounds():
         assert idx.shape == (64, 8)
         assert idx.min() >= 0
         assert idx.max() < grid.level_table_entries(level)
+
+
+#: Levels 0-2 (resolutions 4, 7, 15) are stored dense, levels 3-5 hashed.
+MIXED_GRID = HashGridConfig(num_levels=6, table_size=2**12, base_resolution=4, max_resolution=128)
+ORACLES = [
+    HashGridEncoding(replace(MIXED_GRID, hash_fn=fn))
+    for fn in (MortonLocalityHash(), OriginalSpatialHash())
+]
+COORD = st.one_of(st.floats(min_value=-0.1, max_value=1.1), st.sampled_from([0.0, 1.0]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    points=st.lists(st.tuples(COORD, COORD, COORD), min_size=1, max_size=32),
+    oracle=st.sampled_from(ORACLES),
+)
+def test_level_lookup_indices_match_the_encoding_oracle(points, oracle):
+    """The memory path's corner indices are the encoding's, on every level,
+    for points outside the unit cube and exactly on its faces too."""
+    pts = np.asarray(points, dtype=np.float64)
+    fn = oracle.config.hash_fn
+    for level in range(MIXED_GRID.num_levels):
+        expected = oracle.vertex_indices(pts, level)[0]
+        np.testing.assert_array_equal(level_lookup_indices(pts, level, MIXED_GRID, fn), expected)
 
 
 def test_stream_addresses_respect_level_offsets():
