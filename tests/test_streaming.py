@@ -93,17 +93,26 @@ def test_memory_requests_vectorized_matches_loop_oracle(morton, original):
                     assert fast == row_requests_for_stream_reference(stream, row_bytes)
 
 
-def test_memory_requests_empty_and_single_point(morton):
+def empty_and_single_point(stream):
+    first = np.arange(stream.num_points) == 0
+    return stream.subset(np.zeros_like(first)), stream.subset(first)
+
+
+def test_points_sharing_empty_input(morton):
+    """No stream shorter than two points shares a cube or hits a register."""
     for level in range(GRID.num_levels):
-        stream = morton.stream(level)
-        first = np.arange(stream.num_points) == 0
-        empty, one = stream.subset(np.zeros_like(first)), stream.subset(first)
-        assert row_requests_for_stream(empty) == 0
-        assert row_requests_for_stream_reference(empty) == 0
+        empty, one = empty_and_single_point(morton.stream(level))
         assert stream_sharing_run_length(empty) == 0.0
         assert stream_register_hit_rate(empty) == 0.0
         assert stream_sharing_run_length(one) == 1.0
         assert stream_register_hit_rate(one) == 0.0
+
+
+def test_memory_requests_empty_and_single_point(morton):
+    for level in range(GRID.num_levels):
+        empty, one = empty_and_single_point(morton.stream(level))
+        assert row_requests_for_stream(empty) == 0
+        assert row_requests_for_stream_reference(empty) == 0
         fast = row_requests_for_stream(one)
         assert fast == row_requests_for_stream_reference(one)
         assert 1 <= fast <= 8
