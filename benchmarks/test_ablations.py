@@ -1,8 +1,7 @@
 """Ablation benchmarks beyond the paper's headline figures.
 
-These sweeps exercise the design choices called out in DESIGN.md §5:
-the number of NMP banks, the subarray-parallelism factor, and the two
-algorithmic techniques in isolation.
+These sweeps exercise the number of NMP banks, the subarray-parallelism
+factor, and the two algorithmic techniques in isolation.
 """
 
 from __future__ import annotations

@@ -226,7 +226,7 @@ def test_average_row_requests_speedup(paper_grid, paper_points):
 
 
 def test_dram_service_batch_speedup():
-    """Batched address decode vs one 6-array decode per request."""
+    """The array timing kernel vs the per-request bank state machines."""
     rng = np.random.default_rng(7)
     n = 2000 if SMOKE else 20000
     addresses = (rng.integers(0, 2**27, size=n) * 4).astype(np.int64)
@@ -248,7 +248,6 @@ def test_dram_service_batch_speedup():
     assert batch_result == object_result
     speedup = _record("dram_service_batch", ref_s, vec_s)
     if not SMOKE:
-        # The sequential bank state machine dominates service time, so the
-        # vectorized decode only has to not lose; the measured margin is
-        # tracked in the JSON trajectory.
-        assert speedup >= 0.95
+        # Random addresses almost never hit an open row, the kernel's worst
+        # case: its scalar loop over activations runs about once per request.
+        assert speedup >= 3.0

@@ -8,8 +8,7 @@ order expressed as request-reduction factors) and an inter-bank parallelism
 plan, it estimates per-iteration latency, per-scene training time and energy.
 
 The timing model is phase-based rather than cycle-by-cycle (the paper uses a
-Ramulator-extended cycle simulator; see DESIGN.md §1 for the substitution
-argument): each training step is mapped onto the banks according to the
+Ramulator-extended cycle simulator): each training step is mapped onto the banks according to the
 parallelism plan, its row accesses and PE operations are counted, and the
 step latency is the slowest bank's memory/compute time plus the inter-bank
 transfer time dictated by the plan.

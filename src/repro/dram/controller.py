@@ -1,20 +1,23 @@
-"""Per-channel memory controller.
+"""Per-channel memory controller: the per-request DRAM timing oracle.
 
 The controller accepts row-granularity requests, decodes them with the
 address mapper, enforces a small set of inter-command constraints (tRRD,
 tFAW across banks of a channel) on top of the per-bank timing handled by
-:class:`repro.dram.bank.Bank`, and keeps aggregate statistics.
+:class:`repro.dram.bank.Bank`, and keeps aggregate statistics.  Only
+:meth:`repro.dram.system.DRAMSystem.service_requests` drives it, one
+request at a time; :meth:`~repro.dram.system.DRAMSystem.service_batch`
+times whole streams as arrays and must agree with it exactly.
 
 Scheduling policy: requests are serviced in arrival order per channel
 (FCFS).  Row hits are naturally cheaper because the bank model charges only
 the column-access latency, which is what gives the open-page behaviour its
 first-ready flavour without a full FR-FCFS reorder queue.  This is a
-deliberate simplification over Ramulator; see DESIGN.md §1.
+deliberate simplification over Ramulator's reorder queue.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -135,32 +138,6 @@ class ChannelController:
                 request.arrival_cycle,
                 request.size_bytes,
             )
-            finish = max(finish, ready)
-        return finish
-
-    def service_batch(
-        self,
-        addresses: np.ndarray,
-        request_type: RequestType = RequestType.READ,
-        size_bytes: int = 32,
-    ) -> int:
-        """Service a flat address array in order with one vectorized decode.
-
-        Equivalent to :meth:`service_all` on the same addresses wrapped in
-        :class:`MemoryRequest` objects (all arriving at cycle 0), but all
-        addresses are decoded in a single :meth:`AddressMapper.decode_array`
-        call.  Returns the completion cycle.
-        """
-        addresses = np.asarray(addresses, dtype=np.int64).ravel()
-        if addresses.size == 0:
-            return 0
-        if np.any(addresses < 0):
-            raise ValueError("addresses must be non-negative")
-        _, _, banks, subarrays, rows, _ = self.mapper.decode_array(addresses)
-        is_write = request_type is RequestType.WRITE
-        finish = 0
-        for bank_idx, subarray, row in zip(banks.tolist(), subarrays.tolist(), rows.tolist()):
-            ready = self._service_decoded(bank_idx, subarray, row, is_write, 0, size_bytes)
             finish = max(finish, ready)
         return finish
 

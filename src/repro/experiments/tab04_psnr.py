@@ -3,8 +3,8 @@
 The paper trains NeRF, FastNeRF, TensoRF, iNGP and the Instant-NeRF algorithm
 on the eight Synthetic-NeRF scenes and reports per-scene PSNR.  Here the same
 five algorithm families are trained on the procedural stand-in scenes with
-the shared NumPy trainer at a reduced scale (small images, short schedules —
-see DESIGN.md §4), so the absolute PSNR is lower than the paper's but the
+the shared NumPy trainer at a reduced scale (small images, short
+schedules), so the absolute PSNR is lower than the paper's but the
 *ordering* (iNGP ≈ Instant-NeRF > TensoRF > NeRF > FastNeRF) and the small
 iNGP-vs-Instant-NeRF gap are the reproduced shape.
 """

@@ -35,7 +35,7 @@ class TrainerConfig:
 
     Paper-scale values are 35 000 iterations with 256 K sampled points per
     iteration; the defaults here are reduced so CPU training finishes in
-    seconds while exercising the identical code path (see DESIGN.md §4).
+    seconds while exercising the identical code path.
 
     With ``occupancy`` set, sampling switches to occupancy-grid adaptive ray
     marching: the grid starts fully occupied, is refreshed from the trained

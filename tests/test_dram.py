@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import obs
 from repro.dram import (
     LPDDR4_2400,
     AddressMapper,
@@ -22,6 +23,7 @@ from repro.dram import (
     coalesce_row_requests,
     requests_from_addresses,
 )
+from repro.dram.spec import DDR4_3200
 from repro.streams import RequestStream
 
 
@@ -217,20 +219,6 @@ def test_controller_anchors_activation_window_on_actual_start():
     assert controller._last_activation_cycle == first
 
 
-def test_controller_service_batch_matches_per_request_service():
-    rng = np.random.default_rng(3)
-    addrs = (rng.integers(0, 2**24, size=500) * 4).astype(np.int64)
-    one_by_one = ChannelController(LPDDR4_2400)
-    finish_ref = one_by_one.service_all([MemoryRequest(int(a)) for a in addrs])
-    batched = ChannelController(LPDDR4_2400)
-    finish_batch = batched.service_batch(addrs)
-    assert finish_batch == finish_ref
-    assert batched.stats == one_by_one.stats
-    assert batched.service_batch(np.array([], dtype=np.int64)) == 0
-    with pytest.raises(ValueError):
-        batched.service_batch(np.array([-1]))
-
-
 # ------------------------------------------------------------------- system
 def test_dram_system_sequential_faster_than_random():
     """Streaming rows of one bank in order beats visiting them shuffled."""
@@ -280,6 +268,52 @@ def test_dram_system_service_batch_matches_object_path():
     assert via_batch == via_requests
     with pytest.raises(ValueError, match="indices must lie"):
         DRAMSystem().service_batch(RequestStream(indices=[[-4]], entry_bytes=1, table_entries=1))
+
+
+def test_dram_system_subarrays_per_bank_default_and_validation():
+    assert DRAMSystem().subarrays_per_bank == LPDDR4_2400.organization.subarrays_per_bank
+    assert DRAMSystem(DDR4_3200).subarrays_per_bank == DDR4_3200.organization.subarrays_per_bank
+    assert DRAMSystem(subarrays_per_bank=3).subarrays_per_bank == 3
+    for bad in (0, -1):
+        with pytest.raises(ValueError, match="subarrays_per_bank"):
+            DRAMSystem(subarrays_per_bank=bad)
+
+
+@pytest.mark.parametrize("channels", [range(8), [5]], ids=["all_channels", "one_channel"])
+def test_dram_metrics_equal_on_batch_and_object_paths(channels):
+    """Both paths record the same ``dram.*`` counters, per-channel busy
+    cycles included, and only for channels that served a request."""
+    mapper = AddressMapper()
+    rng = np.random.default_rng(5)
+    addrs = np.array(
+        [
+            mapper.encode(
+                channel=int(rng.choice(list(channels))),
+                bank=int(rng.integers(0, 16)),
+                row=int(rng.integers(0, 64)),
+                column=int(rng.integers(0, 1024)),
+            )
+            for _ in range(600)
+        ]
+    )
+
+    def counters(service):
+        _, metrics = obs.enable(wall_clock=False)
+        try:
+            service()
+            return metrics.snapshot()["counters"]
+        finally:
+            obs.disable()
+
+    via_batch = counters(lambda: DRAMSystem().service_batch(_address_stream(addrs), size_bytes=32))
+    via_requests = counters(
+        lambda: DRAMSystem().service_requests([MemoryRequest(int(a)) for a in addrs])
+    )
+    assert via_batch == via_requests
+    busy = {name for name in via_batch if name.endswith(".busy_cycles")}
+    assert busy == {f"dram.channel{c}.busy_cycles" for c in channels}
+    assert all(via_batch[name] > 0 for name in busy)
+    assert via_batch["dram.requests"] == addrs.size
 
 
 def test_energy_model_validation():

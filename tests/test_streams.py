@@ -42,6 +42,7 @@ from repro.core.streaming import (
     stream_register_hit_rate,
     stream_sharing_run_length,
 )
+from repro.dram.spec import DRAM_SPECS, DRAMOrganization, DRAMSpec, DRAMTiming
 from repro.dram.system import DRAMSystem
 from repro.dram.trace import MemoryRequest, RequestType
 from repro.experiments import run_fig07, run_fig09, run_fig10, run_fig15
@@ -277,7 +278,22 @@ def test_dram_service_batch_accepts_streams_and_matches_addresses():
 
 
 # ------------------------------------------------- accounting properties
-@settings(max_examples=50, deadline=None)
+#: The named specs, plus timings and an organization that stress the DRAM
+#: batch kernel: an activation window that binds, no window at all, and
+#: channel/bank/subarray counts that are not powers of two.
+PROPERTY_DRAM_SPECS = [
+    *DRAM_SPECS.values(),
+    DRAMSpec(timing=DRAMTiming(tRRD=7, tFAW=40, tCL=1, tRCD=1, tRP=1, tCCD=1)),
+    DRAMSpec(timing=DRAMTiming(tRRD=0, tFAW=0)),
+    DRAMSpec(
+        organization=DRAMOrganization(
+            num_channels=3, banks_per_chip=5, subarrays_per_bank=3, total_capacity_bytes=16 << 20
+        )
+    ),
+]
+
+
+@settings(max_examples=100, deadline=None)
 @given(
     seed=st.integers(min_value=0, max_value=2**32 - 1),
     num_points=st.integers(min_value=0, max_value=48),
@@ -287,27 +303,44 @@ def test_dram_service_batch_accepts_streams_and_matches_addresses():
     kind=st.sampled_from([StreamKind.GATHER, StreamKind.WRITE]),
     burst=st.integers(min_value=16, max_value=4096),
     prefetch=st.sampled_from(["none", "next_line", "stride"]),
+    spec=st.sampled_from(PROPERTY_DRAM_SPECS),
+    subarrays_per_bank=st.sampled_from([None, 1, 4, 7]),
+    sorted_indices=st.booleans(),
 )
 def test_stream_accounting_balances_through_hierarchy_and_dram(
-    seed, num_points, per_point, entry_bytes, base_address, kind, burst, prefetch
+    seed,
+    num_points,
+    per_point,
+    entry_bytes,
+    base_address,
+    kind,
+    burst,
+    prefetch,
+    spec,
+    subarrays_per_bank,
+    sorted_indices,
 ):
     """Property: on any request stream, the hierarchy and DRAM engines equal
-    their per-access oracles and every count they report balances."""
+    their per-access oracles and every count they report balances.  Sorted
+    indices give row-hit-heavy streams."""
     rng = np.random.default_rng(seed)
     table_entries = int(rng.integers(1, 1 << 16))
+    indices = rng.integers(0, table_entries, (num_points, per_point))
+    if sorted_indices:
+        indices = np.sort(indices, axis=None).reshape(indices.shape)
     stream = RequestStream(
-        indices=rng.integers(0, table_entries, (num_points, per_point)),
+        indices=indices,
         entry_bytes=entry_bytes,
         table_entries=table_entries,
         base_address=base_address,
         kind=kind,
     )
 
-    system = DRAMSystem()
+    system = DRAMSystem(spec, subarrays_per_bank)
     org = system.spec.organization
     batch = system.service_batch(stream, size_bytes=burst)
     request_type = RequestType.WRITE if stream.writes else RequestType.READ
-    oracle = DRAMSystem().service_requests(
+    oracle = DRAMSystem(spec, subarrays_per_bank).service_requests(
         [
             MemoryRequest(int(a) % org.total_capacity_bytes, request_type, burst)
             for a in stream.addresses
