@@ -22,14 +22,19 @@ Model semantics (shared by the vectorized engine and the per-access oracle):
   state change when the line is already present; a later demand touch of a
   prefetched line counts it as a useful prefetch.
 
-The vectorized engine processes whole streams as NumPy arrays in two
-segmented passes (the style of the PR 1 hot-path engines): consecutive
-same-line accesses within a set collapse into one run (only run heads can
-change tag state), and the surviving run heads are swept in "waves" — the
-t-th access of every set is processed in one vector step, which is exact
-because sets are independent and each set contributes at most one access
-per wave.  :func:`simulate_cache_reference` is the retained per-access
-oracle the engine is equivalence-tested against.
+The vectorized engine processes whole streams as NumPy arrays.
+Consecutive same-line accesses within a set collapse into one run (only
+run heads can change tag state), and the run heads are swept in "waves":
+the t-th head of every set is processed in one vector step, which is exact
+because sets are independent and each set contributes at most one head per
+wave.  The waves carry only what LRU replacement needs — each way's tag,
+its last use and the run head whose fill brought its line in.  That fill
+is the head's *residency*, and everything else follows from residencies
+after the sweep: an access inside its residency's MSHR window coalesces, a
+residency is dirty when its fill or a demand touch wrote, and a
+prefetch-filled residency is useful once a demand access touches it.
+:func:`simulate_cache_reference` is the retained per-access oracle the
+engine is equivalence-tested against.
 """
 
 from __future__ import annotations
@@ -40,6 +45,8 @@ from typing import Any
 
 import numpy as np
 from numpy.typing import NDArray
+
+from ..core.sorting import stable_order
 
 __all__ = [
     "MISS",
@@ -234,6 +241,15 @@ def simulate_cache(
         ``outcomes`` holds one of the module's outcome codes per access;
         ``stats`` the aggregate :class:`CacheStats`.  Exactly equivalent to
         :func:`simulate_cache_reference`.
+
+    The wave sweep keeps, per way, only the tag (``-1`` while invalid), the
+    last use and the run head whose fill holds the way, and records each
+    head's residency: the fill that brought its line in.  The rest follows
+    from residencies after the sweep.  An access coalesces when it comes
+    before its residency's fill completes (``fill position + 1 +
+    mshr_latency``).  A residency is dirty when its fill or a demand touch
+    wrote, and costs a writeback unless it is still cached at the end.  A
+    prefetch-filled residency is useful once a demand access touches it.
     """
     lines = np.asarray(line_ids, dtype=np.int64).ravel()
     n = lines.size
@@ -250,14 +266,14 @@ def simulate_cache(
     tags = lines // num_sets
 
     # Pass 1 — group accesses by set, keeping stream order inside each set.
-    by_set = np.argsort(sets, kind="stable")
+    # ``by_set`` holds each sorted access's stream position: the LRU clock.
+    by_set = stable_order(sets, num_sets)
     s_sorted, t_sorted = sets[by_set], tags[by_set]
-    p_sorted = by_set.astype(np.int64)  # original stream position = LRU clock
     w_sorted, f_sorted = writes[by_set], prefetches[by_set]
 
     # Pass 2 — collapse consecutive same-line accesses within a set into
     # runs: only the head can change tag state; members are hits (or MSHR
-    # coalesces, resolved from the head's fill window afterwards).  Prefetch
+    # coalesces, resolved from the head's residency afterwards).  Prefetch
     # accesses never merge: a dropped prefetch must not refresh LRU state.
     head = np.empty(n, dtype=bool)
     head[0] = True
@@ -270,85 +286,74 @@ def simulate_cache(
     head_idx = np.flatnonzero(head)
     run_id = np.cumsum(head) - 1
     num_runs = head_idx.size
-    run_end = np.append(head_idx[1:], n) - 1
     run_write = np.logical_or.reduceat(w_sorted, head_idx)
-    run_last_p = p_sorted[run_end]  # stream position of the run's last member
+    run_last_p = by_set[np.append(head_idx[1:], n) - 1]  # stream position of its last member
 
-    s_h, t_h, p_h = s_sorted[head_idx], t_sorted[head_idx], p_sorted[head_idx]
+    s_h, t_h, p_h = s_sorted[head_idx], t_sorted[head_idx], by_set[head_idx]
     f_h = f_sorted[head_idx]
 
     # Pass 3 — wave schedule: sort run heads by their within-set ordinal, so
-    # wave t (one contiguous slice) holds the t-th surviving access of every
-    # set.  Sets are independent and appear at most once per wave, so each
-    # wave is one race-free vector step.
+    # wave t (one contiguous slice) holds the t-th head of every set.  Sets
+    # are independent and appear at most once per wave, so each wave is one
+    # race-free vector step.
     set_start = np.empty(num_runs, dtype=bool)
     set_start[0] = True
     set_start[1:] = s_h[1:] != s_h[:-1]
     starts = np.flatnonzero(set_start)
     per_set = np.diff(np.append(starts, num_runs))
     ordinal = np.arange(num_runs) - np.repeat(starts, per_set)
-    by_wave = np.argsort(ordinal, kind="stable")
-    s_g, t_g, p_g = s_h[by_wave], t_h[by_wave], p_h[by_wave]
-    w_g, f_g, lp_g = run_write[by_wave], f_h[by_wave], run_last_p[by_wave]
-    wave_sizes = np.bincount(ordinal)
-    bounds = np.append(0, np.cumsum(wave_sizes))
+    by_wave = stable_order(ordinal, int(per_set.max()))
+    s_g, t_g, lp_g, f_g = s_h[by_wave], t_h[by_wave], run_last_p[by_wave], f_h[by_wave]
+    bounds = np.append(0, np.cumsum(np.bincount(ordinal))).tolist()
 
-    tag_state = np.zeros((num_sets, ways), dtype=np.int64)
-    last_used = np.full((num_sets, ways), -1, dtype=np.int64)  # -1 = invalid way
-    dirty = np.zeros((num_sets, ways), dtype=bool)
-    fill_done = np.zeros((num_sets, ways), dtype=np.int64)
-    prefetched = np.zeros((num_sets, ways), dtype=bool)
-    head_out = np.empty(num_runs, dtype=np.int8)
-    head_fd = np.empty(num_runs, dtype=np.int64)
-    writebacks = 0
-    useful = 0
+    # Pass 4 — the sweep, over flat (set, way) slots.  A -1 tag never matches
+    # and a -1 last use makes LRU fill invalid ways first, lowest way first.
+    slots = num_sets * ways
+    tag_state = np.full(slots, -1, dtype=np.int64)
+    last_used = np.full(slots, -1, dtype=np.int64)
+    filler = np.zeros(slots, dtype=np.int64)  # run head whose fill holds the slot
+    tag_rows = tag_state.reshape(num_sets, ways)
+    lru_rows = last_used.reshape(num_sets, ways)
+    row_base, t_col = s_g * ways, t_g[:, None]
+    residency_g = by_wave.astype(np.int64)  # a fill is its own residency
+    has_prefetches = bool(f_h.any())
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        s, t, lp = s_g[lo:hi], t_g[lo:hi], lp_g[lo:hi]
+        match = tag_rows.take(s, axis=0) == t_col[lo:hi]
+        lru = lru_rows.take(s, axis=0)
+        lru[match] = -2  # a present line keeps its way; others evict the LRU
+        slot = row_base[lo:hi] + lru.argmin(axis=1)
+        present = tag_state[slot] == t
+        res = residency_g[lo:hi]
+        np.copyto(res, filler[slot], where=present)
+        if has_prefetches:  # a dropped prefetch changes no state
+            keep = ~(present & f_g[lo:hi])
+            slot, t, lp, res = slot[keep], t[keep], lp[keep], res[keep]
+        tag_state[slot] = t
+        last_used[slot] = lp
+        filler[slot] = res
 
-    for wave in range(wave_sizes.size):
-        lo, hi = bounds[wave], bounds[wave + 1]
-        s, t, p = s_g[lo:hi], t_g[lo:hi], p_g[lo:hi]
-        wr, pf, lp = w_g[lo:hi], f_g[lo:hi], lp_g[lo:hi]
-        match = (tag_state[s] == t[:, None]) & (last_used[s] >= 0)
-        present = match.any(axis=1)
-        way = np.argmax(match, axis=1)
-        fd = fill_done[s, way]
-        inflight = present & (p < fd)
-        out = np.where(
-            pf,
-            np.where(present, PREFETCH_REDUNDANT, PREFETCH_FILL),
-            np.where(present, np.where(inflight, COALESCED, HIT), MISS),
-        ).astype(np.int8)
+    residency = np.empty(num_runs, dtype=np.int64)
+    residency[by_wave] = residency_g
+    fill = residency == np.arange(num_runs)
+    demand = ~f_h
+    # A residency is dirty when its fill or a demand touch wrote (prefetch
+    # fills start clean); it ends with a writeback unless it is still cached.
+    dirty = np.zeros(num_runs, dtype=bool)
+    dirty[residency[demand & run_write]] = True
+    dirty_left = int(np.count_nonzero(dirty[filler[tag_state >= 0]]))
+    writebacks = int(np.count_nonzero(dirty)) - dirty_left
+    # A prefetch-filled residency is useful once a demand access touches it.
+    touched = np.zeros(num_runs, dtype=bool)
+    touched[residency[demand]] = True
+    useful = int(np.count_nonzero(touched & f_h))
 
-        touch = present & ~pf  # demand touch: refresh LRU, absorb writes
-        st, wt = s[touch], way[touch]
-        last_used[st, wt] = lp[touch]
-        dirty[st, wt] |= wr[touch]
-        was_prefetched = touch & prefetched[s, way]
-        useful += int(was_prefetched.sum())
-        prefetched[s[was_prefetched], way[was_prefetched]] = False
-
-        absent = ~present
-        sm = s[absent]
-        if sm.size:
-            victim = np.argmin(last_used[sm], axis=1)  # invalid (-1) ways first
-            writebacks += int(((last_used[sm, victim] >= 0) & dirty[sm, victim]).sum())
-            tag_state[sm, victim] = t[absent]
-            last_used[sm, victim] = lp[absent]
-            dirty[sm, victim] = wr[absent] & ~pf[absent]  # prefetch fills start clean
-            new_fd = p[absent] + 1 + mshr
-            fill_done[sm, victim] = new_fd
-            prefetched[sm, victim] = pf[absent]
-            fd = fd.copy()
-            fd[absent] = new_fd
-        head_out[by_wave[lo:hi]] = out
-        head_fd[by_wave[lo:hi]] = fd
-
-    outcomes[p_h] = head_out
-    members = ~head
-    if members.any():
-        m_p = p_sorted[members]
-        m_fd = head_fd[run_id[members]]
-        outcomes[m_p] = np.where(m_p < m_fd, COALESCED, HIT).astype(np.int8)
-    dirty_left = int((dirty & (last_used >= 0)).sum())
+    # An access before its residency's fill completes coalesces into it.
+    fill_done = p_h[residency] + 1 + mshr
+    out = np.where(by_set < fill_done[run_id], COALESCED, HIT).astype(np.int8)
+    out[head_idx[fill]] = np.where(f_h[fill], PREFETCH_FILL, MISS)
+    out[head_idx[f_h & ~fill]] = PREFETCH_REDUNDANT
+    outcomes[by_set] = out
     return outcomes, _build_stats(outcomes, writebacks, useful, dirty_left, config)
 
 

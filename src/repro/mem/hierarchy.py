@@ -176,7 +176,7 @@ class FilteredStream:
     outcomes: NDArray[Any] = field(repr=False)
     #: Line ids fetched from DRAM (demand misses + prefetch fills), stream order.
     dram_lines: NDArray[Any] = field(repr=False)
-    stats: HierarchyStats = None
+    stats: HierarchyStats
 
     @property
     def dram_addresses(self) -> NDArray[Any]:
@@ -289,6 +289,10 @@ class CacheHierarchy:
                 metrics.counter("mem.l0_hits").inc(stats.l0_hits)
                 metrics.counter("mem.cache_hits").inc(stats.cache.hits)
                 metrics.counter("mem.cache_misses").inc(stats.cache.misses)
+                metrics.counter("mem.cache_coalesced").inc(stats.cache.coalesced)
+                metrics.counter("mem.prefetch_fills").inc(stats.cache.prefetch_fills)
+                metrics.counter("mem.prefetch_useful").inc(stats.cache.prefetch_useful)
+                metrics.counter("mem.writebacks").inc(stats.cache.writebacks)
                 metrics.counter("mem.dram_line_fetches").inc(int(filtered.dram_lines.size))
             return filtered
 

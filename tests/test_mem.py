@@ -115,6 +115,90 @@ def test_cache_matches_reference_on_random_streams(capacity, line, ways, mshr, r
         assert stats_vec == stats_ref
 
 
+def _flags(draw, n):
+    """All-false, all-true or random per-access flags."""
+    mode = draw(st.sampled_from(["none", "all", "random"]))
+    if mode == "random":
+        return np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool)
+    return np.full(n, mode == "all")
+
+
+@st.composite
+def _reuse_heavy_cases(draw):
+    """A cache geometry and a stream that re-references few lines.
+
+    Long same-line runs (sorted or repeated streams), LRU order and thrash
+    (cycles over ``ways`` or ``ways + 1`` lines of one set), dirty lines
+    evicted and filled again, and prefetched lines touched by later demand
+    accesses are the cases the engine's residency derivation has to get
+    right.
+    """
+    num_sets = draw(st.sampled_from([1, 2, 8, 64]))
+    ways = draw(st.integers(min_value=1, max_value=8))
+    line_bytes = draw(st.sampled_from([32, 64]))
+    config = CacheConfig(
+        capacity_bytes=num_sets * ways * line_bytes,
+        line_bytes=line_bytes,
+        ways=ways,
+        mshr_latency=draw(st.sampled_from([0, 1, 3, 4, 16])),
+    )
+    pattern = draw(st.sampled_from(["random", "sorted", "repeated", "cyclic"]))
+    if pattern == "cyclic":
+        # Fill one set, touch its lines again in a drawn order, then cycle
+        # through them twice.  With ways + 1 lines every miss evicts by LRU
+        # order, which a dropped prefetch in the reordered pass must not move.
+        period = draw(st.sampled_from([ways, ways + 1]))
+        cycle = list(range(period))
+        reorder = draw(st.permutations(cycle))
+        lines = np.array(cycle + reorder + 2 * cycle, dtype=np.int64) * num_sets  # all in set 0
+    else:
+        alphabet = draw(st.integers(min_value=1, max_value=3 * ways + 2))
+        spread = draw(st.sampled_from([1, num_sets]))  # many sets, or one
+        symbols = draw(st.lists(st.integers(0, alphabet - 1), min_size=1, max_size=80))
+        lines = np.array(symbols, dtype=np.int64) * spread
+        if pattern == "sorted":
+            lines = np.sort(lines)
+        elif pattern == "repeated":
+            lines = np.repeat(lines, draw(st.integers(min_value=2, max_value=4)))
+    return config, lines, _flags(draw, lines.size), _flags(draw, lines.size)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_reuse_heavy_cases())
+def test_cache_matches_reference_on_reuse_heavy_streams(case):
+    """Property: the engine matches the oracle on every outcome and on every
+    :class:`CacheStats` field, write-backs and useful prefetches included."""
+    config, lines, writes, prefetches = case
+    out, stats = simulate_cache(lines, config, writes, prefetches)
+    out_ref, stats_ref = simulate_cache_reference(lines, config, writes, prefetches)
+    np.testing.assert_array_equal(out, out_ref)
+    assert stats == stats_ref
+
+
+def test_cache_matches_reference_beyond_16_bit_set_keys(rng):
+    """More than 65,536 sets: the set sort cannot use 16-bit keys."""
+    config = CacheConfig(capacity_bytes=70_000 * 64, line_bytes=64, ways=1, mshr_latency=2)
+    low = rng.integers(0, 70_000 - (1 << 16), 100)
+    sets = np.concatenate([low, low + (1 << 16)])  # pairs that agree in their low 16 bits
+    lines = sets[rng.integers(0, 200, 3_000)] + 70_000 * rng.integers(0, 3, 3_000)
+    writes = rng.random(3_000) < 0.3
+    out, stats = simulate_cache(lines, config, writes)
+    out_ref, stats_ref = simulate_cache_reference(lines, config, writes)
+    np.testing.assert_array_equal(out, out_ref)
+    assert stats == stats_ref
+
+
+def test_cache_matches_reference_beyond_16_bit_wave_keys():
+    """More than 65,536 runs in one set: the wave sort cannot use 16-bit keys."""
+    config = CacheConfig(capacity_bytes=4 * 64, line_bytes=64, ways=4)
+    lines = np.arange(66_000) % 5  # five lines cycling through four ways
+    out, stats = simulate_cache(lines, config)
+    out_ref, stats_ref = simulate_cache_reference(lines, config)
+    np.testing.assert_array_equal(out, out_ref)
+    assert stats == stats_ref
+    assert stats.misses == lines.size  # LRU thrash: every access misses
+
+
 def test_cache_empty_stream_and_bad_inputs():
     config = CacheConfig()
     out, stats = simulate_cache(np.array([], dtype=np.int64), config)

@@ -17,7 +17,7 @@ import pytest
 from repro import obs
 from repro.accel.nmp import NMPAccelerator
 from repro.dram.system import DRAMSystem
-from repro.mem.hierarchy import CacheHierarchy
+from repro.mem import CacheConfig, CacheHierarchy, PrefetcherConfig
 from repro.nerf.encoding import HashGridConfig
 from repro.nerf.field import InstantNGPField
 from repro.nerf.trainer import Trainer, TrainerConfig
@@ -34,7 +34,7 @@ from repro.obs import (
     write_chrome_trace,
 )
 from repro.pipeline.store import ArtifactStore
-from repro.streams import RequestStream
+from repro.streams import RequestStream, StreamKind
 from repro.pipeline.sweep import ProcessSweepExecutor, sweep
 
 FIG07_GRID = {"hash": ["morton", "original"]}
@@ -264,6 +264,36 @@ def test_trace_covers_five_subsystems(tmp_path, tiny_dataset):
 
     path = write_chrome_trace(tmp_path / "five.json", tracer.events())
     assert validate_chrome_trace(json.loads(path.read_text())) == len(tracer.events())
+
+
+def test_filter_stream_counts_what_the_cache_knobs_changed():
+    """MSHR coalescing, prefetching and write-backs each get a counter."""
+    _, metrics = obs.enable(wall_clock=False)
+    rng = np.random.default_rng(0)
+    walk = np.arange(800, dtype=np.int64).reshape(200, 4) * 16  # one line per lookup
+    indices = np.where(rng.random(walk.shape) < 0.3, rng.integers(0, 12_800, walk.shape), walk)
+    hierarchy = CacheHierarchy(
+        CacheConfig(capacity_bytes=2048, ways=2, mshr_latency=4), PrefetcherConfig("stride")
+    )
+    stats = hierarchy.filter_stream(
+        RequestStream(
+            indices=indices,
+            entry_bytes=4,
+            table_entries=12_800,
+            kind=StreamKind.WRITE,
+            source="tests.obs",
+        )
+    ).stats.cache
+
+    counters = metrics.snapshot()["counters"]
+    expected = {
+        "mem.cache_coalesced": stats.coalesced,
+        "mem.prefetch_fills": stats.prefetch_fills,
+        "mem.prefetch_useful": stats.prefetch_useful,
+        "mem.writebacks": stats.writebacks,
+    }
+    assert {name: counters[name] for name in expected} == expected
+    assert all(expected.values())
 
 
 # ------------------------------------------------------------- determinism
