@@ -182,30 +182,24 @@ def test_encoding_backward_speedup(paper_grid, paper_points):
 
 
 def test_encoding_forward_fused_not_slower(paper_grid, paper_points):
-    """Fused multi-level hashing must match the per-level loop and not regress.
+    """The per-level forward vs the forward_reference oracle, bit-identical.
 
-    Compares the index/weight engines directly (the embedding gather is
-    identical in both forward paths) on a slice of the batch: full-batch
-    wall times here are dominated by allocator page-fault noise for the
-    ~400 MB of per-call outputs, which would swamp the engine comparison.
+    Times whole forwards (indices, weights, gather and corner sum) on a
+    slice of the batch: full-batch wall times here are dominated by
+    allocator page-fault noise for the ~400 MB of per-call cache arrays.
     """
     rng = np.random.default_rng(1)
     enc = HashGridEncoding(paper_grid, rng=rng)
     pts = paper_points[: min(paper_points.shape[0], 65536)]
 
-    def per_level():
-        return [enc.vertex_indices(pts, level)[:2] for level in range(paper_grid.num_levels)]
-
-    enc.multilevel_vertex_indices(pts)  # warm
-    per_level()  # warm
-    vec_s, (fused_idx, fused_w) = _time(lambda: enc.multilevel_vertex_indices(pts))
-    ref_s, reference = _time(per_level)
-    for level, (idx, w) in enumerate(reference):
-        np.testing.assert_array_equal(fused_idx[level], idx)
-        np.testing.assert_array_equal(fused_w[level], w)
-    speedup = _record("encoding_forward_indices", ref_s, vec_s)
+    enc.forward(pts)  # warm
+    enc.forward_reference(pts)  # warm
+    vec_s, fast = _time(lambda: enc.forward(pts))
+    ref_s, reference = _time(lambda: enc.forward_reference(pts))
+    np.testing.assert_array_equal(fast, reference)
+    speedup = _record("encoding_forward", ref_s, vec_s)
     if not SMOKE:
-        assert speedup >= 0.9  # fused engine must not lose to the level loop
+        assert speedup >= 2.5
 
 
 def test_average_row_requests_speedup(paper_grid, paper_points):

@@ -269,101 +269,76 @@ class HashGridEncoding:
             w = w * np.where(take_hi == 1, f, 1.0 - f)
         return idx, w.astype(self._compute_dtype), base
 
-    #: Points per block of the fused multi-level pass.  The block bounds the
-    #: working set ((L, block, 8, 3) corners and friends) to a few MB so the
-    #: intermediate arrays stay cache/allocator-friendly at paper-scale N;
-    #: an unblocked (L, N, 8, 3) broadcast at N=256K would materialize close
-    #: to a GB of short-lived temporaries and run slower than the level loop.
-    MULTILEVEL_BLOCK = 4096
-
-    def multilevel_vertex_indices(self, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Hash-table indices and weights for *all* levels in one fused pass.
-
-        The per-level geometry (cube bases, fractional offsets, trilinear
-        weights) is a broadcast over a ``(L, block, ...)`` batch, and each
-        level's 8 corner indices come from one incremental
-        :meth:`HashFunction.corner_hashes` call on the base vertices — the
-        ``(L, N, 8, 3)`` corner expansion of the per-level path is never
-        materialized.  Produces bit-identical results to calling
-        :meth:`vertex_indices` level by level.
-
-        Returns
-        -------
-        (indices, weights):
-            ``indices`` is ``(L, N, 8)`` int64 and ``weights`` is ``(L, N, 8)``
-            in the encoding's compute dtype (float32 by default).
-        """
-        cfg = self.config
-        pos = np.clip(np.asarray(positions, dtype=np.float64), 0.0, 1.0)
-        n = pos.shape[0]
-        block = self.MULTILEVEL_BLOCK
-        if n <= block:
-            return self._multilevel_block(pos)
-        idx = np.empty((cfg.num_levels, n, 8), dtype=np.int64)
-        w = np.empty((cfg.num_levels, n, 8), dtype=self._compute_dtype)
-        for start in range(0, n, block):
-            stop = min(start + block, n)
-            idx[:, start:stop], w[:, start:stop] = self._multilevel_block(pos[start:stop])
-        return idx, w
-
-    def _multilevel_block(self, pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Fused multi-level indices/weights for one block of clipped positions."""
-        cfg = self.config
-        n = pos.shape[0]
-        res = np.asarray(cfg.resolutions, dtype=np.int64)  # (L,)
-        scaled = pos[None, :, :] * res[:, None, None].astype(np.float64)  # (L, N, 3)
-        base = np.floor(scaled).astype(np.int64)
-        base = np.clip(base, 0, (res - 1)[:, None, None])
-        frac = scaled - base  # (L, N, 3), in [0, 1)
-
-        offsets = np.array(
-            [[i, j, k] for i in (0, 1) for j in (0, 1) for k in (0, 1)], dtype=np.int64
-        )  # (8, 3)
-        # Trilinear weights for all levels at once; same multiply order as the
-        # per-level path so the reduced-precision results match bit-for-bit.
-        w = np.ones((cfg.num_levels, n, 8), dtype=np.float64)
-        for axis in range(3):
-            take_hi = offsets[:, axis][None, None, :]  # (1, 1, 8)
-            f = frac[:, :, axis][:, :, None]  # (L, N, 1)
-            w = w * np.where(take_hi == 1, f, 1.0 - f)
-
-        # Incremental corner hashing from the base vertices: no (L, N, 8, 3)
-        # corner expansion is ever materialized.
-        idx = np.empty((cfg.num_levels, n, 8), dtype=np.int64)
-        for level in range(cfg.num_levels):
-            indexer = cfg.level_indexer(level)
-            idx[level] = indexer.corner_hashes(base[level], cfg.level_table_entries(level))
-        return idx, w.astype(self._compute_dtype)
-
     # ------------------------------------------------------------- forward
+    #: Points per block of :meth:`forward`.  The block bounds each level's
+    #: temporaries ((8, block) indices and weights, (8, block, F) gathered
+    #: values) so they stay cache- and allocator-friendly at paper-scale N.
+    FORWARD_BLOCK = 4096
+
     def forward(self, positions: np.ndarray) -> np.ndarray:
         """Encode positions; returns ``(N, L*F)`` features in compute dtype.
 
-        Uses the fused multi-level path of :meth:`multilevel_vertex_indices`;
-        :meth:`forward_reference` keeps the original per-level loop as the
-        oracle the fused path is tested against.
+        Runs over blocks of at most :attr:`FORWARD_BLOCK` points and, inside
+        a block, one level at a time: separable trilinear weights, one
+        incremental :meth:`~repro.core.hashing.HashFunction.corner_hashes`
+        call, an ``np.take`` gather of the 8 corners in corner-major order
+        and their weighted sum.  Every step repeats the arithmetic of
+        :meth:`vertex_indices` and :meth:`forward_reference` in the same
+        order, so the features and the cache :meth:`backward` reads are
+        bit-identical to the oracle's.
         """
         positions = np.asarray(positions, dtype=np.float64)
         if positions.ndim != 2 or positions.shape[1] != 3:
             raise ValueError(f"positions must have shape (N, 3), got {positions.shape}")
         cfg = self.config
+        dtype = self._compute_dtype
+        num_f = cfg.features_per_entry
         n = positions.shape[0]
-        idx, w = self.multilevel_vertex_indices(positions)
-        features = np.empty((n, cfg.output_dim), dtype=self._compute_dtype)
-        cache_levels = []
-        for level in range(cfg.num_levels):
-            emb = self._gathered_values(level, self.embeddings[level][idx[level]])  # (N, 8, F)
-            feat = (emb * w[level][:, :, None]).sum(axis=1)  # (N, F)
-            lo = level * cfg.features_per_entry
-            features[:, lo : lo + cfg.features_per_entry] = feat
-            cache_levels.append((idx[level], w[level]))
-        self._cache = {"levels": cache_levels, "n": n}
+        pos = np.clip(positions, 0.0, 1.0)
+        features = np.empty((n, cfg.output_dim), dtype=dtype)
+        idx_all = np.empty((cfg.num_levels, n, 8), dtype=np.int64)
+        w_all = np.empty((cfg.num_levels, n, 8), dtype=dtype)
+        for start in range(0, n, self.FORWARD_BLOCK):
+            stop = min(start + self.FORWARD_BLOCK, n)
+            pos_t = np.ascontiguousarray(pos[start:stop].T)  # (3, b)
+            for level, res in enumerate(cfg.resolutions):
+                scaled = pos_t * res
+                base = np.clip(np.floor(scaled).astype(np.int64), 0, res - 1)
+                frac = scaled - base  # (3, b), in [0, 1]
+                # Corner 4i + 2j + k weighs (wx_i * wy_j) * wz_k with
+                # w_0 = 1 - f and w_1 = f: vertex_indices' products, in its order.
+                axis_w = np.stack([1.0 - frac, frac], axis=1)  # (3, 2, b)
+                wxy = axis_w[0][:, None, :] * axis_w[1][None, :, :]
+                w_t = (wxy[:, :, None, :] * axis_w[2][None, None, :, :]).reshape(8, -1)
+                w_t = w_t.astype(dtype, copy=False)  # (8, b)
+                idx = cfg.level_indexer(level).corner_hashes(
+                    base.T, cfg.level_table_entries(level)
+                )  # (b, 8)
+                gathered = np.take(self.embeddings[level], np.ascontiguousarray(idx.T), axis=0)
+                vals = self._gathered_values(level, gathered)  # (8, b, F)
+                for f in range(num_f):
+                    vals[:, :, f] *= w_t
+                # The corner sum of forward_reference's ``.sum(axis=1)``: numpy
+                # starts from +0.0 and adds corners 0..7 in turn, or, when the
+                # corner axis is contiguous (F == 1), pairwise.
+                acc = np.zeros((stop - start, num_f), dtype=dtype)
+                if num_f == 1:
+                    acc += ((vals[0] + vals[1]) + (vals[2] + vals[3])) + (
+                        (vals[4] + vals[5]) + (vals[6] + vals[7])
+                    )
+                else:
+                    for corner in vals:
+                        acc += corner
+                features[start:stop, level * num_f : (level + 1) * num_f] = acc
+                idx_all[level, start:stop] = idx
+                w_all[level, start:stop] = w_t.T
+        self._cache = {"levels": list(zip(idx_all, w_all)), "n": n}
         return features
 
     __call__ = forward
 
     def forward_reference(self, positions: np.ndarray) -> np.ndarray:
-        """Original per-level-loop forward, kept as the oracle for tests."""
+        """Unblocked per-level forward through :meth:`vertex_indices`, the oracle for tests."""
         positions = np.asarray(positions, dtype=np.float64)
         if positions.ndim != 2 or positions.shape[1] != 3:
             raise ValueError(f"positions must have shape (N, 3), got {positions.shape}")

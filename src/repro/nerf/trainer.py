@@ -212,7 +212,7 @@ class Trainer:
                     metrics = get_metrics()
                     metrics.counter("nerf.iterations").inc()
                     metrics.counter("nerf.samples_evaluated").inc(
-                        self.config.rays_per_batch * self.config.samples_per_ray
+                        self.history.samples_evaluated[-1]
                     )
                     metrics.histogram("nerf.loss").observe(loss)
                     metrics.histogram("nerf.train_psnr").observe(self.history.psnrs[-1])

@@ -278,9 +278,9 @@ def level_lookup_indices(
 ) -> np.ndarray:
     """Hash-table indices of the 8 cube corners of each point at one level.
 
-    The index half of the encoding's fused pass
-    (:meth:`repro.nerf.encoding.HashGridEncoding.multilevel_vertex_indices`):
-    each point's cube base vertex, then one incremental
+    The index step of each level of
+    :meth:`repro.nerf.encoding.HashGridEncoding.forward`: each point's cube
+    base vertex, then one incremental
     :meth:`~repro.core.hashing.HashFunction.corner_hashes` call of
     :meth:`HashGridConfig.level_indexer`.
     :meth:`~repro.nerf.encoding.HashGridEncoding.vertex_indices` is the

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.hashing import MortonLocalityHash
+from repro.core.hashing import MortonLocalityHash, OriginalSpatialHash
 from repro.nerf.encoding import (
     FrequencyEncoding,
     HashGridConfig,
@@ -122,15 +124,68 @@ def test_fused_forward_matches_per_level_reference(small_grid_config, rng):
 
 
 def test_multilevel_vertex_indices_match_per_level(small_grid_config, rng):
+    """Each level's index and weight step in forward is vertex_indices'."""
     enc = HashGridEncoding(small_grid_config, rng=rng)
-    pos = rng.uniform(0, 1, (64, 3))
-    idx_all, w_all = enc.multilevel_vertex_indices(pos)
-    assert idx_all.shape == (small_grid_config.num_levels, 64, 8)
-    assert w_all.shape == (small_grid_config.num_levels, 64, 8)
-    for level in range(small_grid_config.num_levels):
-        idx, w, _ = enc.vertex_indices(pos, level)
-        np.testing.assert_array_equal(idx_all[level], idx)
-        np.testing.assert_array_equal(w_all[level], w)
+    pos = rng.uniform(-0.1, 1.1, (64, 3))
+    enc.FORWARD_BLOCK = 24  # three blocks, the last one short
+    enc.forward(pos)
+    levels = enc._cache["levels"]
+    assert len(levels) == small_grid_config.num_levels
+    for level, (idx, w) in enumerate(levels):
+        expected_idx, expected_w, _ = enc.vertex_indices(pos, level)
+        assert idx.dtype == np.int64 and w.dtype == np.float32
+        assert idx.shape == w.shape == (64, 8) and w.flags.c_contiguous
+        np.testing.assert_array_equal(idx, expected_idx)
+        np.testing.assert_array_equal(w, expected_w)
+
+
+#: Levels 0-1 (resolutions 3 and 7) are stored dense, levels 2-4 hashed.
+MIXED_GRID = HashGridConfig(num_levels=5, table_size=2**10, base_resolution=3, max_resolution=96)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    dtype=st.sampled_from(["fp64", "fp32", "fp16", "int8"]),
+    hash_fn=st.sampled_from([OriginalSpatialHash(), MortonLocalityHash()]),
+    features=st.sampled_from([1, 2, 4]),
+    num_points=st.integers(0, 300),
+    block=st.integers(1, 64),
+    negative_zeros=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_forward_is_bit_identical_to_the_reference(
+    dtype, hash_fn, features, num_points, block, negative_zeros, seed
+):
+    """forward equals forward_reference byte for byte, signed zeros included,
+    in one block or many; backward gives the same grads after either."""
+    rng = np.random.default_rng(seed)
+    config = replace(MIXED_GRID, hash_fn=hash_fn, features_per_entry=features, dtype=dtype)
+    enc = HashGridEncoding(config, rng=rng)
+    for table in enc.embeddings:
+        if dtype == "int8":
+            table[...] = rng.integers(-128, 128, table.shape)
+        else:
+            table[...] = rng.normal(size=table.shape)
+            if negative_zeros:  # then many points sum eight -0.0 products
+                table[rng.random(table.shape) < 0.9] = -0.0
+    pos = rng.uniform(-0.1, 1.1, (num_points, 3))
+    # Coordinates on grid vertices give corners of zero weight.
+    on_vertex = rng.random(pos.shape) < 0.2
+    pos[on_vertex] = rng.choice([0.0, 0.25, 0.5, 1.0], size=int(on_vertex.sum()))
+    upstream = rng.normal(size=(num_points, config.output_dim))
+    enc.FORWARD_BLOCK = block
+
+    def run(forward):
+        outputs = [forward(pos)]
+        if dtype != "int8":
+            enc.zero_grad()
+            enc.backward(upstream)
+            outputs += [g.copy() for g in enc.grads]
+        return outputs
+
+    for fast, reference in zip(run(enc.forward), run(enc.forward_reference), strict=True):
+        assert fast.dtype == reference.dtype and fast.shape == reference.shape
+        assert np.array_equal(fast.view(np.uint8), reference.view(np.uint8))
 
 
 def test_bincount_backward_matches_scatter_reference(small_grid_config, rng):

@@ -20,6 +20,7 @@ from repro.dram.system import DRAMSystem
 from repro.mem import CacheConfig, CacheHierarchy, PrefetcherConfig
 from repro.nerf.encoding import HashGridConfig
 from repro.nerf.field import InstantNGPField
+from repro.nerf.occupancy import OccupancyGrid, OccupancyGridConfig
 from repro.nerf.trainer import Trainer, TrainerConfig
 from repro.obs import (
     NULL_SPAN,
@@ -264,6 +265,28 @@ def test_trace_covers_five_subsystems(tmp_path, tiny_dataset):
 
     path = write_chrome_trace(tmp_path / "five.json", tracer.events())
     assert validate_chrome_trace(json.loads(path.read_text())) == len(tracer.events())
+
+
+def test_samples_evaluated_counter_skips_pruned_samples(tiny_dataset):
+    """Under occupancy pruning the counter counts evaluated samples only."""
+    _, metrics = obs.enable(wall_clock=False)
+    occupancy = OccupancyGridConfig(resolution=8, update_every=10_000)
+    field = InstantNGPField(
+        HashGridConfig(num_levels=4, table_size=2**10, max_resolution=64),
+        hidden_dim=16,
+        geo_features=3,
+    )
+    trainer = Trainer(
+        field,
+        tiny_dataset,
+        TrainerConfig(num_iterations=2, rays_per_batch=8, samples_per_ray=4, occupancy=occupancy),
+    )
+    # Every other cell empty, so some samples are skipped and some evaluated.
+    densities = (np.arange(occupancy.num_cells) % 2).astype(np.float32)
+    trainer.occupancy_grid = OccupancyGrid.from_densities(occupancy, densities)
+    history = trainer.train()
+    assert 0 < history.total_samples < 2 * 8 * 4
+    assert metrics.snapshot()["counters"]["nerf.samples_evaluated"] == history.total_samples
 
 
 def test_filter_stream_counts_what_the_cache_knobs_changed():
