@@ -2,33 +2,27 @@
 
 Each test times a vectorized hot path against the loop implementation it
 replaced (the loops are kept in the codebase as reference oracles), asserts
-the results agree, asserts a conservative speedup floor, and records the
-measured numbers.  On module teardown the measurements are appended to
-``BENCH_hotpaths.json`` at the repository root so successive runs build a
-performance trajectory.
+the results agree, and records the timings with a conservative speedup
+floor into ``BENCH_hotpaths.json`` through the ``bench`` fixture (see
+``benchmarks/conftest.py``).
 
 Scales follow the paper: 4096 rays x 64 samples = 256K points per training
-iteration over the 16-level / 2**19-entry hash table.  Setting
-``PERF_SMOKE=1`` shrinks the inputs and drops the speedup assertions
-(equivalence is still checked) so CI smoke runs stay fast and insensitive to
-machine load.
+iteration over the 16-level / 2**19-entry hash table.  ``PERF_SMOKE=1``
+shrinks the inputs; the speedup floors then do not apply, while equivalence
+is still checked.
 
 A note on the encoding-backward floor: the historical 5-20x gap between
 ``np.add.at`` and a bincount segment sum narrowed considerably once numpy
 (>= 1.23) gained an indexed-loop fast path for ``ufunc.at``; on numpy 2.x the
-honest end-to-end gain is ~3-5x, so the assertion floor is set at 2.5x and
-the actual measured ratio is tracked in the JSON trajectory.
+honest end-to-end gain is ~3-5x, so the floor is set at 2.5x and the actual
+measured ratio is tracked in the JSON trajectory.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import time
-from pathlib import Path
-
 import numpy as np
 import pytest
+from conftest import SMOKE
 
 from repro.core.hashing import (
     MortonLocalityHash,
@@ -36,7 +30,6 @@ from repro.core.hashing import (
     average_row_requests_per_cube_reference,
 )
 from repro.core.mapping import HashTableMapper, HashTableMappingConfig
-from repro.experiments.runner import atomic_write_text
 from repro.core.streaming import row_requests_for_stream, row_requests_for_stream_reference
 from repro.dram.system import DRAMSystem
 from repro.dram.trace import MemoryRequest
@@ -44,59 +37,9 @@ from repro.nerf.encoding import HashGridConfig, HashGridEncoding
 from repro.streams import RequestStream
 from repro.workloads.traces import HashTraceGenerator, TraceConfig, generate_batch_points
 
-SMOKE = os.environ.get("PERF_SMOKE", "") == "1"
 NUM_RAYS = 256 if SMOKE else 4096
 POINTS_PER_RAY = 16 if SMOKE else 64  # 4096 x 64 = 256K points/iteration
-BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_hotpaths.json"
-
-_RESULTS: dict[str, dict] = {}
-
-
-def _time(fn, repeats=2):
-    """Best-of-``repeats`` wall time and the last result."""
-    best, result = float("inf"), None
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        result = fn()
-        best = min(best, time.perf_counter() - t0)
-    return best, result
-
-
-def _record(name: str, reference_s: float, vectorized_s: float) -> float:
-    speedup = reference_s / vectorized_s if vectorized_s > 0 else float("inf")
-    _RESULTS[name] = {
-        "reference_s": round(reference_s, 4),
-        "vectorized_s": round(vectorized_s, 4),
-        "speedup": round(speedup, 2),
-    }
-    print(
-        f"\n{name}: reference {reference_s:.3f}s vectorized {vectorized_s:.3f}s "
-        f"-> {speedup:.1f}x"
-    )
-    return speedup
-
-
-@pytest.fixture(scope="module", autouse=True)
-def bench_trajectory():
-    """Append this run's measurements to the BENCH_hotpaths.json trajectory."""
-    yield
-    if not _RESULTS:
-        return
-    entry = {
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
-        "smoke": SMOKE,
-        "num_rays": NUM_RAYS,
-        "points_per_ray": POINTS_PER_RAY,
-        "results": _RESULTS,
-    }
-    trajectory = []
-    if BENCH_PATH.exists():
-        try:
-            trajectory = json.loads(BENCH_PATH.read_text())
-        except (ValueError, OSError):
-            trajectory = []
-    trajectory.append(entry)
-    atomic_write_text(BENCH_PATH, json.dumps(trajectory, indent=2) + "\n", overwrite=True)
+BENCH_ENTRY = {"num_rays": NUM_RAYS, "points_per_ray": POINTS_PER_RAY}
 
 
 @pytest.fixture(scope="module")
@@ -112,7 +55,7 @@ def paper_points():
     return pts.reshape(-1, 3)
 
 
-def test_row_requests_for_stream_speedup(paper_grid):
+def test_row_requests_for_stream_speedup(bench, paper_grid):
     """Vectorized run-length/row-set accounting vs the per-point loop, all levels.
 
     Only the counting is timed: the 16 level streams are emitted (hashed)
@@ -125,17 +68,17 @@ def test_row_requests_for_stream_speedup(paper_grid):
     )
     streams = [generator.stream(level) for level in range(paper_grid.num_levels)]
     row_requests_for_stream(streams[0])  # warm
-    vec_s, vec = _time(lambda: [row_requests_for_stream(stream) for stream in streams])
-    ref_s, ref = _time(
-        lambda: [row_requests_for_stream_reference(stream) for stream in streams], repeats=1
+    vec_s, vec = bench.time(
+        lambda: [row_requests_for_stream(stream) for stream in streams], repeats=2
+    )
+    ref_s, ref = bench.time(
+        lambda: [row_requests_for_stream_reference(stream) for stream in streams]
     )
     assert vec == ref
-    speedup = _record("row_requests_for_stream", ref_s, vec_s)
-    if not SMOKE:
-        assert speedup >= 5.0
+    bench.record_speedup("row_requests_for_stream", ref_s, vec_s, floor=5.0)
 
 
-def test_count_conflicts_speedup(paper_grid, paper_points):
+def test_count_conflicts_speedup(bench, paper_grid):
     """Lexsort-segmented conflict counting vs the nested group/key loops."""
     generator = HashTraceGenerator(
         paper_grid,
@@ -146,17 +89,17 @@ def test_count_conflicts_speedup(paper_grid, paper_points):
     mapper = HashTableMapper(paper_grid, HashTableMappingConfig())
     level = paper_grid.num_levels - 1
     mapper.count_conflicts(level, indices, parallel_points=32)  # warm
-    vec_s, vec = _time(lambda: mapper.count_conflicts(level, indices, parallel_points=32))
-    ref_s, ref = _time(
-        lambda: mapper.count_conflicts_reference(level, indices, parallel_points=32), repeats=1
+    vec_s, vec = bench.time(
+        lambda: mapper.count_conflicts(level, indices, parallel_points=32), repeats=2
+    )
+    ref_s, ref = bench.time(
+        lambda: mapper.count_conflicts_reference(level, indices, parallel_points=32)
     )
     assert vec == ref
-    speedup = _record("count_conflicts", ref_s, vec_s)
-    if not SMOKE:
-        assert speedup >= 5.0
+    bench.record_speedup("count_conflicts", ref_s, vec_s, floor=5.0)
 
 
-def test_encoding_backward_speedup(paper_grid, paper_points):
+def test_encoding_backward_speedup(bench, paper_grid, paper_points):
     """Bincount segment-sum gradient scatter vs the np.add.at scatter."""
     rng = np.random.default_rng(0)
     enc = HashGridEncoding(paper_grid, rng=rng)
@@ -167,21 +110,16 @@ def test_encoding_backward_speedup(paper_grid, paper_points):
         enc.zero_grad()
         backward(upstream)
 
-    vec_s, _ = _time(lambda: run(enc.backward))
-    enc.zero_grad()
-    enc.backward(upstream)
+    vec_s, _ = bench.time(lambda: run(enc.backward), repeats=2)
     vec_grads = [g.copy() for g in enc.grads]
-    ref_s, _ = _time(lambda: run(enc.backward_reference), repeats=1)
-    enc.zero_grad()
-    enc.backward_reference(upstream)
+    ref_s, _ = bench.time(lambda: run(enc.backward_reference))
     for fast, ref in zip(vec_grads, enc.grads):
         np.testing.assert_allclose(fast, ref, atol=1e-4)
-    speedup = _record("encoding_backward", ref_s, vec_s)
-    if not SMOKE:
-        assert speedup >= 2.5  # see module docstring on the numpy>=1.23 add.at fast path
+    # See the module docstring on the numpy>=1.23 add.at fast path.
+    bench.record_speedup("encoding_backward", ref_s, vec_s, floor=2.5)
 
 
-def test_encoding_forward_fused_not_slower(paper_grid, paper_points):
+def test_encoding_forward_fused_not_slower(bench, paper_grid, paper_points):
     """The per-level forward vs the forward_reference oracle, bit-identical.
 
     Times whole forwards (indices, weights, gather and corner sum) on a
@@ -194,32 +132,29 @@ def test_encoding_forward_fused_not_slower(paper_grid, paper_points):
 
     enc.forward(pts)  # warm
     enc.forward_reference(pts)  # warm
-    vec_s, fast = _time(lambda: enc.forward(pts))
-    ref_s, reference = _time(lambda: enc.forward_reference(pts))
+    vec_s, fast = bench.time(lambda: enc.forward(pts), repeats=2)
+    ref_s, reference = bench.time(lambda: enc.forward_reference(pts), repeats=2)
     np.testing.assert_array_equal(fast, reference)
-    speedup = _record("encoding_forward", ref_s, vec_s)
-    if not SMOKE:
-        assert speedup >= 2.5
+    bench.record_speedup("encoding_forward", ref_s, vec_s, floor=2.5)
 
 
-def test_average_row_requests_speedup(paper_grid, paper_points):
+def test_average_row_requests_speedup(bench, paper_grid, paper_points):
     """Per-axis sorted distinct-row counting vs the per-cube np.unique loop."""
     res = paper_grid.resolutions[paper_grid.num_levels - 1]
     base = np.clip((paper_points * res).astype(np.int64), 0, res - 1)
     hash_fn = MortonLocalityHash()
     average_row_requests_per_cube(hash_fn, base, paper_grid.table_size)  # warm
-    vec_s, vec = _time(lambda: average_row_requests_per_cube(hash_fn, base, paper_grid.table_size))
-    ref_s, ref = _time(
-        lambda: average_row_requests_per_cube_reference(hash_fn, base, paper_grid.table_size),
-        repeats=1,
+    vec_s, vec = bench.time(
+        lambda: average_row_requests_per_cube(hash_fn, base, paper_grid.table_size), repeats=2
+    )
+    ref_s, ref = bench.time(
+        lambda: average_row_requests_per_cube_reference(hash_fn, base, paper_grid.table_size)
     )
     assert vec == ref
-    speedup = _record("average_row_requests_per_cube", ref_s, vec_s)
-    if not SMOKE:
-        assert speedup >= 3.0
+    bench.record_speedup("average_row_requests_per_cube", ref_s, vec_s, floor=3.0)
 
 
-def test_dram_service_batch_speedup():
+def test_dram_service_batch_speedup(bench):
     """The array timing kernel vs the per-request bank state machines."""
     rng = np.random.default_rng(7)
     n = 2000 if SMOKE else 20000
@@ -237,11 +172,9 @@ def test_dram_service_batch_speedup():
         return DRAMSystem().service_batch(stream, size_bytes=32)
 
     via_batch()  # warm
-    vec_s, batch_result = _time(via_batch, repeats=1)
-    ref_s, object_result = _time(via_objects, repeats=1)
+    vec_s, batch_result = bench.time(via_batch)
+    ref_s, object_result = bench.time(via_objects)
     assert batch_result == object_result
-    speedup = _record("dram_service_batch", ref_s, vec_s)
-    if not SMOKE:
-        # Random addresses almost never hit an open row, the kernel's worst
-        # case: its scalar loop over activations runs about once per request.
-        assert speedup >= 3.0
+    # Random addresses almost never hit an open row, the kernel's worst
+    # case: its scalar loop over activations runs about once per request.
+    bench.record_speedup("dram_service_batch", ref_s, vec_s, floor=3.0)

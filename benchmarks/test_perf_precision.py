@@ -1,7 +1,7 @@
 """Mixed-precision benchmarks: fp32 kernel speedups and narrow-entry traffic.
 
-Three measurements, recorded into ``BENCH_precision.json`` (same trajectory
-format as the other ``BENCH_*.json`` files):
+Three measurements, recorded into ``BENCH_precision.json`` through the
+``bench`` fixture (see ``benchmarks/conftest.py``):
 
 * hash-grid encoding forward+backward at fp32 vs the historical fp64
   path (wall-clock speedup; outputs asserted close);
@@ -10,68 +10,26 @@ format as the other ``BENCH_*.json`` files):
   finest-level DRAM row requests and cache-filtered DRAM cycles for
   fp32/fp16/int8 entries against fp64, asserted monotone.
 
-``PERF_SMOKE=1`` shrinks the inputs and drops the wall-clock floors (the
-deterministic traffic reductions stay gated) so CI smoke runs are fast and
-insensitive to machine load.
+``PERF_SMOKE=1`` shrinks the inputs; the wall-clock speedup floors then do
+not apply, while the deterministic traffic reductions stay asserted.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import time
-from pathlib import Path
-
 import numpy as np
-import pytest
+from conftest import SMOKE
 
 from repro.core.hashing import MortonLocalityHash
 from repro.core.streaming import StreamingOrder
-from repro.experiments.runner import atomic_write_text
 from repro.mem.hierarchy import CacheHierarchy
 from repro.nerf import HashGridConfig
 from repro.nerf.mlp import MLP
 from repro.pipeline import SimulationContext
 from repro.workloads.traces import TraceConfig
 
-SMOKE = os.environ.get("PERF_SMOKE", "") == "1"
 NUM_POINTS = 4_096 if SMOKE else 65_536
 MLP_BATCH = 4_096 if SMOKE else 65_536
-BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_precision.json"
-
-_RESULTS: dict[str, dict] = {}
-
-
-def _time(fn, repeats=3):
-    best, result = float("inf"), None
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        result = fn()
-        best = min(best, time.perf_counter() - t0)
-    return best, result
-
-
-@pytest.fixture(scope="module", autouse=True)
-def bench_trajectory():
-    """Append this run's measurements to the BENCH_precision.json trajectory."""
-    yield
-    if not _RESULTS:
-        return
-    entry = {
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
-        "smoke": SMOKE,
-        "num_points": NUM_POINTS,
-        "mlp_batch": MLP_BATCH,
-        "results": _RESULTS,
-    }
-    trajectory = []
-    if BENCH_PATH.exists():
-        try:
-            trajectory = json.loads(BENCH_PATH.read_text())
-        except (ValueError, OSError):
-            trajectory = []
-    trajectory.append(entry)
-    atomic_write_text(BENCH_PATH, json.dumps(trajectory, indent=2) + "\n", overwrite=True)
+BENCH_ENTRY = {"num_points": NUM_POINTS, "mlp_batch": MLP_BATCH}
 
 
 def _grid(dtype: str) -> HashGridConfig:
@@ -83,7 +41,16 @@ def _grid(dtype: str) -> HashGridConfig:
     )
 
 
-def test_encoding_fp32_speedup():
+def _record_fp32(bench, section: str, fp64_s: float, fp32_s: float, floor: float) -> None:
+    speedup = fp64_s / fp32_s if fp32_s > 0 else float("inf")
+    bench.record(
+        section,
+        {"fp64_s": fp64_s, "fp32_s": fp32_s, "speedup": speedup},
+        {"speedup": (">=", floor)},
+    )
+
+
+def test_encoding_fp32_speedup(bench):
     """fp32 hash-grid forward+backward beats the historical fp64 path."""
     from repro.nerf.encoding import HashGridEncoding
 
@@ -98,21 +65,13 @@ def test_encoding_fp32_speedup():
         enc.backward(grad)
         return out
 
-    fp64_s, fp64_out = _time(lambda: run("fp64"))
-    fp32_s, fp32_out = _time(lambda: run("fp32"))
+    fp64_s, fp64_out = bench.time(lambda: run("fp64"), repeats=3)
+    fp32_s, fp32_out = bench.time(lambda: run("fp32"), repeats=3)
     np.testing.assert_allclose(fp32_out, fp64_out, atol=2e-5)
-    speedup = fp64_s / fp32_s if fp32_s > 0 else float("inf")
-    _RESULTS["encoding_fp32"] = {
-        "fp64_s": round(fp64_s, 4),
-        "fp32_s": round(fp32_s, 4),
-        "speedup": round(speedup, 3),
-    }
-    print(f"\nencoding: fp64 {fp64_s:.3f}s fp32 {fp32_s:.3f}s -> {speedup:.2f}x")
-    if not SMOKE:
-        assert speedup >= 1.05
+    _record_fp32(bench, "encoding_fp32", fp64_s, fp32_s, floor=1.05)
 
 
-def test_mlp_fp32_speedup():
+def test_mlp_fp32_speedup(bench):
     """fp32 MLP forward+backward beats fp64 on the same geometry."""
     rng = np.random.default_rng(0)
     x = rng.random((MLP_BATCH, 32))
@@ -124,21 +83,13 @@ def test_mlp_fp32_speedup():
         mlp.backward(grad)
         return out
 
-    fp64_s, fp64_out = _time(lambda: run("fp64"))
-    fp32_s, fp32_out = _time(lambda: run("fp32"))
+    fp64_s, fp64_out = bench.time(lambda: run("fp64"), repeats=3)
+    fp32_s, fp32_out = bench.time(lambda: run("fp32"), repeats=3)
     np.testing.assert_allclose(fp32_out, fp64_out, atol=1e-3)
-    speedup = fp64_s / fp32_s if fp32_s > 0 else float("inf")
-    _RESULTS["mlp_fp32"] = {
-        "fp64_s": round(fp64_s, 4),
-        "fp32_s": round(fp32_s, 4),
-        "speedup": round(speedup, 3),
-    }
-    print(f"\nmlp: fp64 {fp64_s:.3f}s fp32 {fp32_s:.3f}s -> {speedup:.2f}x")
-    if not SMOKE:
-        assert speedup >= 1.2
+    _record_fp32(bench, "mlp_fp32", fp64_s, fp32_s, floor=1.2)
 
 
-def test_narrow_entry_traffic_reduction():
+def test_narrow_entry_traffic_reduction(bench):
     """Narrower table entries shrink modeled DRAM traffic monotonically.
 
     Deterministic (pure memory-system model), so the floors are gated in
@@ -163,16 +114,15 @@ def test_narrow_entry_traffic_reduction():
     fp16_row_reduction = rows["fp64"] / rows["fp16"]
     int8_row_reduction = rows["fp64"] / rows["int8"]
     int8_cycle_reduction = cycles["fp64"] / cycles["int8"]
-    _RESULTS["narrow_entry_traffic"] = {
-        "row_requests": rows,
-        "dram_cycles": cycles,
-        "fp16_row_request_reduction": round(fp16_row_reduction, 3),
-        "int8_row_request_reduction": round(int8_row_reduction, 3),
-        "int8_dram_cycle_reduction": round(int8_cycle_reduction, 3),
-    }
-    print(
-        f"\nrows {rows} -> fp16 {fp16_row_reduction:.2f}x int8 {int8_row_reduction:.2f}x, "
-        f"int8 cycles {int8_cycle_reduction:.2f}x"
+    bench.record(
+        "narrow_entry_traffic",
+        {
+            "row_requests": rows,
+            "dram_cycles": cycles,
+            "fp16_row_request_reduction": fp16_row_reduction,
+            "int8_row_request_reduction": int8_row_reduction,
+            "int8_dram_cycle_reduction": int8_cycle_reduction,
+        },
     )
     assert rows["fp64"] >= rows["fp32"] >= rows["fp16"] >= rows["int8"]
     assert cycles["fp64"] >= cycles["fp32"] >= cycles["fp16"] >= cycles["int8"]

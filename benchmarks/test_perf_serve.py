@@ -1,7 +1,7 @@
 """Serving-simulator benchmarks: batching throughput + tail-latency shape.
 
-Measurements recorded into ``BENCH_serve.json`` (same trajectory format as
-the other ``BENCH_*.json`` files):
+Measurements recorded into ``BENCH_serve.json`` through the ``bench``
+fixture (see ``benchmarks/conftest.py``):
 
 * ``batching_speedup`` — modeled makespan of the per-request G/G/1 reference
   oracle divided by the batching scheduler's makespan on the same hot
@@ -15,19 +15,15 @@ the other ``BENCH_*.json`` files):
   the machine was noisy.
 
 ``PERF_SMOKE=1`` trims the load sweep; the workload itself stays at full
-size so both modes exercise the same queueing regimes.
+size so both modes exercise the same queueing regimes.  Every assert here is
+on modeled time, not on the wall clock.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import time
-from pathlib import Path
-
 import pytest
+from conftest import SMOKE
 
-from repro.experiments.runner import atomic_write_text
 from repro.serve import (
     BatchPolicy,
     SchedulerConfig,
@@ -38,7 +34,6 @@ from repro.serve import (
     simulate_serving_reference,
 )
 
-SMOKE = os.environ.get("PERF_SMOKE", "") == "1"
 LOADS = (0.5, 1.0, 2.0) if SMOKE else (0.25, 0.5, 1.0, 2.0, 4.0)
 #: The batching-vs-oracle comparison always runs saturated: below saturation
 #: both makespans are arrival-bound and the ratio degenerates to 1.
@@ -46,9 +41,7 @@ HOT_LOAD = 4.0
 #: The fig14 defaults: 4 tenants x 64 requests, 20 us mean gap at unit load.
 WORKLOAD = ServeWorkloadConfig()
 COST = ServiceCostConfig()
-BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_serve.json"
-
-_RESULTS: dict[str, dict] = {}
+BENCH_ENTRY = {"loads": list(LOADS)}
 
 
 @pytest.fixture(scope="module")
@@ -56,30 +49,8 @@ def model():
     return ServiceCostModel(COST)
 
 
-@pytest.fixture(scope="module", autouse=True)
-def bench_trajectory():
-    """Append this run's measurements to the BENCH_serve.json trajectory."""
-    yield
-    if not _RESULTS:
-        return
-    entry = {
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
-        "smoke": SMOKE,
-        "loads": list(LOADS),
-        "results": _RESULTS,
-    }
-    trajectory = []
-    if BENCH_PATH.exists():
-        try:
-            trajectory = json.loads(BENCH_PATH.read_text())
-        except (ValueError, OSError):
-            trajectory = []
-    trajectory.append(entry)
-    atomic_write_text(BENCH_PATH, json.dumps(trajectory, indent=2) + "\n", overwrite=True)
-
-
 @pytest.mark.parametrize("policy", [BatchPolicy.FIFO, BatchPolicy.SJF])
-def test_p99_latency_is_monotone_in_offered_load(policy, model):
+def test_p99_latency_is_monotone_in_offered_load(bench, policy, model):
     """Deterministic hockey stick: p99 never improves as load rises."""
     p99s = []
     for load in LOADS:
@@ -87,10 +58,9 @@ def test_p99_latency_is_monotone_in_offered_load(policy, model):
             WORKLOAD.at_load(load), SchedulerConfig(policy=policy), model=model
         ).summary()
         p99s.append(summary["p99_latency_us"])
-    _RESULTS[f"p99_{policy.value}"] = {
-        f"p99_us_at_load_{load}": round(p99, 3) for load, p99 in zip(LOADS, p99s)
-    }
-    print(f"\n{policy.value}: p99 across loads {LOADS} -> {[round(p, 2) for p in p99s]}us")
+    bench.record(
+        f"p99_{policy.value}", {f"p99_us_at_load_{load}": p99 for load, p99 in zip(LOADS, p99s)}
+    )
     for lighter, heavier in zip(p99s, p99s[1:]):
         assert heavier >= lighter - 1e-9
     # The sweep's tail visibly grows (smoke trims the range, hence the
@@ -98,26 +68,22 @@ def test_p99_latency_is_monotone_in_offered_load(policy, model):
     assert p99s[-1] > (1.2 if SMOKE else 1.5) * p99s[0]
 
 
-def test_batching_beats_per_request_oracle(model):
+def test_batching_beats_per_request_oracle(bench, model):
     """The gated serving win: coalescing vs one-dispatch-per-request."""
     hot = WORKLOAD.at_load(HOT_LOAD)
-    wall0 = time.perf_counter()
-    batched = simulate_serving(hot, SchedulerConfig(), model=model)
-    sim_wall_s = time.perf_counter() - wall0
+    sim_wall_s, batched = bench.time(lambda: simulate_serving(hot, SchedulerConfig(), model=model))
     oracle = simulate_serving_reference(hot, model=model)
     speedup = oracle.makespan_us / batched.makespan_us
     summary = batched.summary()
-    _RESULTS["batching"] = {
-        "batched_makespan_us": round(batched.makespan_us, 3),
-        "reference_makespan_us": round(oracle.makespan_us, 3),
-        "batching_speedup": round(speedup, 3),
-        "mean_batch_requests": round(summary["mean_batch_requests"], 3),
-        "simulate_wall_s": round(sim_wall_s, 5),
-    }
-    print(
-        f"\nbatching: makespan {batched.makespan_us:.0f}us vs reference "
-        f"{oracle.makespan_us:.0f}us -> {speedup:.2f}x "
-        f"(mean batch {summary['mean_batch_requests']:.1f} requests)"
+    bench.record(
+        "batching",
+        {
+            "batched_makespan_us": batched.makespan_us,
+            "reference_makespan_us": oracle.makespan_us,
+            "batching_speedup": speedup,
+            "mean_batch_requests": summary["mean_batch_requests"],
+            "simulate_wall_s": sim_wall_s,
+        },
     )
     # Every request is served in both runs; the batcher only wins on time.
     assert summary["served"] == float(hot.num_requests)

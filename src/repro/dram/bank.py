@@ -113,10 +113,6 @@ class Bank:
             state.reads += 1
         return AccessResult(ready, latency, row_hit, bank_conflict, subarray, start_cycle)
 
-    def reset(self) -> None:
-        """Clear all open rows and statistics."""
-        self.state = BankState()
-
     # ------------------------------------------------------------ statistics
     @property
     def total_accesses(self) -> int:

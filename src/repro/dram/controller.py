@@ -141,13 +141,6 @@ class ChannelController:
             finish = max(finish, ready)
         return finish
 
-    def reset(self) -> None:
-        for bank in self.banks:
-            bank.reset()
-        self.stats = ChannelStats()
-        self._recent_activations = []
-        self._last_activation_cycle = -(10**9)
-
     # ------------------------------------------------------------ statistics
     def row_hit_rate(self) -> float:
         total = self.stats.row_hits + self.stats.row_misses

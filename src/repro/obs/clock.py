@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import time
 
-__all__ = ["wall_time", "wall_time_ns"]
+__all__ = ["local_timestamp", "wall_time", "wall_time_ns"]
 
 
 def wall_time() -> float:
@@ -26,3 +26,8 @@ def wall_time() -> float:
 def wall_time_ns() -> int:
     """Monotonic wall-clock nanoseconds, for low-overhead timestamping."""
     return time.perf_counter_ns()
+
+
+def local_timestamp() -> str:
+    """Local date and time to the second, for benchmark trajectory entries."""
+    return time.strftime("%Y-%m-%dT%H:%M:%S")

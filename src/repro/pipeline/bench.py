@@ -1,4 +1,4 @@
-"""Benchmark-suite orchestration and regression gating.
+"""Benchmark-suite orchestration, recording and regression gating.
 
 ``python -m repro bench`` is the single entry point CI and local users share
 for the repository's performance/determinism benchmark suites:
@@ -6,40 +6,49 @@ for the repository's performance/determinism benchmark suites:
 ``bench list``
     Show every suite with its pytest file, trajectory JSON and entry count.
 ``bench run``
-    Run one or more suites (``--smoke`` maps to ``PERF_SMOKE=1``); before
-    the first run the committed ``BENCH_*.json`` files are stashed into
-    ``.bench-baseline/`` so a later ``compare`` still sees the pre-run state
-    even for suites that overwrite their JSON.
+    Run one or more suites (``--smoke`` maps to ``PERF_SMOKE=1``) with this
+    module loaded into each pytest run as the recorder plugin.  Before the
+    first run the committed ``BENCH_*.json`` files are stashed into
+    ``.bench-baseline/`` so a later ``compare`` still sees the pre-run state.
 ``bench compare``
     Compare the fresh benchmark JSON against the stashed (or committed)
     baselines and fail on regressions beyond ``--max-regression``.
 
-Two trajectory formats exist in the repo and both are understood: the
-*trajectory* format (a JSON list of ``{timestamp, smoke, results: {name:
-{metric: value}}}`` entries, appended per run) and the *snapshot* format (a
-JSON object of ``{section: {metric: value, smoke: bool}}``, overwritten per
-run).  Only higher-is-better metrics are gated — ``speedup``/``*_speedup``,
+The recorder is the only reader and writer of the BENCH format: a JSON list
+of ``{timestamp, smoke, <suite parameters>, results: {section: {metric:
+value}}}`` entries.  The ``bench`` fixture of ``benchmarks/conftest.py``
+hands it each recorded section with its bounds (:meth:`Recorder.record`); a
+missed bound fails the test, and at session end each suite's entry is
+appended to its trajectory.  A plain pytest run never loads the recorder,
+so it checks no bound and writes no file.
+
+Only higher-is-better metrics are gated — ``speedup``/``*_speedup``,
 ``*_reduction`` and ``store_hit_rate`` — and values are clamped to ``--cap``
 before comparison so a 1485x warm-store rerun dropping to a (still absurdly
 fast) 300x does not fail the build.  Baselines are matched on the
 ``smoke`` flag — smoke runs only gate against smoke baselines, full-scale
-runs against full-scale baselines — and, for trajectory files, each metric's
-baseline is the minimum over the last few matching entries (a noise floor;
-see :func:`_baseline_sections`).
+runs against full-scale baselines — and each metric's baseline is the
+minimum over the last few matching entries (a noise floor; see
+:func:`_baseline_sections`).
 """
 
 from __future__ import annotations
 
 import json
+import operator
 import os
 import shutil
 import subprocess
 import sys
 import time
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Any
 
+from ..experiments.runner import atomic_write_text
 from ..obs import get_tracer
+from ..obs.clock import local_timestamp
 
 __all__ = [
     "BenchSuite",
@@ -52,6 +61,9 @@ __all__ = [
     "compare_file",
     "compare_suites",
     "BASELINE_DIR",
+    "RECORDER",
+    "Recorder",
+    "entry_count",
 ]
 
 #: Directory (relative to the repo root) holding pre-run baseline copies.
@@ -115,13 +127,8 @@ def stash_baselines(root: Path, baseline_dir: str = BASELINE_DIR) -> Path | None
     return target
 
 
-def run_suites(
-    root: Path,
-    names: list[str] | None = None,
-    smoke: bool = False,
-    pytest_args: tuple[str, ...] = (),
-) -> int:
-    """Run each suite's pytest file; returns the first non-zero exit code."""
+def run_suites(root: Path, names: list[str] | None = None, smoke: bool = False) -> int:
+    """Run each suite's pytest file under the recorder; returns the first non-zero exit code."""
     suites = get_suites(names)
     stashed = stash_baselines(root)
     if stashed is not None:
@@ -149,7 +156,7 @@ def run_suites(
         print(f"== bench run {suite.name} ({test_path}){' [smoke]' if smoke else ''} ==")
         with tracer.span("bench.suite", "pipeline") as span:
             result = subprocess.run(
-                [sys.executable, "-m", "pytest", "-q", str(test_path), *pytest_args],
+                [sys.executable, "-m", "pytest", "-q", "-p", __name__, str(test_path)],
                 cwd=root,
                 env=env,
             )
@@ -158,6 +165,96 @@ def run_suites(
         if result.returncode and not exit_code:
             exit_code = result.returncode
     return exit_code
+
+
+# ------------------------------------------------------------------ recorder
+#: Comparisons a recorded bound may use, as ``(op, limit)``.
+_BOUND_OPS: dict[str, Callable[[float, float], bool]] = {
+    ">=": operator.ge,
+    ">": operator.gt,
+    "<=": operator.le,
+    "<": operator.lt,
+}
+
+#: The name :func:`pytest_configure` registers the session's recorder under;
+#: the ``bench`` fixture is armed when it finds a plugin by this name.
+RECORDER = "repro-bench-recorder"
+
+
+def _bench_path(test_path: Path) -> Path:
+    """The BENCH file of the suite whose pytest file is ``test_path``."""
+    posix = Path(test_path).resolve().as_posix()
+    for suite in SUITES:
+        if posix.endswith("/" + suite.test_file):
+            return Path(posix[: -len(suite.test_file)]) / suite.bench_file
+    raise ValueError(f"{test_path} is not the pytest file of a benchmark suite")
+
+
+def _rounded(value: Any) -> Any:
+    """Floats to four significant digits, recursively; everything else as is."""
+    if isinstance(value, float):
+        return float(f"{value:.4g}")
+    if isinstance(value, dict):
+        return {key: _rounded(item) for key, item in value.items()}
+    return value
+
+
+class Recorder:
+    """One pytest session's recorded sections, appended to BENCH files at its end."""
+
+    def __init__(self) -> None:
+        #: Per BENCH file: the entry's top-level keys besides ``timestamp``,
+        #: and its results so far.
+        self._entries: dict[Path, tuple[dict[str, Any], dict[str, Any]]] = {}
+
+    def record(
+        self,
+        test_path: Path,
+        section: str,
+        metrics: Mapping[str, Any],
+        bounds: Mapping[str, tuple[str, float]],
+        header: Mapping[str, Any],
+    ) -> None:
+        """Record one section of a suite's entry, then check its bounds.
+
+        ``bounds`` maps a metric to ``(op, limit)`` with ``op`` one of
+        ``>=``, ``>``, ``<=`` and ``<``; each bound is checked on the
+        unrounded value.  ``header`` holds the entry's ``smoke`` flag and
+        suite parameters.  Raises :class:`AssertionError` naming the
+        section, metric, value and bound of every missed bound; the section
+        is recorded either way.
+        """
+        _, results = self._entries.setdefault(_bench_path(test_path), (dict(header), {}))
+        results[section] = _rounded(dict(metrics))
+        missed = [
+            f"{section}: {metric} = {metrics[metric]:.6g} misses its bound {op} {limit:g}"
+            for metric, (op, limit) in bounds.items()
+            if not _BOUND_OPS[op](metrics[metric], limit)
+        ]
+        if missed:
+            raise AssertionError("; ".join(missed))
+
+    def pytest_sessionfinish(self) -> None:
+        """Append each recorded suite's entry to its BENCH trajectory."""
+        for path, (header, results) in self._entries.items():
+            trajectory = json.loads(path.read_text()) if path.exists() else []
+            trajectory.append({"timestamp": local_timestamp(), **header, "results": results})
+            atomic_write_text(path, json.dumps(trajectory, indent=2) + "\n", overwrite=True)
+
+
+def pytest_configure(config: Any) -> None:
+    """Arm the ``bench`` fixture: register this session's :class:`Recorder`."""
+    config.pluginmanager.register(Recorder(), RECORDER)
+
+
+def entry_count(path: Path) -> str:
+    """How many entries a BENCH trajectory holds: a count, ``-`` or ``corrupt``."""
+    if not path.exists():
+        return "-"
+    try:
+        return str(len(json.loads(path.read_text())))
+    except ValueError:
+        return "corrupt"
 
 
 # ---------------------------------------------------------------- comparison
@@ -175,36 +272,18 @@ def _higher_is_better(metric: str) -> bool:
 
 
 def _sections(payload: object) -> list[tuple[str, bool | None, dict[str, float]]]:
-    """Normalise either trajectory format into ``(section, smoke, metrics)``.
+    """``(section, smoke, metrics)`` of a trajectory's *last* entry.
 
-    Trajectory lists yield one section per benchmark of the *last* entry
-    (earlier entries are baseline history); snapshot objects yield one
-    section per top-level key.
+    Earlier entries are baseline history.
     """
-    if isinstance(payload, list):
-        if not payload:
-            return []
-        entry = payload[-1]
-        smoke = entry.get("smoke")
-        return [
-            (name, smoke, {k: v for k, v in metrics.items() if _is_metric(v)})
-            for name, metrics in entry.get("results", {}).items()
-        ]
-    if isinstance(payload, dict):
-        out = []
-        for name, metrics in payload.items():
-            if not isinstance(metrics, dict):
-                continue
-            smoke = metrics.get("smoke")
-            out.append(
-                (
-                    name,
-                    smoke if isinstance(smoke, bool) else None,
-                    {k: v for k, v in metrics.items() if k != "smoke" and _is_metric(v)},
-                )
-            )
-        return out
-    return []
+    if not isinstance(payload, list) or not payload:
+        return []
+    entry = payload[-1]
+    smoke = entry.get("smoke")
+    return [
+        (name, smoke, {k: v for k, v in metrics.items() if _is_metric(v)})
+        for name, metrics in entry.get("results", {}).items()
+    ]
 
 
 #: Matching-smoke trajectory entries folded into the per-metric baseline.
@@ -214,24 +293,23 @@ BASELINE_HISTORY = 5
 def _baseline_sections(payload: object, smoke: bool | None) -> dict[str, dict[str, float]]:
     """Smoke-matched baseline metrics per section.
 
-    For trajectory lists the per-metric baseline is the *minimum* over the
-    last :data:`BASELINE_HISTORY` entries whose smoke flag matches the
-    current run — a noise floor, so one unusually fast historical run (timed
+    The per-metric baseline is the *minimum* over the last
+    :data:`BASELINE_HISTORY` entries whose smoke flag matches the current
+    run — a noise floor, so one unusually fast historical run (timed
     speedups at smoke scale jitter by tens of percent) cannot fail a build
-    that still clears every recent baseline.  Snapshot sections match on
-    their embedded flag.
+    that still clears every recent baseline.
     """
-    if isinstance(payload, list):
-        matching = [e for e in reversed(payload) if e.get("smoke") == smoke]
-        floor: dict[str, dict[str, float]] = {}
-        for entry in matching[:BASELINE_HISTORY]:
-            for name, metrics in entry.get("results", {}).items():
-                section = floor.setdefault(name, {})
-                for key, value in metrics.items():
-                    if _is_metric(value):
-                        section[key] = min(section[key], value) if key in section else value
-        return floor
-    return {name: metrics for name, sec_smoke, metrics in _sections(payload) if sec_smoke == smoke}
+    if not isinstance(payload, list):
+        return {}
+    matching = [e for e in reversed(payload) if e.get("smoke") == smoke]
+    floor: dict[str, dict[str, float]] = {}
+    for entry in matching[:BASELINE_HISTORY]:
+        for name, metrics in entry.get("results", {}).items():
+            section = floor.setdefault(name, {})
+            for key, value in metrics.items():
+                if _is_metric(value):
+                    section[key] = min(section[key], value) if key in section else value
+    return floor
 
 
 @dataclass(frozen=True)

@@ -15,9 +15,10 @@ Subcommands
     Run the full suite against one shared :class:`SimulationContext` and
     write all artifacts plus a summary index.
 ``bench``
-    Benchmark-suite orchestration: ``bench run`` (``--smoke`` maps to
-    ``PERF_SMOKE=1``), ``bench compare`` (the CI regression gate) and
-    ``bench list`` — see :mod:`repro.pipeline.bench`.
+    Benchmark-suite orchestration: ``bench run`` (the only run that checks
+    the suites' timing bounds and appends to their trajectories; ``--smoke``
+    maps to ``PERF_SMOKE=1``), ``bench compare`` (the CI regression gate)
+    and ``bench list`` — see :mod:`repro.pipeline.bench`.
 ``lint``
     Determinism-invariant static analysis (``repro-lint``): the RPR rule
     suite over ``src/`` + ``benchmarks/`` — see :mod:`repro.analysis`.
@@ -40,7 +41,7 @@ from ..experiments.runner import (
     write_csv_artifact,
     write_json_artifact,
 )
-from .bench import BASELINE_DIR, SUITES, compare_suites, run_suites
+from .bench import BASELINE_DIR, SUITES, compare_suites, entry_count, run_suites
 from .context import SimulationContext, config_key
 from .registry import all_experiments, get_experiment, run_suite
 from .store import STORE_MISS, ArtifactStore
@@ -275,7 +276,7 @@ def build_parser(run_spec: str | None = None) -> argparse.ArgumentParser:
     b_run.add_argument(
         "--smoke",
         action="store_true",
-        help="set PERF_SMOKE=1: shrink inputs and relax wall-clock floors",
+        help="set PERF_SMOKE=1: shrink inputs; only the smoke-scale bounds apply",
     )
     b_run.add_argument("--root", default=".", help="repository root (default: cwd)")
     _add_obs_flags(b_run)
@@ -485,15 +486,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     root = Path(args.root).resolve()
     if args.bench_command == "list":
         for suite in SUITES:
-            bench_path = root / suite.bench_file
-            entries = "-"
-            if bench_path.exists():
-                try:
-                    payload = json.loads(bench_path.read_text())
-                except ValueError:
-                    entries = "corrupt"
-                else:
-                    entries = str(len(payload)) if isinstance(payload, list) else "snapshot"
+            entries = entry_count(root / suite.bench_file)
             print(
                 f"{suite.name:10s}  {suite.test_file:40s}  {suite.bench_file} ({entries} entries)"
             )

@@ -1,16 +1,20 @@
 """Tests for the ``python -m repro bench`` gate (run / compare / list).
 
-The compare logic is exercised against synthetic BENCH files in both
-on-disk formats: the append-only trajectory list (hotpaths/mem/occupancy)
-and the overwrite snapshot object (pipeline).
+The compare logic is exercised against synthetic BENCH trajectories; the
+recorder behind ``bench run`` against a stub suite under ``tmp_path``.
 """
 
 from __future__ import annotations
 
 import json
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.pipeline.bench import (
     BASELINE_DIR,
     SUITES,
@@ -18,11 +22,24 @@ from repro.pipeline.bench import (
     compare_file,
     compare_suites,
     get_suites,
+    run_suites,
     stash_baselines,
 )
 from repro.pipeline.cli import main
 
 SUITE = BenchSuite("hotpaths", "benchmarks/test_perf_hotpaths.py", "BENCH_hotpaths.json")
+REPO = Path(__file__).resolve().parent.parent
+
+#: A one-test stand-in for the hotpaths suite; ``{floor}`` is its bound.
+STUB_SUITE = """
+BENCH_ENTRY = {{"num_rays": 1}}
+
+
+def test_stub(bench):
+    seconds, value = bench.time(lambda: 2.0, repeats=3)
+    assert value == 2.0
+    bench.record("stub", {{"seconds": seconds, "speedup": value}}, {{"speedup": (">=", {floor})}})
+"""
 
 
 def _trajectory_entry(smoke, **metrics):
@@ -61,6 +78,52 @@ def test_stash_baselines_copies_once(tmp_path):
     assert stash_baselines(tmp_path) is None
     kept = json.loads((stashed / "BENCH_hotpaths.json").read_text())
     assert kept[0]["results"]["stream"]["speedup"] == 7.0
+
+
+# --------------------------------------------------------------- recorder
+@pytest.fixture
+def stub_root(tmp_path, monkeypatch):
+    """Write a stub hotpaths suite with the given floor; returns the root."""
+    monkeypatch.setenv("PYTHONPATH", str(Path(repro.__file__).resolve().parents[1]))
+    monkeypatch.delenv("PERF_SMOKE", raising=False)
+
+    def make(floor: float) -> Path:
+        suite_dir = tmp_path / "benchmarks"
+        suite_dir.mkdir()
+        shutil.copy2(REPO / "benchmarks" / "conftest.py", suite_dir / "conftest.py")
+        (tmp_path / SUITE.test_file).write_text(STUB_SUITE.format(floor=floor))
+        _write(tmp_path / SUITE.bench_file, [_trajectory_entry(False, stub={"speedup": 3.0})])
+        return tmp_path
+
+    return make
+
+
+def test_plain_pytest_checks_no_bound_and_writes_nothing(stub_root):
+    root = stub_root(floor=1e9)
+    before = (root / SUITE.bench_file).read_bytes()
+    command = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", SUITE.test_file]
+    result = subprocess.run(command, cwd=root, capture_output=True, text=True)
+    assert result.returncode == 0, result.stdout
+    assert (root / SUITE.bench_file).read_bytes() == before
+
+
+def test_run_suites_appends_one_entry(stub_root):
+    root = stub_root(floor=1e9)
+    before = json.loads((root / SUITE.bench_file).read_text())
+    # The stub's bound is a full-scale one, so it does not apply at smoke scale.
+    assert run_suites(root, ["hotpaths"], smoke=True) == 0
+    after = json.loads((root / SUITE.bench_file).read_text())
+    assert after[:-1] == before
+    assert list(after[-1]) == ["timestamp", "smoke", "num_rays", "results"]
+    assert after[-1]["smoke"] is True
+    assert list(after[-1]["results"]) == ["stub"]
+    assert after[-1]["results"]["stub"]["speedup"] == 2.0
+
+
+def test_run_suites_fails_on_a_missed_bound_and_names_it(stub_root, capfd):
+    root = stub_root(floor=1e9)
+    assert run_suites(root, ["hotpaths"]) != 0
+    assert "stub: speedup = 2 misses its bound >= 1e+09" in capfd.readouterr().out
 
 
 # ------------------------------------------------------------- comparison
@@ -137,20 +200,6 @@ def test_compare_cap_forgives_absurdly_fast_baselines(tmp_path):
     assert not compare_file(SUITE, current, baseline, 0.25, cap=50.0).regressions
     # Without the cap the same drop would fail.
     assert compare_file(SUITE, current, baseline, 0.25, cap=1e9).regressions
-
-
-def test_compare_snapshot_format(tmp_path):
-    baseline = _write(
-        tmp_path / "base.json",
-        {"warm_store": {"speedup": 10.0, "store_hit_rate": 1.0, "smoke": False}},
-    )
-    current = _write(
-        tmp_path / "cur.json",
-        {"warm_store": {"speedup": 4.0, "store_hit_rate": 1.0, "smoke": False}},
-    )
-    report = compare_file(SUITE, current, baseline, 0.25, 50.0)
-    assert {m.metric for m in report.metrics} == {"speedup", "store_hit_rate"}
-    assert [m.metric for m in report.regressions] == ["speedup"]
 
 
 def test_compare_without_baseline_falls_back_to_trajectory(tmp_path):

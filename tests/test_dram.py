@@ -166,8 +166,6 @@ def test_bank_conflict_detection_and_reset():
     second = bank.access(row=2, subarray=1, cycle=0)
     assert second.bank_conflict
     assert bank.state.bank_conflicts == 1
-    bank.reset()
-    assert bank.total_accesses == 0
     with pytest.raises(ValueError):
         bank.access(row=-1, subarray=0, cycle=0)
     with pytest.raises(ValueError):
@@ -193,8 +191,6 @@ def test_controller_counts_and_hit_rate():
     assert controller.stats.requests == 4
     assert controller.stats.row_hits >= 2
     assert controller.row_hit_rate() > 0.4
-    controller.reset()
-    assert controller.stats.requests == 0
 
 
 def test_controller_write_requests_tracked():
