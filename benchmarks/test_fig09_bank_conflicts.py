@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from conftest import report
-
+from benchmarks.conftest import report
 from repro.experiments import run_fig09
 from repro.nerf.encoding import HashGridConfig
 from repro.workloads.traces import TraceConfig

@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from conftest import report
-
+from benchmarks.conftest import report
 from repro.experiments import run_fig10
 
 

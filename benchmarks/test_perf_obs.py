@@ -23,8 +23,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from conftest import SMOKE
 
+from benchmarks.conftest import SMOKE
 from repro import obs
 from repro.dram.system import DRAMSystem
 from repro.mem.hierarchy import CacheHierarchy

@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from conftest import SMOKE
 
+from benchmarks.conftest import SMOKE
 from repro.core.hashing import MortonLocalityHash
 from repro.core.streaming import StreamingOrder
 from repro.nerf import (

@@ -17,8 +17,8 @@ not apply, while the deterministic traffic reductions stay asserted.
 from __future__ import annotations
 
 import numpy as np
-from conftest import SMOKE
 
+from benchmarks.conftest import SMOKE
 from repro.core.hashing import MortonLocalityHash
 from repro.core.streaming import StreamingOrder
 from repro.mem.hierarchy import CacheHierarchy

@@ -12,7 +12,9 @@ fixture (see ``benchmarks/conftest.py``):
   compression of one seeded arrival sequence (see
   :mod:`repro.serve.workload`), so this hockey-stick shape is deterministic:
   a violation means the scheduler or cost model changed behaviour, not that
-  the machine was noisy.
+  the machine was noisy.  The sweep runs with a 256-point batch budget:
+  under the default 4096-point budget every queue fits in one batch, so
+  SJF and FIFO form the same batches and the SJF case would repeat FIFO.
 
 ``PERF_SMOKE=1`` trims the load sweep; the workload itself stays at full
 size so both modes exercise the same queueing regimes.  Every assert here is
@@ -22,8 +24,8 @@ on modeled time, not on the wall clock.
 from __future__ import annotations
 
 import pytest
-from conftest import SMOKE
 
+from benchmarks.conftest import SMOKE
 from repro.serve import (
     BatchPolicy,
     SchedulerConfig,
@@ -38,10 +40,13 @@ LOADS = (0.5, 1.0, 2.0) if SMOKE else (0.25, 0.5, 1.0, 2.0, 4.0)
 #: The batching-vs-oracle comparison always runs saturated: below saturation
 #: both makespans are arrival-bound and the ratio degenerates to 1.
 HOT_LOAD = 4.0
+#: Batch budget of the p99 sweep: small enough that a backlog spans several
+#: batches, so the policy decides which requests go first.
+SWEEP_BATCH_POINTS = 256
 #: The fig14 defaults: 4 tenants x 64 requests, 20 us mean gap at unit load.
 WORKLOAD = ServeWorkloadConfig()
 COST = ServiceCostConfig()
-BENCH_ENTRY = {"loads": list(LOADS)}
+BENCH_ENTRY = {"loads": list(LOADS), "max_batch_points": SWEEP_BATCH_POINTS}
 
 
 @pytest.fixture(scope="module")
@@ -49,15 +54,16 @@ def model():
     return ServiceCostModel(COST)
 
 
+def _p99_us(policy: BatchPolicy, load: float, model: ServiceCostModel) -> float:
+    scheduler = SchedulerConfig(policy=policy, max_batch_points=SWEEP_BATCH_POINTS)
+    summary = simulate_serving(WORKLOAD.at_load(load), scheduler, model=model).summary()
+    return summary["p99_latency_us"]
+
+
 @pytest.mark.parametrize("policy", [BatchPolicy.FIFO, BatchPolicy.SJF])
 def test_p99_latency_is_monotone_in_offered_load(bench, policy, model):
     """Deterministic hockey stick: p99 never improves as load rises."""
-    p99s = []
-    for load in LOADS:
-        summary = simulate_serving(
-            WORKLOAD.at_load(load), SchedulerConfig(policy=policy), model=model
-        ).summary()
-        p99s.append(summary["p99_latency_us"])
+    p99s = [_p99_us(policy, load, model) for load in LOADS]
     bench.record(
         f"p99_{policy.value}", {f"p99_us_at_load_{load}": p99 for load, p99 in zip(LOADS, p99s)}
     )
@@ -66,6 +72,9 @@ def test_p99_latency_is_monotone_in_offered_load(bench, policy, model):
     # The sweep's tail visibly grows (smoke trims the range, hence the
     # softer floor there).
     assert p99s[-1] > (1.2 if SMOKE else 1.5) * p99s[0]
+    if policy is BatchPolicy.SJF:
+        # The budget binds at the top load, so the policy shows in the tail.
+        assert p99s[-1] != _p99_us(BatchPolicy.FIFO, LOADS[-1], model)
 
 
 def test_batching_beats_per_request_oracle(bench, model):

@@ -2,13 +2,13 @@
 
 Five claims are checked:
 
-1. Running the full registered suite against one shared
-   :class:`SimulationContext` reuses artifacts (cache hits) and finishes
-   faster than running each experiment through the registry on its own
-   fresh context.  ``tests/golden/suite_smoke.json`` pins the results at
-   these parameters.  The timed comparison covers the ten model-driven
-   experiments, on CPU time (both paths are single-threaded deterministic
-   work).
+1. Running the full registered suite at each spec's smoke scale
+   (``ExperimentSpec.smoke``, the scale ``tests/golden/suite_smoke.json``
+   pins) against one shared :class:`SimulationContext` reuses artifacts
+   (cache hits) and finishes faster than running each experiment through
+   the registry on its own fresh context.  The timed comparison covers the
+   ten model-driven experiments, on CPU time (both paths are
+   single-threaded deterministic work).
 2. A multi-worker sweep writes deterministic, seed-stable JSON artifacts:
    running the same grid twice — with a different worker count, or serially
    — yields byte-identical files (runtime provenance is excluded from them).
@@ -40,76 +40,47 @@ import time
 from pathlib import Path
 
 import pytest
-from conftest import SMOKE
 
-from repro.pipeline import ArtifactStore, SimulationContext, run_experiment, run_suite, sweep
+from benchmarks.conftest import SMOKE
+from repro.pipeline import (
+    ArtifactStore,
+    SimulationContext,
+    all_experiments,
+    experiment_names,
+    run_experiment,
+    run_suite,
+    sweep,
+)
 from repro.pipeline.sweep import ProcessSweepExecutor
 
-#: The locality experiments (Fig. 7/9/11/12/13) share one lego training
-#: batch at a meaningful scale.
-RAYS, PROBES = 384, 96
-TRACE = {"rays": RAYS, "probe_samples": PROBES}
-#: Smoke-scale training of the Table IV/V experiments.
-TRAINING = {
-    "scenes": "lego",
-    "image_size": 12,
-    "num_train_views": 2,
-    "iterations": 8,
-    "rays_per_batch": 48,
-    "samples_per_ray": 12,
-}
 FAST_NAMES = [
     "fig01", "fig04", "fig06", "fig07", "fig09",
     "fig10", "fig11", "tab01", "tab02", "tab03",
 ]
-#: Registry parameters of the suite: the ones ``tests/golden/suite_smoke.json``
-#: pins, except that DRAM timing stays off for fig12, fig13 and fig15 here.
-OVERRIDES = {
-    "fig07": TRACE,
-    "fig09": {**TRACE, "subarrays": "1,16"},
-    "fig11": TRACE,
-    "fig12_cache_hit_rate": {**TRACE, "cache_kb": "16,64", "timing": "false"},
-    "fig13_occupancy_traffic": {**TRACE, "resolutions": "16,32", "timing": "false"},
-    "fig14_serving_latency": {
-        "loads": "0.5,4.0",
-        "policies": "fifo,sjf",
-        "admission": "none,depth",
-        "requests": 24,
-        "grid_levels": 2,
-    },
-    "fig15_embedding_locality": {
-        "tables": 2,
-        "table_rows": 2048,
-        "batch": 64,
-        "pooling": 4,
-        "subarrays": "1,4",
-        "timing": "false",
-    },
-    "tab04": {**TRAINING, "methods": "ingp"},
-    "tab05_psnr_precision": {**TRAINING, "dtypes": "fp32,int8"},
-}
+#: Every spec's smoke scale, keyed by experiment name.
+SPEC_SMOKE = {spec.name: spec.smoke for spec in all_experiments()}
 
 
 def test_full_suite_shared_context_faster_than_legacy(bench):
     context = SimulationContext()
-    run_suite(context=context, overrides=OVERRIDES)
+    run_suite(context=context, overrides=SPEC_SMOKE)
     # Sharing must actually happen: the locality trio draws from one trace,
-    # Fig. 7 and Fig. 12 reuse Fig. 9's request streams, Fig. 4 reuses
-    # Fig. 1's kernel profiles.
+    # Fig. 7, Fig. 9 and Fig. 12 share the 16 per-level request streams,
+    # Fig. 4 reuses Fig. 1's kernel profiles.
     assert context.stats.hits >= 100, f"expected heavy artifact reuse, got {context.stats}"
     reuse = context.stats.hits_by_kind()
     assert reuse.get("batch_points", 0) >= 2, reuse  # one trace feeds the trio
-    # fig12 reads fig09's 16 streams at both cache sizes (32), fig07 once more (16)
+    # fig09 reads fig07's 16 streams once, fig12 at both cache sizes (32)
     assert reuse.get("request_stream", 0) >= 48, reuse
     assert reuse.get("scene_profile", 0) >= 6, reuse  # fig04 reads fig01's kernel profiles
 
     # --- speed: one shared context vs a fresh context per experiment
     def fresh_contexts():
         for name in FAST_NAMES:
-            run_experiment(name, context=SimulationContext(), **OVERRIDES.get(name, {}))
+            run_experiment(name, context=SimulationContext(), **SPEC_SMOKE[name])
 
     def shared_context():
-        run_suite(FAST_NAMES, context=SimulationContext(), overrides=OVERRIDES)
+        run_suite(FAST_NAMES, context=SimulationContext(), overrides=SPEC_SMOKE)
 
     reps = 2 if SMOKE else 5
     legacy_s, _ = bench.time(fresh_contexts, repeats=reps, clock=time.process_time)
@@ -256,7 +227,7 @@ def test_process_pool_sweep_byte_identical_and_scales(bench):
 def test_warm_store_rerun_skips_all_simulation(bench, tmp_path):
     """Claim 5: a second run of the same grid is answered entirely by the store."""
     grid = PROC_GRID
-    extra = {"rays": PROC_EXTRA["rays"] if SMOKE else str(RAYS), "probe_samples": "24"}
+    extra = {"rays": PROC_EXTRA["rays"] if SMOKE else "384", "probe_samples": "24"}
 
     cold_store = ArtifactStore(tmp_path / "cache")
     cold_s, cold = bench.time(lambda: sweep("fig07", grid, extra_params=extra, store=cold_store))
@@ -288,19 +259,13 @@ def test_warm_store_rerun_skips_all_simulation(bench, tmp_path):
     )
 
 
-@pytest.mark.parametrize(
-    "name",
-    FAST_NAMES
-    + ["tab04", "fig12_cache_hit_rate", "fig13_occupancy_traffic", "fig15_embedding_locality"],
-)
+@pytest.mark.parametrize("name", experiment_names())
 def test_every_experiment_runs_through_the_registry(name):
-    """`python -m repro run <spec>` works for each registered experiment."""
+    """`python -m repro run <spec>` works for each registered experiment,
+    at its smoke scale passed as ``--set`` pairs."""
     from repro.pipeline.cli import main
 
     args = ["run", name, "--quiet"]
-    for key, value in OVERRIDES.get(name, {}).items():
+    for key, value in SPEC_SMOKE[name].items():
         args += ["--set", f"{key}={value}"]
-    # Keep the registry path cheap for the heavy specs.
-    if name in ("fig07", "fig09", "fig11", "fig12_cache_hit_rate", "fig13_occupancy_traffic"):
-        args += ["--set", "rays=48", "--set", "probe_samples=12"]
     assert main(args) == 0

@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import pytest
-from conftest import report
 
+from benchmarks.conftest import report
 from repro.experiments import run_tab03
 
 

@@ -10,8 +10,8 @@ Morton locality hash costs almost no quality (paper: 0.23 dB on average).
 from __future__ import annotations
 
 import numpy as np
-from conftest import report
 
+from benchmarks.conftest import report
 from repro.experiments import QualityRunConfig, run_tab04
 
 BENCH_CONFIG = QualityRunConfig(

@@ -69,7 +69,6 @@ def _resolve_gpus(names: str) -> tuple[GPUSpec, ...]:
     params=(
         ParamSpec("gpus", str, "2080Ti,XNX", help="comma list of GPU names (Table I)"),
     ),
-    provides=("gpu_profiles",),
 )
 def fig01_experiment(ctx: SimulationContext, *, gpus: str) -> ExperimentResult:
     return run_fig01(_resolve_gpus(gpus), context=ctx)

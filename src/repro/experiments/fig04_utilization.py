@@ -66,7 +66,6 @@ def run_fig04(
     params=(
         ParamSpec("gpu", str, "XNX", choices=tuple(ALL_GPUS), help="profiled GPU"),
     ),
-    consumes=("gpu_profiles",),
 )
 def fig04_experiment(ctx: SimulationContext, *, gpu: str) -> ExperimentResult:
     return run_fig04(ctx.gpu(gpu), context=ctx)

@@ -7,7 +7,7 @@ from ..nerf.encoding import HashGridConfig
 from ..pipeline.context import SimulationContext
 from ..pipeline.registry import ParamSpec, register_experiment
 from ..workloads.traces import TraceConfig
-from .runner import ExperimentResult
+from .runner import SMOKE_TRACE, ExperimentResult
 
 __all__ = ["run_fig07"]
 
@@ -82,7 +82,7 @@ def run_fig07(
         ParamSpec("probe_samples", int, 24, help="density probes per ray for scene traces"),
         ParamSpec("dram", str, "lpddr4-2400", help="DRAM spec setting the row-buffer size"),
     ),
-    consumes=("request_stream",),
+    smoke=SMOKE_TRACE,
 )
 def fig07_experiment(
     ctx: SimulationContext,

@@ -9,7 +9,7 @@ from ..nerf.encoding import HashGridConfig
 from ..pipeline.context import SimulationContext
 from ..pipeline.registry import ParamSpec, register_experiment
 from ..workloads.traces import TraceConfig
-from .runner import ExperimentResult
+from .runner import SMOKE_TRACE, ExperimentResult
 
 __all__ = ["run_fig09"]
 
@@ -90,7 +90,7 @@ def run_fig09(
         ParamSpec("probe_samples", int, 24, help="density probes per ray for scene traces"),
         ParamSpec("parallel_points", int, 32, help="points issued in parallel"),
     ),
-    provides=("level_indices", "request_stream"),
+    smoke={**SMOKE_TRACE, "subarrays": "1,16"},
 )
 def fig09_experiment(
     ctx: SimulationContext,

@@ -8,7 +8,7 @@ from ..nerf.encoding import HashGridConfig
 from ..pipeline.context import SimulationContext
 from ..pipeline.registry import ParamSpec, register_experiment
 from ..workloads.traces import TraceConfig
-from .runner import ExperimentResult
+from .runner import SMOKE_TRACE, ExperimentResult
 
 __all__ = ["run_fig11", "PAPER_RANGES"]
 
@@ -91,6 +91,7 @@ def run_fig11(
             "measured_gpu", bool, True, help="use the paper's measured GPU times as baseline"
         ),
     ),
+    smoke=SMOKE_TRACE,
 )
 def fig11_experiment(
     ctx: SimulationContext,

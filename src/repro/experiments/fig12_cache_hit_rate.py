@@ -19,7 +19,7 @@ from ..nerf.encoding import HashGridConfig
 from ..pipeline.context import SimulationContext
 from ..pipeline.registry import ParamSpec, register_experiment
 from ..workloads.traces import TraceConfig
-from .runner import ExperimentResult
+from .runner import SMOKE_TRACE, ExperimentResult
 
 __all__ = ["run_fig12"]
 
@@ -165,9 +165,7 @@ def run_fig12(
         ParamSpec("dram", str, "lpddr4-2400", help="DRAM spec servicing the misses"),
         ParamSpec("timing", bool, True, help="run the DRAM timing model at the finest level"),
     ),
-    tags=("memory", "extension"),
-    provides=("stream_filtered",),
-    consumes=("level_indices", "request_stream"),
+    smoke={**SMOKE_TRACE, "cache_kb": "16,64"},
 )
 def fig12_experiment(
     ctx: SimulationContext,

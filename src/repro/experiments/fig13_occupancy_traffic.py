@@ -24,7 +24,7 @@ from ..pipeline.context import SimulationContext
 from ..pipeline.registry import ParamSpec, register_experiment
 from ..workloads.steps import INGPWorkloadModel
 from ..workloads.traces import TraceConfig
-from .runner import ExperimentResult
+from .runner import SMOKE_TRACE, ExperimentResult
 
 __all__ = ["run_fig13"]
 
@@ -170,9 +170,7 @@ def run_fig13(
         ParamSpec("dram", str, "lpddr4-2400", help="DRAM spec servicing the streams"),
         ParamSpec("timing", bool, True, help="run the DRAM timing model at the finest level"),
     ),
-    tags=("memory", "workload", "extension"),
-    provides=("occupancy_mask",),
-    consumes=("request_stream",),
+    smoke={**SMOKE_TRACE, "resolutions": "16,32"},
 )
 def fig13_experiment(
     ctx: SimulationContext,

@@ -140,8 +140,7 @@ def run_fig14(
         ParamSpec("grid_levels", int, 4, help="serving hash-grid levels"),
         ParamSpec("dtype", str, "fp16", help="hash-table entry precision"),
     ),
-    tags=("serving", "extension", "latency"),
-    provides=("serving_summary",),
+    smoke={"loads": "0.5,4.0", "admission": "none,depth", "requests": 24, "grid_levels": 2},
 )
 def fig14_experiment(
     ctx: SimulationContext,

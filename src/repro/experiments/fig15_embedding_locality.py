@@ -178,8 +178,7 @@ def run_fig15(
         ParamSpec("dram", str, "lpddr4-2400", help="DRAM spec servicing the misses"),
         ParamSpec("timing", bool, True, help="run the DRAM timing model per table"),
     ),
-    tags=("memory", "extension", "embedding"),
-    provides=("embedding_stream", "stream_filtered"),
+    smoke={"tables": 2, "table_rows": 2048, "batch": 64, "pooling": 4, "subarrays": "1,4"},
 )
 def fig15_experiment(
     ctx: SimulationContext,

@@ -20,7 +20,22 @@ __all__ = [
     "atomic_write_text",
     "write_json_artifact",
     "write_csv_artifact",
+    "SMOKE_TRACE",
+    "SMOKE_TRAINING",
 ]
+
+#: Smoke scale of the scene-trace experiments (Fig. 7/9/11/12/13): one
+#: 384-ray trace, so the lego experiments share a single training batch.
+SMOKE_TRACE = {"rays": 384, "probe_samples": 96}
+#: Smoke scale of the training experiments (Table IV/V): a few iterations
+#: on tiny images.
+SMOKE_TRAINING = {
+    "image_size": 12,
+    "num_train_views": 2,
+    "iterations": 8,
+    "rays_per_batch": 48,
+    "samples_per_ray": 12,
+}
 
 
 def _plain(value):

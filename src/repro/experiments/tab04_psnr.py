@@ -24,7 +24,7 @@ from ..pipeline.context import SimulationContext
 from ..pipeline.registry import ParamSpec, register_experiment
 from ..scenes.dataset import DatasetConfig
 from ..scenes.library import SCENE_NAMES
-from .runner import ExperimentResult
+from .runner import SMOKE_TRAINING, ExperimentResult
 
 __all__ = [
     "run_tab04",
@@ -175,8 +175,7 @@ def run_tab04(
         ParamSpec("samples_per_ray", int, 40, help="samples per ray"),
         ParamSpec("seed", int, 0, help="training seed"),
     ),
-    tags=("slow", "training"),
-    provides=("dataset", "trained_field"),
+    smoke={**SMOKE_TRAINING, "scenes": "lego", "methods": "ingp"},
 )
 def tab04_experiment(
     ctx: SimulationContext,

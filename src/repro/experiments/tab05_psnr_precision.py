@@ -33,7 +33,7 @@ from ..pipeline.context import SimulationContext
 from ..pipeline.registry import ParamSpec, register_experiment
 from ..scenes.dataset import DatasetConfig
 from ..scenes.library import SCENE_NAMES
-from .runner import ExperimentResult
+from .runner import SMOKE_TRAINING, ExperimentResult
 
 __all__ = ["run_tab05", "PrecisionRunConfig", "train_precision_on_scene"]
 
@@ -227,8 +227,7 @@ def run_tab05(
         ParamSpec("hash", str, "morton", help="hash function of the modeled streams"),
         ParamSpec("dram", str, "lpddr4-2400", help="DRAM spec servicing the modeled streams"),
     ),
-    tags=("slow", "training", "memory"),
-    provides=("dataset", "trained_field"),
+    smoke={**SMOKE_TRAINING, "dtypes": "fp32,int8"},
 )
 def tab05_experiment(
     ctx: SimulationContext,

@@ -13,7 +13,8 @@ Subcommands
     --grid scene=lego,chair --grid hash=morton,original --workers 4``.
 ``report``
     Run the full suite against one shared :class:`SimulationContext` and
-    write all artifacts plus a summary index.
+    write all artifacts plus a summary index; ``--fast`` runs every spec at
+    its declared smoke scale (``ExperimentSpec.smoke``).
 ``bench``
     Benchmark-suite orchestration: ``bench run`` (the only run that checks
     the suites' timing bounds and appends to their trajectories; ``--smoke``
@@ -262,7 +263,8 @@ def build_parser(run_spec: str | None = None) -> argparse.ArgumentParser:
     p_report.add_argument(
         "--fast",
         action="store_true",
-        help="shrink the training-based experiments to smoke scale",
+        help="run every experiment at its spec's smoke scale, the scale "
+        "`tests/golden/suite_smoke.json` pins",
     )
     _add_store_flags(p_report, with_resume=False)
     _add_obs_flags(p_report)
@@ -423,28 +425,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 1 if result.failed else 0
 
 
-#: Smoke-scale overrides used by ``report --fast`` (and CI) for the one
-#: experiment that runs real training.
-FAST_OVERRIDES: dict[str, dict[str, Any]] = {
-    "tab04": {
-        "scenes": "lego",
-        "methods": "ingp,instant-nerf",
-        "image_size": 24,
-        "num_train_views": 4,
-        "iterations": 40,
-        "rays_per_batch": 96,
-        "samples_per_ray": 24,
-    },
-}
-
-
 def _cmd_report(args: argparse.Namespace) -> int:
     names = (
         [n.strip() for n in args.experiments.split(",") if n.strip()]
         if args.experiments
         else None
     )
-    overrides = FAST_OVERRIDES if args.fast else {}
+    overrides = {spec.name: spec.smoke for spec in all_experiments()} if args.fast else {}
     store = ArtifactStore(args.store) if args.store else None
     context = SimulationContext(store=store)
     _obs_begin(args)

@@ -7,6 +7,11 @@ themselves with the :func:`register_experiment` decorator; the CLI, the
 sweep engine and the suite runner all resolve experiments through this
 registry instead of hard-wiring ``run_*`` imports.
 
+Each spec also declares its smoke scale, ``smoke``: the parameter overrides
+``repro report --fast``, the golden-artifact test and the pipeline
+benchmarks run it with.  It is the only place that scale is written, and
+``tests/golden/suite_smoke.json`` pins the results it gives.
+
 Parameter values are JSON-serializable primitives (strings/ints/floats/
 bools); runners convert them to the domain objects (``HashGridConfig``,
 ``TraceConfig``, hash-function instances, DRAM specs).  That keeps every
@@ -15,7 +20,9 @@ cell of a sweep, and every artifact on disk, fully described by plain data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Mapping
+from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import TYPE_CHECKING, Any, Callable
 
 from .context import SimulationContext
@@ -74,18 +81,16 @@ class ParamSpec:
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """A registered experiment: runner + parameter space + metadata."""
+    """A registered experiment: runner + parameter space + smoke scale."""
 
     name: str
     paper_ref: str
     title: str
     runner: Callable[..., ExperimentResult]
     params: tuple[ParamSpec, ...] = ()
-    tags: tuple[str, ...] = ()
-    #: Artifact kinds this spec computes / can reuse from the shared context.
-    #: The suite runner schedules producers of an artifact before consumers.
-    provides: tuple[str, ...] = ()
-    consumes: tuple[str, ...] = ()
+    #: Read-only overrides of the smoke scale (``report --fast``); empty
+    #: when the defaults are already cheap.
+    smoke: Mapping[str, Any] = field(default_factory=lambda: MappingProxyType({}))
 
     def param(self, name: str) -> ParamSpec:
         for p in self.params:
@@ -97,7 +102,7 @@ class ExperimentSpec:
     def defaults(self) -> dict[str, Any]:
         return {p.name: p.default for p in self.params}
 
-    def bind(self, overrides: dict[str, Any] | None = None) -> dict[str, Any]:
+    def bind(self, overrides: Mapping[str, Any] | None = None) -> dict[str, Any]:
         """Validated full parameter assignment (defaults + overrides)."""
         bound = self.defaults()
         for name, raw in (overrides or {}).items():
@@ -119,14 +124,13 @@ def register_experiment(
     paper_ref: str,
     title: str,
     params: tuple[ParamSpec, ...] = (),
-    tags: tuple[str, ...] = (),
-    provides: tuple[str, ...] = (),
-    consumes: tuple[str, ...] = (),
+    smoke: Mapping[str, Any] | None = None,
 ) -> Callable[[Callable[..., ExperimentResult]], Callable[..., ExperimentResult]]:
     """Register the decorated runner as the experiment ``name``.
 
     The runner signature is ``runner(ctx, **params) -> ExperimentResult``
-    with every declared parameter accepted as a keyword argument.
+    with every declared parameter accepted as a keyword argument.  ``smoke``
+    holds the overrides of the spec's smoke scale (stored read-only).
     """
 
     def decorator(runner: Callable[..., ExperimentResult]) -> Callable[..., ExperimentResult]:
@@ -138,9 +142,7 @@ def register_experiment(
             title=title,
             runner=runner,
             params=tuple(params),
-            tags=tuple(tags),
-            provides=tuple(provides),
-            consumes=tuple(consumes),
+            smoke=MappingProxyType(dict(smoke or {})),
         )
         return runner
 
@@ -181,52 +183,22 @@ def run_experiment(
     return get_experiment(name).run(context, **overrides)
 
 
-def _schedule(specs: list[ExperimentSpec]) -> list[ExperimentSpec]:
-    """Stable order with artifact producers ahead of their consumers.
-
-    A spec that consumes an artifact kind another spec provides (e.g. the
-    Fig. 7 bandwidth model consuming the corner-index streams the Fig. 9
-    conflict analysis builds) is moved after the producer; ties keep
-    registration order.  Cycles fall back to registration order.
-    """
-    ordered: list[ExperimentSpec] = []
-    remaining = list(specs)
-    provided: set[str] = set()
-    while remaining:
-        progressed = False
-        for spec in list(remaining):
-            pending = {
-                kind
-                for kind in spec.consumes
-                if kind not in provided
-                and any(kind in other.provides for other in remaining if other is not spec)
-            }
-            if not pending:
-                ordered.append(spec)
-                provided.update(spec.provides)
-                remaining.remove(spec)
-                progressed = True
-        if not progressed:  # dependency cycle: keep declaration order
-            ordered.extend(remaining)
-            break
-    return ordered
-
-
 def run_suite(
     names: list[str] | None = None,
     context: SimulationContext | None = None,
-    overrides: dict[str, dict[str, Any]] | None = None,
+    overrides: Mapping[str, Mapping[str, Any]] | None = None,
 ) -> dict[str, ExperimentResult]:
     """Run a set of experiments against one shared context.
 
-    ``overrides`` maps experiment name to parameter overrides.  Specs are
-    scheduled so artifact producers run before consumers, letting the shared
-    :class:`SimulationContext` reuse streams instead of recomputing them.
-    Results are keyed by experiment name.
+    ``overrides`` maps experiment name to parameter overrides.  Specs run in
+    the order given (registration order by default); the order changes no
+    result, because the shared :class:`SimulationContext` memoizes every
+    artifact by its config key, whichever spec asks for it first.  Results
+    are keyed by experiment name, in run order.
     """
     specs = [get_experiment(n) for n in names] if names is not None else all_experiments()
     ctx = context if context is not None else SimulationContext()
     results: dict[str, ExperimentResult] = {}
-    for spec in _schedule(specs):
+    for spec in specs:
         results[spec.name] = spec.run(ctx, **(overrides or {}).get(spec.name, {}))
     return results

@@ -375,15 +375,20 @@ def _drain_worker_obs() -> _ObsPayload | None:
     return tracer.drain(), obs.drain_metrics()
 
 
+#: Cap on the total bytes of context arrays one sweep exports to shared
+#: memory; arrays past it stay in the parent and workers recompute them.
+MAX_SHARED_BYTES = 1 << 31
+
+
 def _export_shared_arrays(
-    context: SimulationContext, min_bytes: int, max_total_bytes: int
+    context: SimulationContext, min_bytes: int
 ) -> tuple[list[shared_memory.SharedMemory], list[dict[str, Any]]]:
     """Copy the context's large arrays into shared-memory segments."""
     segments: list[shared_memory.SharedMemory] = []
     manifest: list[dict[str, Any]] = []
     total = 0
     for key, array in context.array_artifacts(min_bytes):
-        if total + array.nbytes > max_total_bytes:
+        if total + array.nbytes > MAX_SHARED_BYTES:
             continue
         array = np.ascontiguousarray(array)
         shm = shared_memory.SharedMemory(create=True, size=max(1, array.nbytes))
@@ -405,10 +410,10 @@ def _export_shared_arrays(
 class ProcessSweepExecutor(SweepExecutor):
     """Process pool with shared-memory artifact export (GIL-free sweeps).
 
-    The first pending cell is evaluated in the parent (``warmup``) so the
-    shared context holds the trace/index-stream arrays the grid needs; those
-    are exported through ``multiprocessing.shared_memory`` and every worker
-    adopts them read-only instead of recomputing or unpickling per cell.
+    The first pending cell is evaluated in the parent so the shared context
+    holds the trace/index-stream arrays the grid needs; those are exported
+    through ``multiprocessing.shared_memory`` and every worker adopts them
+    read-only instead of recomputing or unpickling per cell.
     Requires a *registered* spec (workers resolve it by name).
 
     ``start_method=None`` picks ``fork`` where available (cheap workers) and
@@ -418,19 +423,12 @@ class ProcessSweepExecutor(SweepExecutor):
     name = "process"
 
     def __init__(
-        self,
-        workers: int = 4,
-        min_shared_bytes: int = 1 << 16,
-        max_shared_bytes: int = 1 << 31,
-        warmup: bool = True,
-        start_method: str | None = None,
+        self, workers: int = 4, min_shared_bytes: int = 1 << 16, start_method: str | None = None
     ):
         if workers <= 0:
             raise ValueError("workers must be positive")
         self.workers = workers
         self.min_shared_bytes = min_shared_bytes
-        self.max_shared_bytes = max_shared_bytes
-        self.warmup = warmup
         if start_method is None:
             methods = multiprocessing.get_all_start_methods()
             start_method = "fork" if "fork" in methods else "spawn"
@@ -444,17 +442,13 @@ class ProcessSweepExecutor(SweepExecutor):
         evaluate: Callable[[SweepCell], None],
         store: ArtifactStore | None = None,
     ) -> None:
-        pending = list(cells)
+        if not cells:
+            return
+        evaluate(cells[0])
+        pending = cells[1:]
         if not pending:
             return
-        if self.warmup:
-            evaluate(pending[0])
-            pending = pending[1:]
-            if not pending:
-                return
-        segments, manifest = _export_shared_arrays(
-            context, self.min_shared_bytes, self.max_shared_bytes
-        )
+        segments, manifest = _export_shared_arrays(context, self.min_shared_bytes)
         store_root = str(store.root) if store is not None else None
         mp_context = multiprocessing.get_context(self.start_method)
         tracer = obs.get_tracer()

@@ -1,12 +1,13 @@
-"""Golden artifacts: the full registered suite against committed results.
+"""Golden artifacts: ``repro report --fast`` against committed results.
 
 ``tests/golden/suite_smoke.json`` holds, for each of the sixteen registered
 experiments, the bound parameters it ran with and its
-``ExperimentResult.to_dict()``.  The scale is the pipeline-suite smoke
-scale (a 384-ray lego trace for the locality experiments, two cache sizes,
-two occupancy resolutions, a two-table embedding front end, a tiny
-training run), with the DRAM timing model switched on for fig12, fig13 and
-fig15 so the hierarchy-to-DRAM path runs too.
+``ExperimentResult.to_dict()``.  Those parameters are each spec's smoke
+scale, ``ExperimentSpec.smoke`` (a 384-ray lego trace for the locality
+experiments, two cache sizes, two occupancy resolutions, a two-table
+embedding front end, a tiny training run, with the DRAM timing model on for
+fig12, fig13 and fig15), so the test runs ``repro report --fast`` through
+the CLI and compares every JSON artifact it writes with the golden result.
 
 The file was written once, from the code before the duplicate pre-IR
 context accessors and ndarray shims were removed, and pins that behaviour:
@@ -26,7 +27,8 @@ import math
 from pathlib import Path
 from typing import Any
 
-from repro.pipeline import SimulationContext, all_experiments, run_suite
+from repro.pipeline import all_experiments
+from repro.pipeline.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "suite_smoke.json"
 
@@ -53,11 +55,14 @@ def _assert_matches(actual: Any, expected: Any, path: str) -> None:
         )
 
 
-def test_suite_reproduces_the_golden_artifacts():
+def test_suite_reproduces_the_golden_artifacts(tmp_path):
     golden = json.loads(GOLDEN.read_text())
-    assert sorted(golden) == sorted(spec.name for spec in all_experiments())
-    params = {name: entry["params"] for name, entry in golden.items()}
-    suite = run_suite(context=SimulationContext(), overrides=params)
+    specs = all_experiments()
+    assert sorted(golden) == sorted(spec.name for spec in specs)
+    for spec in specs:
+        assert spec.bind(spec.smoke) == golden[spec.name]["params"], spec.name
+    argv = ["report", "--fast", "--quiet", "--formats", "json", "--out", str(tmp_path)]
+    assert main(argv) == 0
     for name, entry in golden.items():
-        actual = json.loads(json.dumps(suite[name].to_dict()))
+        actual = json.loads((tmp_path / f"{name}.json").read_text())
         _assert_matches(actual, entry["result"], name)

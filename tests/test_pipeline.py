@@ -20,6 +20,7 @@ from repro.pipeline import (
     expand_grid,
     get_experiment,
     run_experiment,
+    run_suite,
     sweep,
 )
 from repro.pipeline.cli import main
@@ -79,11 +80,22 @@ def test_registered_run_matches_legacy_entry_point():
 
 
 def test_suite_scheduler_orders_producers_before_consumers():
-    specs = [get_experiment(n) for n in ("fig07", "fig09")]
-    from repro.pipeline.registry import _schedule
+    """`run_suite` runs specs in the order given, and the order changes nothing.
 
-    ordered = [s.name for s in _schedule(specs)]
-    assert ordered.index("fig09") < ordered.index("fig07")
+    fig07 and fig09 share one trace and its request streams.  Run in either
+    order, each on a fresh context, the suite returns its keys in the order
+    given, equal results and equal hit/miss/compute counts: every shared
+    artifact is memoized by its config key, whichever spec asks first.
+    """
+    trace = {"rays": 16, "points_per_ray": 16, "probe_samples": 8, "levels": 4}
+    runs = []
+    for order in (["fig07", "fig09"], ["fig09", "fig07"]):
+        ctx = SimulationContext()
+        results = run_suite(order, context=ctx, overrides={name: trace for name in order})
+        assert list(results) == order
+        stats = (ctx.stats.hits, ctx.stats.misses, ctx.stats.computes)
+        runs.append(({name: results[name].to_json() for name in sorted(results)}, stats))
+    assert runs[0] == runs[1]
 
 
 # ------------------------------------------------------------------ context
