@@ -5,7 +5,8 @@ figures, prints the reproduced rows/series, and asserts the expected *shape*
 (who wins, rough factors) rather than absolute numbers.
 
 The seven timed suites (``repro.pipeline.bench.SUITES``) measure through the
-``bench`` fixture: ``bench.time`` times a callable and ``bench.record``
+``bench`` fixture: ``bench.time`` times a callable, ``bench.time_pair`` times
+two callables alternately (for a bound on their ratio) and ``bench.record``
 records a section of metrics with its bounds.  A plain pytest run — tier-1
 and CI alike — calls each timed callable once, checks no bound and writes
 nothing; the suites' oracle, equality and modeled-count asserts are what it
@@ -33,6 +34,7 @@ from repro.experiments.runner import ExperimentResult
 from repro.pipeline.bench import RECORDER
 
 T = TypeVar("T")
+U = TypeVar("U")
 
 #: Smoke scale: small inputs, and only the ``at_smoke`` bounds apply.
 SMOKE = os.environ.get("PERF_SMOKE", "") == "1"
@@ -65,6 +67,27 @@ class Bench:
             result = fn()
             best = min(best, clock() - start)
         return best, result
+
+    def time_pair(
+        self,
+        first: Callable[[], T],
+        second: Callable[[], U],
+        repeats: int = 1,
+        clock: Callable[[], float] = perf_counter,
+    ) -> tuple[tuple[float, T], tuple[float, U]]:
+        """Best-of-``repeats`` times of ``first()`` and ``second()``, alternated.
+
+        Each repetition times ``first`` and then ``second``, so host drift
+        during the loop lands on both sides instead of on one.  Returns
+        ``(first_s, first_result), (second_s, second_result)``, the results
+        of the last repetition.  Unarmed, each runs once.
+        """
+        first_best = second_best = float("inf")
+        for _ in range(repeats if self._recorder else 1):
+            first_s, first_result = self.time(first, clock=clock)
+            second_s, second_result = self.time(second, clock=clock)
+            first_best, second_best = min(first_best, first_s), min(second_best, second_s)
+        return (first_best, first_result), (second_best, second_result)
 
     def record(
         self,

@@ -83,8 +83,9 @@ def test_full_suite_shared_context_faster_than_legacy(bench):
         run_suite(FAST_NAMES, context=SimulationContext(), overrides=SPEC_SMOKE)
 
     reps = 2 if SMOKE else 5
-    legacy_s, _ = bench.time(fresh_contexts, repeats=reps, clock=time.process_time)
-    pipeline_s, _ = bench.time(shared_context, repeats=reps, clock=time.process_time)
+    (legacy_s, _), (pipeline_s, _) = bench.time_pair(
+        fresh_contexts, shared_context, repeats=reps, clock=time.process_time
+    )
     bench.record(
         "suite_shared_context",
         {
@@ -157,8 +158,9 @@ def test_psnr_sweep_shares_datasets_across_cells(bench):
         )
 
     reps = 1 if SMOKE else 3
-    legacy_s, fresh_values = bench.time(fresh_cells, repeats=reps)
-    sweep_s, (sweep_values, ctx) = bench.time(swept_cells, repeats=reps)
+    (legacy_s, fresh_values), (sweep_s, (sweep_values, ctx)) = bench.time_pair(
+        fresh_cells, swept_cells, repeats=reps
+    )
     assert sweep_values == fresh_values
     # Each scene's dataset renders once, not once per method cell.
     dataset_misses = sum(

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -79,9 +80,16 @@ class HashGridConfig:
     def __post_init__(self) -> None:
         precision.validate_precision(self.dtype)
 
-    @property
-    def resolutions(self) -> list[int]:
-        return level_resolutions(self.num_levels, self.base_resolution, self.max_resolution)
+    @cached_property
+    def resolutions(self) -> tuple[int, ...]:
+        """Per-level grid resolutions, computed once per config."""
+        return tuple(level_resolutions(self.num_levels, self.base_resolution, self.max_resolution))
+
+    def __getstate__(self) -> dict[str, object]:
+        # The cached resolutions are derived: pickles carry the fields only.
+        state = dict(self.__dict__)
+        state.pop("resolutions", None)
+        return state
 
     @property
     def output_dim(self) -> int:

@@ -13,9 +13,10 @@ tenants instead of one training job.  The pieces:
   coalescing of rays across tenants, FIFO vs shortest-job-first) plus
   admission control (queue-depth cap, per-tenant token bucket) and the
   timeout/shed path;
-* :mod:`repro.serve.stream` — a coalesced batch compiled down to one
-  tenant-tagged :class:`repro.streams.RequestStream`, the same typed IR the
-  training front-ends emit;
+* :mod:`repro.serve.stream` — a run's requests compiled once to
+  tenant-tagged lookup rows, and each coalesced batch's rows as one
+  :class:`repro.streams.RequestStream`, the same typed IR the training
+  front-ends emit;
 * :mod:`repro.serve.cost` — batch service times from the unchanged
   :meth:`repro.mem.hierarchy.CacheHierarchy.filter_stream` →
   :meth:`repro.dram.system.DRAMSystem.service_batch` →
@@ -44,7 +45,7 @@ from .simulator import (
     simulate_serving,
     simulate_serving_reference,
 )
-from .stream import batch_request_stream, request_points
+from .stream import RequestTable, batch_request_stream_reference, compile_requests, request_points
 from .workload import (
     RenderRequest,
     ServeWorkloadConfig,
@@ -62,6 +63,7 @@ __all__ = [
     "QueueEntry",
     "RenderRequest",
     "RequestRecord",
+    "RequestTable",
     "SchedulerConfig",
     "ServeWorkloadConfig",
     "ServiceCost",
@@ -71,7 +73,8 @@ __all__ = [
     "TokenBucket",
     "arrival_times",
     "base_arrival_times",
-    "batch_request_stream",
+    "batch_request_stream_reference",
+    "compile_requests",
     "generate_requests",
     "request_points",
     "simulate_serving",

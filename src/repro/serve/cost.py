@@ -30,10 +30,12 @@ from ..dram.spec import get_dram_spec
 from ..dram.system import DRAMSystem
 from ..mem import CacheConfig, CacheHierarchy, PrefetcherConfig
 from ..nerf.encoding import HashGridConfig
-from .stream import batch_request_stream
+from .stream import RequestTable, compile_requests
 from .workload import RenderRequest
 
 if TYPE_CHECKING:
+    from collections.abc import Sequence
+
     from ..streams.ir import RequestStream
 
 __all__ = ["ServiceCost", "ServiceCostConfig", "ServiceCostModel"]
@@ -138,17 +140,33 @@ class ServiceCostModel:
         self.compute_us_per_point = step.compute_seconds * 1e6 / per_iteration_points
 
     # ------------------------------------------------------------------ API
+    def compile(self, requests: "Sequence[RenderRequest]") -> RequestTable:
+        """The finest-level lookup rows of ``requests``, compiled once.
+
+        The table is read-only and never stored on the model: callers pass
+        it to :meth:`batch_stream` / :meth:`cost`, so one model stays
+        shareable across threads.
+        """
+        return compile_requests(requests, self.grid, self.grid.hash_fn, self.level)
+
     def batch_stream(
-        self, requests: tuple[RenderRequest, ...] | list[RenderRequest]
+        self, requests: "Sequence[RenderRequest]", table: RequestTable | None = None
     ) -> "RequestStream":
-        """The tenant-tagged finest-level stream of one coalesced batch."""
-        return batch_request_stream(requests, self.grid, self.grid.hash_fn, self.level)
+        """The tenant-tagged finest-level stream of one coalesced batch.
+
+        With ``table`` (from :meth:`compile` over a superset of the batch)
+        the stream is the batch's rows of the table; without, the batch is
+        compiled on its own.  Both give the same stream.
+        """
+        if table is None:
+            return self.compile(requests).stream
+        return table.batch_stream(requests)
 
     def cost(
-        self, requests: tuple[RenderRequest, ...] | list[RenderRequest]
+        self, requests: "Sequence[RenderRequest]", table: RequestTable | None = None
     ) -> ServiceCost:
-        """Service-latency breakdown of one coalesced batch."""
-        stream = self.batch_stream(requests)
+        """Service-latency breakdown of one coalesced batch (see :meth:`batch_stream`)."""
+        stream = self.batch_stream(requests, table)
         filtered = self.hierarchy.filter_stream(stream)
         lines = filtered.dram_stream()
         serviced = self.dram.service_batch(lines, size_bytes=self.config.line_bytes)

@@ -174,6 +174,15 @@ def _shed_record(entry: QueueEntry, shed_us: float) -> RequestRecord:
     )
 
 
+def _cost_model(cost: ServiceCostConfig | None, model: ServiceCostModel | None) -> ServiceCostModel:
+    """``model`` when given (it must agree with ``cost``), else a model of ``cost``."""
+    if model is None:
+        return ServiceCostModel(cost)
+    if cost is not None and model.config != cost:
+        raise ValueError("cost and model disagree: pass one, or a model built from cost")
+    return model
+
+
 def simulate_serving(
     workload: ServeWorkloadConfig,
     scheduler: SchedulerConfig,
@@ -183,14 +192,19 @@ def simulate_serving(
     """Run one open-loop serving simulation end to end.
 
     ``model`` may be passed to reuse one :class:`ServiceCostModel` (and its
-    accelerator-derived constants) across runs; it must have been built from
-    ``cost`` (or the default config) — reuse never changes results because
-    the model is stateless across batches.
+    accelerator-derived constants) across runs — reuse never changes results
+    because the model is stateless across batches.  Passing both ``cost``
+    and a ``model`` built from another config raises ``ValueError``.
+
+    Every request, served or not, is compiled to its lookup rows once up
+    front (:meth:`ServiceCostModel.compile`); each batch is then priced from
+    its requests' rows.
     """
-    cost_model = model if model is not None else ServiceCostModel(cost)
+    cost_model = _cost_model(cost, model)
     tracer = get_tracer()
     with tracer.span("serve.simulate", "serve") as run_span:
         requests = generate_requests(workload)
+        table = cost_model.compile(requests)
         queue = BatchQueue(scheduler)
         records: list[RequestRecord] = []
         batches: list[BatchRecord] = []
@@ -235,7 +249,7 @@ def simulate_serving(
             entries = queue.next_batch()
             batch = [entry.request for entry in entries]
             with tracer.span("serve.batch", "serve") as span:
-                batch_cost = cost_model.cost(batch)
+                batch_cost = cost_model.cost(batch, table)
                 if span.enabled:
                     span.set_cycles(int(batch_cost.total_us * 1e3))
                     span.add_args(
@@ -322,14 +336,16 @@ def simulate_serving_reference(
     is both the baseline the batcher's throughput win is measured against
     and an exact oracle: with ``max_batch_points`` of one request and no
     admission control, :func:`simulate_serving` must reproduce it.
+    ``cost`` and ``model`` are checked as in :func:`simulate_serving`.
     """
-    cost_model = model if model is not None else ServiceCostModel(cost)
+    cost_model = _cost_model(cost, model)
     requests = generate_requests(workload)
+    table = cost_model.compile(requests)
     records: list[RequestRecord] = []
     batches: list[BatchRecord] = []
     free_at = 0.0
     for request in requests:
-        batch_cost = cost_model.cost([request])
+        batch_cost = cost_model.cost([request], table)
         start = max(free_at, request.arrival_us)
         finish = start + batch_cost.total_us
         free_before = free_at

@@ -38,7 +38,17 @@ BENCH_ENTRY = {{"num_rays": 1}}
 def test_stub(bench):
     seconds, value = bench.time(lambda: 2.0, repeats=3)
     assert value == 2.0
-    bench.record("stub", {{"seconds": seconds, "speedup": value}}, {{"speedup": (">=", {floor})}})
+    calls = []
+    (_, first), (_, second) = bench.time_pair(
+        lambda: calls.append("first") or 1, lambda: calls.append("second") or 2, repeats=3
+    )
+    assert (first, second) == (1, 2)
+    assert calls == ["first", "second"] * (len(calls) // 2)  # alternated
+    bench.record(
+        "stub",
+        {{"seconds": seconds, "speedup": value, "pair_calls": len(calls)}},
+        {{"speedup": (">=", {floor})}},
+    )
 """
 
 
@@ -118,6 +128,8 @@ def test_run_suites_appends_one_entry(stub_root):
     assert after[-1]["smoke"] is True
     assert list(after[-1]["results"]) == ["stub"]
     assert after[-1]["results"]["stub"]["speedup"] == 2.0
+    # Armed, each of the three repetitions times both sides.
+    assert after[-1]["results"]["stub"]["pair_calls"] == 6
 
 
 def test_run_suites_fails_on_a_missed_bound_and_names_it(stub_root, capfd):

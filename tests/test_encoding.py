@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -16,6 +17,7 @@ from repro.nerf.encoding import (
     HashGridEncoding,
     level_resolutions,
 )
+from repro.pipeline.context import config_key
 
 
 def test_level_resolutions_geometric_progression():
@@ -43,6 +45,24 @@ def test_hash_grid_config_table_sizes():
     # Paper-scale table is ~25 MB at FP16.
     assert config.table_bytes(dtype_bytes=2) / 1024**2 == pytest.approx(25.0, rel=0.15)
     assert config.output_dim == 32
+
+
+def test_hash_grid_config_resolutions_are_computed_once():
+    config = HashGridConfig(num_levels=4, base_resolution=8, max_resolution=64)
+    pickled = pickle.dumps(config)
+    key = config_key(config)
+    first = config.resolutions
+    assert first == (8, 16, 32, 64)
+    assert config.resolutions is first
+    # The cache is derived state: keys, pickles and equality see fields only.
+    assert config_key(config) == key and pickle.dumps(config) == pickled
+    twin = replace(config)
+    assert twin == config and hash(twin) == hash(config)
+    assert config_key(pickle.loads(pickled)) == key
+    # A replaced config computes its own resolutions.
+    coarser = replace(config, num_levels=2)
+    assert coarser.resolutions == tuple(level_resolutions(2, 8, 64)) != first
+    assert config.resolutions is first
 
 
 def test_encoding_forward_shape_and_cache(small_grid_config, rng):

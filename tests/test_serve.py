@@ -10,12 +10,16 @@ exactly reproduces the per-request G/G/1 reference oracle.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.hashing import OriginalSpatialHash
 from repro.pipeline.context import SimulationContext
+from repro.serve import stream as serve_stream
 from repro.serve import (
     AdmissionConfig,
     BatchPolicy,
@@ -28,7 +32,8 @@ from repro.serve import (
     TokenBucket,
     arrival_times,
     base_arrival_times,
-    batch_request_stream,
+    batch_request_stream_reference,
+    compile_requests,
     generate_requests,
     request_points,
     simulate_serving,
@@ -220,7 +225,7 @@ def test_request_points_are_deterministic_and_in_unit_cube():
 def test_batch_stream_group_ids_never_span_requests(cost_model):
     requests = generate_requests(SMALL_WORKLOAD)[:4]
     grid = cost_model.grid
-    stream = batch_request_stream(requests, grid, grid.hash_fn, cost_model.level)
+    stream = batch_request_stream_reference(requests, grid, grid.hash_fn, cost_model.level)
     assert stream.num_points == sum(r.num_points for r in requests)
     assert stream.source == "serve.batch"
     offsets = np.cumsum([0] + [r.num_points for r in requests])
@@ -229,7 +234,111 @@ def test_batch_stream_group_ids_never_span_requests(cost_model):
         owners = stream.group_ids[lo:hi] // cubes
         assert np.all(owners == request.request_id)
     with pytest.raises(ValueError):
-        batch_request_stream([], grid, grid.hash_fn, cost_model.level)
+        batch_request_stream_reference([], grid, grid.hash_fn, cost_model.level)
+
+
+#: Grids for the table-vs-reference property: both hashes, and a finest
+#: level that is hashed (33^3 > 2^10) or stored dense (17^3 < 2^13).
+STREAM_GRIDS = [
+    SMALL_COST.grid(),
+    replace(SMALL_COST.grid(), num_levels=3, hash_fn=OriginalSpatialHash(), dtype="fp32"),
+    replace(SMALL_COST.grid(), table_size=2**13, base_resolution=4, max_resolution=16),
+]
+#: Every non-array field of a RequestStream.
+STREAM_FIELDS = ("entry_bytes", "table_entries", "base_address", "kind", "dtype", "source", "label")
+
+
+def _assert_same_stream(actual, expected):
+    np.testing.assert_array_equal(actual.indices, expected.indices)
+    np.testing.assert_array_equal(actual.group_ids, expected.group_ids)
+    assert actual.indices.dtype == expected.indices.dtype
+    assert actual.group_ids.dtype == expected.group_ids.dtype
+    for name in STREAM_FIELDS:
+        assert getattr(actual, name) == getattr(expected, name), name
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(0, 2**16),
+    st.integers(1, 3),
+    st.integers(1, 6),
+    st.integers(1, 5),
+    st.sampled_from(range(len(STREAM_GRIDS))),
+    st.data(),
+)
+def test_table_batch_streams_equal_the_per_batch_reference(
+    cost_model, seed, tenants, per_tenant, rays_min, grid_index, data
+):
+    """Property: compiling a run once and concatenating a batch's rows gives
+    the per-batch reference stream on every field, and the same cost."""
+    workload = ServeWorkloadConfig(
+        num_tenants=tenants,
+        requests_per_tenant=per_tenant,
+        rays_min=rays_min,
+        rays_max=rays_min + 3,
+        seed=seed,
+    )
+    # Requests may differ in samples per ray within one run.
+    samples = st.lists(st.integers(1, 9), min_size=workload.num_requests)
+    requests = tuple(
+        replace(request, points_per_ray=points_per_ray)
+        for request, points_per_ray in zip(generate_requests(workload), data.draw(samples))
+    )
+    # A random batch: a random subset of the run's requests in random order.
+    order = data.draw(st.permutations(range(len(requests))))
+    size = data.draw(st.integers(1, len(requests)))
+    batch = [requests[i] for i in order[:size]]
+
+    grid = STREAM_GRIDS[grid_index]
+    level = data.draw(st.integers(0, grid.num_levels - 1))
+    table = compile_requests(requests, grid, grid.hash_fn, level)
+    expected = batch_request_stream_reference(batch, grid, grid.hash_fn, level)
+    _assert_same_stream(table.batch_stream(batch), expected)
+
+    run_table = cost_model.compile(requests)
+    _assert_same_stream(cost_model.batch_stream(batch, run_table), cost_model.batch_stream(batch))
+    assert cost_model.cost(batch, run_table) == cost_model.cost(batch)
+
+
+def test_table_rejects_requests_it_did_not_compile(cost_model):
+    requests = generate_requests(SMALL_WORKLOAD)
+    table = cost_model.compile(requests[:3])
+    with pytest.raises(ValueError, match="not in this table"):
+        table.batch_stream([requests[0], requests[5]])
+    with pytest.raises(ValueError):
+        table.batch_stream([])
+    with pytest.raises(ValueError):
+        cost_model.compile([])
+
+
+def test_simulation_compiles_lookups_once(cost_model, monkeypatch):
+    calls = []
+    lookup = serve_stream.level_lookup_indices
+
+    def counting_lookup(*args, **kwargs):
+        calls.append(args[0].shape[0])
+        return lookup(*args, **kwargs)
+
+    monkeypatch.setattr(serve_stream, "level_lookup_indices", counting_lookup)
+    scheduler = SchedulerConfig(max_batch_points=64)
+    result = simulate_serving(SMALL_WORKLOAD, scheduler, model=cost_model)
+    assert len(result.batches) > 1
+    # One pass over every request's points, served or not.
+    assert calls == [sum(r.num_points for r in generate_requests(SMALL_WORKLOAD))]
+
+
+def test_cost_and_model_must_agree(cost_model):
+    scheduler = SchedulerConfig()
+    other = replace(SMALL_COST, cache_kb=32)
+    with pytest.raises(ValueError, match="disagree"):
+        simulate_serving(SMALL_WORKLOAD, scheduler, cost=other, model=cost_model)
+    with pytest.raises(ValueError, match="disagree"):
+        simulate_serving_reference(SMALL_WORKLOAD, cost=other, model=cost_model)
+    # An agreeing pair prices with the model, exactly as the model alone.
+    both = simulate_serving(SMALL_WORKLOAD, scheduler, cost=SMALL_COST, model=cost_model)
+    assert both.records == simulate_serving(SMALL_WORKLOAD, scheduler, model=cost_model).records
+    oracle = simulate_serving_reference(SMALL_WORKLOAD, cost=SMALL_COST, model=cost_model)
+    assert oracle.records == simulate_serving_reference(SMALL_WORKLOAD, model=cost_model).records
 
 
 def test_service_cost_is_deterministic_and_batching_wins(cost_model):
