@@ -21,7 +21,7 @@ from typing import Any
 import numpy as np
 from numpy.typing import NDArray
 
-from .morton import _mod_table, morton_corner_codes, morton_encode_3d, morton_hash
+from .morton import COORD_MASK, _mod_table, _spread_table, morton_hash
 
 __all__ = [
     "HashFunction",
@@ -75,7 +75,12 @@ def cube_vertices(base_coords: NDArray[Any]) -> NDArray[Any]:
 
 
 class HashFunction:
-    """Maps integer 3D vertex coordinates to hash-table indices in ``[0, T)``."""
+    """Maps integer 3D vertex coordinates to hash-table indices in ``[0, T)``.
+
+    Hash functions compare and hash by value: two of the same type with
+    the same parameters (the primes of a prime-XOR hash, the resolution of
+    a dense indexer) are equal.
+    """
 
     #: human-readable name used in experiment tables
     name: str = "abstract"
@@ -83,14 +88,25 @@ class HashFunction:
     def __call__(self, coords: NDArray[Any], table_size: int) -> NDArray[Any]:
         raise NotImplementedError
 
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __hash__(self) -> int:
+        return hash((type(self), tuple(sorted(vars(self).items()))))
+
     def corner_hashes(self, base_coords: NDArray[Any], table_size: int) -> NDArray[Any]:
         """Table indices of all 8 cube corners per base vertex, shape ``(N, 8)``.
 
         Semantically identical to expanding :func:`cube_vertices` and calling
-        the hash on the flattened corners; concrete hashes override this with
-        incremental formulations that reuse the base computation instead of
-        re-hashing every corner from scratch (the hot path of the streaming
-        and row-request statistics).
+        the hash on the flattened corners.  Concrete hashes override this
+        with incremental formulations that reuse per-axis work instead of
+        re-hashing every corner from scratch (the hot path of the encoding
+        forward and of the memory-path traces).  They build the indices
+        corner-major, as an ``(8, N)`` array, and return its ``(N, 8)``
+        transposed view, so a corner-major consumer (the encoding's
+        ``np.take`` gather) reads them without a copy.
         """
         verts = cube_vertices(base_coords)  # (N, 8, 3)
         return self(verts.reshape(-1, 3), table_size).reshape(verts.shape[0], 8)
@@ -127,14 +143,14 @@ class OriginalSpatialHash(HashFunction):
         base = np.asarray(base_coords, dtype=np.uint64)
         if base.ndim != 2 or base.shape[1] != 3:
             raise ValueError(f"base_coords must have shape (N, 3), got {base.shape}")
-        primes = [np.uint64(p) for p in self.primes]
-        products = [base[:, a] * primes[a] for a in range(3)]
-        axis = [(products[a], products[a] + primes[a]) for a in range(3)]
-        out = np.empty((base.shape[0], 8), dtype=np.uint64)
-        for m in range(8):
-            i, j, k = (m >> 2) & 1, (m >> 1) & 1, m & 1
-            out[:, m] = axis[0][i] ^ axis[1][j] ^ axis[2][k]
-        return _mod_table(out, table_size)
+        n = base.shape[0]
+        primes = np.array(self.primes, dtype=np.uint64)[:, None]
+        axes = np.empty((3, 2, n), dtype=np.uint64)  # per axis: x * p, (x + 1) * p
+        np.multiply(base.T, primes, out=axes[:, 0])
+        np.add(axes[:, 0], primes, out=axes[:, 1])
+        codes = np.empty((2, 2, 2, n), dtype=np.uint64)  # corner 4i + 2j + k
+        np.bitwise_xor((axes[0][:, None] ^ axes[1][None])[:, :, None], axes[2], out=codes)
+        return _mod_table(codes.reshape(8, n), table_size).T
 
 
 class MortonLocalityHash(HashFunction):
@@ -146,18 +162,40 @@ class MortonLocalityHash(HashFunction):
         return morton_hash(coords, table_size)
 
     def corner_hashes(self, base_coords: NDArray[Any], table_size: int) -> NDArray[Any]:
-        # One bit-interleave of the base plus masked increments in Morton
-        # space replaces eight full interleaves (see morton_corner_codes).
+        """Morton indices of the 8 cube corners, gathered from per-axis spread codes.
+
+        The interleave is separable, so corner ``(i, j, k)`` of base vertex
+        ``(x, y, z)`` is ``S[x+i] | S[y+j] << 1 | S[z+k] << 2`` with
+        ``S = separate_by_two``: six gathers per point from the cached
+        spread table of :mod:`repro.core.morton` and twelve word-wide ORs,
+        instead of a bit-interleave per corner.  Coordinates keep their low
+        21 bits and ``x + 1`` wraps at 21 bits, as in :func:`morton_hash`.
+        Returns the ``(N, 8)`` view of corner-major ``(8, N)`` indices.
+
+        Raises
+        ------
+        ValueError
+            If any coordinate is negative (see :func:`morton_hash`).
+        """
         if table_size <= 0:
             raise ValueError(f"table_size must be positive, got {table_size}")
         base = np.asarray(base_coords)
         if base.ndim != 2 or base.shape[1] != 3:
             raise ValueError(f"base_coords must have shape (N, 3), got {base.shape}")
         if np.issubdtype(base.dtype, np.signedinteger) or np.issubdtype(base.dtype, np.floating):
-            if base.size and np.any(base < 0):
+            if base.size and base.min() < 0:
                 raise ValueError("morton_hash requires non-negative coordinates")
-        codes = morton_corner_codes(morton_encode_3d(base[:, 0], base[:, 1], base[:, 2]))
-        return _mod_table(codes, table_size)
+        n = base.shape[0]
+        axes = np.empty((3, 2, n), dtype=np.int64)  # per axis: x, x + 1 (21 bits each)
+        np.bitwise_and(base.T.astype(np.int64, copy=False), COORD_MASK, out=axes[:, 0])
+        np.add(axes[:, 0], 1, out=axes[:, 1])
+        np.bitwise_and(axes[:, 1], COORD_MASK, out=axes[:, 1])
+        spread = np.take(_spread_table(int(axes.max(initial=0)) + 1), axes)  # (3, 2, n)
+        spread[1] <<= np.uint64(1)
+        spread[2] <<= np.uint64(2)
+        codes = np.empty((2, 2, 2, n), dtype=np.uint64)  # corner 4i + 2j + k
+        np.bitwise_or((spread[0][:, None] | spread[1][None])[:, :, None], spread[2], out=codes)
+        return _mod_table(codes.reshape(8, n), table_size).T
 
 
 class DenseGridIndexer(HashFunction):
@@ -183,17 +221,19 @@ class DenseGridIndexer(HashFunction):
 
     def corner_hashes(self, base_coords: NDArray[Any], table_size: int) -> NDArray[Any]:
         # Row-major indexing is affine, so each corner is the base index plus
-        # a constant stride (1, r, or r*r per incremented axis).
+        # a constant stride (1, r, or r*r per incremented axis).  Grid levels
+        # never index past their dense table, so ``%`` runs only if one does.
         base = np.asarray(base_coords, dtype=np.int64)
         if base.ndim != 2 or base.shape[1] != 3:
             raise ValueError(f"base_coords must have shape (N, 3), got {base.shape}")
         r = self.resolution + 1
-        linear = base[:, 0] + r * (base[:, 1] + r * base[:, 2])
-        strides = np.array(
-            [i * 1 + j * r + k * r * r for i in (0, 1) for j in (0, 1) for k in (0, 1)],
-            dtype=np.int64,
-        )
-        return ((linear[:, None] + strides[None, :]) % table_size).astype(np.int64)
+        coords = base.T
+        linear = coords[0] + r * (coords[1] + r * coords[2])
+        strides = cube_vertex_offsets() @ np.array([1, r, r * r], dtype=np.int64)
+        idx = linear + strides[:, None]  # (8, N)
+        if idx.size and (idx.min() < 0 or idx.max() >= table_size):
+            idx %= table_size
+        return idx.T
 
 
 #: Hash-function constructors addressable by name from configuration files,

@@ -11,6 +11,13 @@ bits between every pair of adjacent bits of its argument (e.g.
 the Morton code of the 3D vertex, so vertices that are close in 3D space map
 to nearby hash-table indices.
 
+The interleave is separable: the code of ``(x0, x1, x2)`` is
+``f(x0) | f(x1) << 1 | f(x2) << 2``, and ``f`` of a bounded coordinate can be
+read from a table instead of computed.  :func:`_spread_table` keeps one
+cached, read-only table of ``f`` over ``0 .. n-1`` (4,096 entries at grid
+resolution 2,048), from which the hash of every cube corner is gathered
+(:meth:`repro.core.hashing.MortonLocalityHash.corner_hashes`).
+
 All functions in this module are vectorised over NumPy integer arrays so that
 millions of vertices can be encoded per call.
 """
@@ -28,12 +35,13 @@ __all__ = [
     "morton_encode_3d",
     "morton_decode_3d",
     "morton_hash",
-    "morton_corner_codes",
 ]
 
 # Maximum number of bits per coordinate that survive the 64-bit interleave.
 # 21 bits * 3 coordinates = 63 bits, which fits in an unsigned 64-bit word.
 MAX_BITS_PER_COORD = 21
+#: The bits of a coordinate that survive the interleave.
+COORD_MASK = (1 << MAX_BITS_PER_COORD) - 1
 
 # Magic-number masks for the classic parallel-prefix "part by two" expansion
 # of a 21-bit integer into 63 bits (see Real-Time Collision Detection, ch. 7).
@@ -66,7 +74,7 @@ def separate_by_two(values: NDArray[Any] | int) -> NDArray[Any]:
         ``i`` of the input lands at bit ``3*i`` of the output.
     """
     v = np.asarray(values, dtype=np.uint64)
-    v = v & np.uint64((1 << MAX_BITS_PER_COORD) - 1)
+    v = v & np.uint64(COORD_MASK)
     for mask, shift in _PART_MASKS:
         v = (v | (v << shift)) & mask
     return v
@@ -106,48 +114,6 @@ def morton_decode_3d(codes: NDArray[Any] | int) -> tuple[NDArray[Any], NDArray[A
     return x0, x1, x2
 
 
-# Per-axis bit masks of the 3D interleave: axis a owns bits {3*i + a}.
-_AXIS_MASKS = tuple(np.uint64(0x1249249249249249 << a) for a in range(3))
-_AXIS_UNITS = tuple(np.uint64(1 << a) for a in range(3))
-
-
-def morton_corner_codes(base_codes: NDArray[Any]) -> NDArray[Any]:
-    """Morton codes of all 8 cube corners from the base (lower-corner) codes.
-
-    Uses the classic masked-increment trick: to add 1 to one coordinate of an
-    interleaved code, flood the other axes' bit positions with ones so the
-    carry propagates across them, add the axis unit, and mask the axis bits
-    back out.  This turns 8 full bit-interleaves per cube into one interleave
-    plus a handful of word-wide operations, and produces exactly the codes of
-    ``morton_encode_3d`` applied to ``base + offset`` (including the 21-bit
-    wraparound at the coordinate limit).
-
-    Parameters
-    ----------
-    base_codes:
-        ``uint64`` array of shape ``(N,)`` with the Morton codes of the cube
-        base vertices (from :func:`morton_encode_3d`).
-
-    Returns
-    -------
-    numpy.ndarray
-        ``uint64`` array of shape ``(N, 8)``; corner ``m`` corresponds to the
-        offset ``(m >> 2 & 1, m >> 1 & 1, m & 1)`` on axes ``(x0, x1, x2)``,
-        matching :func:`repro.core.hashing.cube_vertex_offsets`.
-    """
-    c = np.asarray(base_codes, dtype=np.uint64)
-    parts = []  # per axis: (bits unchanged, bits incremented)
-    for mask, unit in zip(_AXIS_MASKS, _AXIS_UNITS):
-        keep = c & mask
-        bumped = ((c | ~mask) + unit) & mask
-        parts.append((keep, bumped))
-    out = np.empty(c.shape + (8,), dtype=np.uint64)
-    for m in range(8):
-        i, j, k = (m >> 2) & 1, (m >> 1) & 1, m & 1
-        out[..., m] = parts[0][i] | parts[1][j] | parts[2][k]
-    return out
-
-
 def morton_hash(coords: NDArray[Any], table_size: int) -> NDArray[Any]:
     """Locality-sensitive hash of integer 3D vertices (paper Eq. (2)).
 
@@ -185,7 +151,39 @@ def morton_hash(coords: NDArray[Any], table_size: int) -> NDArray[Any]:
 
 
 def _mod_table(codes: NDArray[Any], table_size: int) -> NDArray[Any]:
-    """``codes % table_size`` as int64, via a mask when ``T`` is a power of two."""
+    """``codes % table_size`` as an int64 view of ``codes``, reduced in place.
+
+    ``codes`` is a ``uint64`` array the caller owns and no longer needs; the
+    reduction is a mask when ``T`` is a power of two.
+    """
+    codes = np.asarray(codes)
     if table_size & (table_size - 1) == 0:
-        return (codes & np.uint64(table_size - 1)).astype(np.int64)
-    return (codes % np.uint64(table_size)).astype(np.int64)
+        np.bitwise_and(codes, np.uint64(table_size - 1), out=codes)
+    else:
+        np.remainder(codes, np.uint64(table_size), out=codes)
+    return codes.view(np.int64)[()]  # ``[()]``: a 0-d result becomes a scalar
+
+
+#: ``separate_by_two(arange(n))`` for the largest ``n`` asked of
+#: :func:`_spread_table` so far.  Read-only; replaced, never written.
+_SPREAD = separate_by_two(np.arange(0))
+_SPREAD.flags.writeable = False
+
+
+def _spread_table(size: int) -> NDArray[Any]:
+    """Read-only ``separate_by_two(arange(size))``, a slice of one cached table.
+
+    The cached table grows to the next power of two of at least ``size``
+    entries; ``size`` is at most ``2**MAX_BITS_PER_COORD``, one entry per
+    coordinate that survives the interleave.  The slice has exactly
+    ``size`` entries, so a lookup past it fails whatever the cache holds.
+    """
+    global _SPREAD
+    if size > COORD_MASK + 1:
+        raise ValueError(f"spread tables cover 21-bit coordinates, got size {size}")
+    table = _SPREAD
+    if table.shape[0] < size:
+        table = separate_by_two(np.arange(1 << (size - 1).bit_length()))
+        table.flags.writeable = False
+        _SPREAD = table
+    return table[:size]

@@ -287,13 +287,21 @@ class HashGridEncoding:
         """Encode positions; returns ``(N, L*F)`` features in compute dtype.
 
         Runs over blocks of at most :attr:`FORWARD_BLOCK` points and, inside
-        a block, one level at a time: separable trilinear weights, one
-        incremental :meth:`~repro.core.hashing.HashFunction.corner_hashes`
-        call, an ``np.take`` gather of the 8 corners in corner-major order
-        and their weighted sum.  Every step repeats the arithmetic of
-        :meth:`vertex_indices` and :meth:`forward_reference` in the same
-        order, so the features and the cache :meth:`backward` reads are
-        bit-identical to the oracle's.
+        a block, one level at a time:
+
+        * the geometry: each point's cube base vertex, by truncation (the
+          positions are clipped to ``[0, 1]``, so it is ``floor``; the
+          lower clip still maps a NaN coordinate to vertex 0), and ``frac``,
+          ``1 - frac`` and the separable trilinear weights, all float64 and
+          written into per-block buffers, then cast once to compute dtype;
+        * one :meth:`~repro.core.hashing.HashFunction.corner_hashes` call,
+          whose corner-major ``(8, b)`` indices feed an ``np.take`` gather
+          of the 8 corners without a copy;
+        * the gathered values times their weights, and the corner sum.
+
+        Every step repeats the arithmetic of :meth:`vertex_indices` and
+        :meth:`forward_reference` in the same order, so the features and
+        the cache :meth:`backward` reads are bit-identical to the oracle's.
         """
         positions = np.asarray(positions, dtype=np.float64)
         if positions.ndim != 2 or positions.shape[1] != 3:
@@ -308,28 +316,37 @@ class HashGridEncoding:
         w_all = np.empty((cfg.num_levels, n, 8), dtype=dtype)
         for start in range(0, n, self.FORWARD_BLOCK):
             stop = min(start + self.FORWARD_BLOCK, n)
+            b = stop - start
             pos_t = np.ascontiguousarray(pos[start:stop].T)  # (3, b)
+            scaled = np.empty((3, b))
+            base = np.empty((3, b), dtype=np.int64)
+            axis_w = np.empty((3, 2, b))  # per axis: 1 - frac, frac
+            wxy = np.empty((2, 2, b))
+            w64 = np.empty((8, b))
+            w_t = w64 if dtype == np.float64 else np.empty((8, b), dtype=dtype)
             for level, res in enumerate(cfg.resolutions):
-                scaled = pos_t * res
-                base = np.clip(np.floor(scaled).astype(np.int64), 0, res - 1)
-                frac = scaled - base  # (3, b), in [0, 1]
+                np.multiply(pos_t, res, out=scaled)
+                np.copyto(base, scaled, casting="unsafe")  # truncates: floor on [0, res]
+                np.clip(base, 0, res - 1, out=base)
+                np.subtract(scaled, base, out=axis_w[:, 1])  # frac, in [0, 1]
+                np.subtract(1.0, axis_w[:, 1], out=axis_w[:, 0])
                 # Corner 4i + 2j + k weighs (wx_i * wy_j) * wz_k with
                 # w_0 = 1 - f and w_1 = f: vertex_indices' products, in its order.
-                axis_w = np.stack([1.0 - frac, frac], axis=1)  # (3, 2, b)
-                wxy = axis_w[0][:, None, :] * axis_w[1][None, :, :]
-                w_t = (wxy[:, :, None, :] * axis_w[2][None, None, :, :]).reshape(8, -1)
-                w_t = w_t.astype(dtype, copy=False)  # (8, b)
+                np.multiply(axis_w[0][:, None], axis_w[1][None], out=wxy)
+                np.multiply(wxy[:, :, None], axis_w[2], out=w64.reshape(2, 2, 2, b))
+                if w_t is not w64:
+                    np.copyto(w_t, w64, casting="same_kind")
                 idx = cfg.level_indexer(level).corner_hashes(
                     base.T, cfg.level_table_entries(level)
-                )  # (b, 8)
-                gathered = np.take(self.embeddings[level], np.ascontiguousarray(idx.T), axis=0)
+                )  # (b, 8), a view of corner-major (8, b) indices
+                gathered = np.take(self.embeddings[level], idx.T, axis=0)
                 vals = self._gathered_values(level, gathered)  # (8, b, F)
                 for f in range(num_f):
                     vals[:, :, f] *= w_t
                 # The corner sum of forward_reference's ``.sum(axis=1)``: numpy
                 # starts from +0.0 and adds corners 0..7 in turn, or, when the
                 # corner axis is contiguous (F == 1), pairwise.
-                acc = np.zeros((stop - start, num_f), dtype=dtype)
+                acc = np.zeros((b, num_f), dtype=dtype)
                 if num_f == 1:
                     acc += ((vals[0] + vals[1]) + (vals[2] + vals[3])) + (
                         (vals[4] + vals[5]) + (vals[6] + vals[7])
@@ -431,6 +448,13 @@ class FrequencyEncoding:
 
     Maps each input coordinate to ``(sin(2^k pi p), cos(2^k pi p))`` for
     ``k = 0..num_frequencies-1``, optionally keeping the raw input.
+
+    :meth:`forward` encodes each run of bitwise-equal consecutive rows once
+    and repeats the result: a training batch holds each ray's view
+    direction ``samples_per_ray`` times in a row.  Rows compare as bit
+    patterns, so ``+0.0`` and ``-0.0``, or NaNs with different payloads,
+    are never merged, and the output is byte-identical to the row-by-row
+    :meth:`forward_reference`.
     """
 
     def __init__(self, input_dim: int = 3, num_frequencies: int = 10, include_input: bool = True):
@@ -448,13 +472,33 @@ class FrequencyEncoding:
             dim += self.input_dim
         return dim
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def _check(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.input_dim:
             raise ValueError(f"expected shape (N, {self.input_dim}), got {x.shape}")
+        return x
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        """Encode ``(N, D)`` rows as ``(N, output_dim)`` float32, once per run of equal rows."""
+        x = self._check(x)
+        bits = x.view(np.uint64)
+        starts = np.ones(x.shape[0], dtype=bool)  # row differs from the one before
+        np.not_equal(bits[1:, 0], bits[:-1, 0], out=starts[1:])
+        for d in range(1, self.input_dim):
+            starts[1:] |= bits[1:, d] != bits[:-1, d]
+        first = np.flatnonzero(starts)
+        if first.size == x.shape[0]:
+            return self.forward_reference(x)
+        runs = np.diff(first, append=x.shape[0])
+        return np.repeat(self.forward_reference(x[first]), runs, axis=0)
+
+    def forward_reference(self, x: np.ndarray) -> np.ndarray:
+        """Row-by-row encoding, the oracle of :meth:`forward`."""
+        x = self._check(x)
+        width = self.input_dim * self.num_frequencies
         angles = x[:, :, None] * self.freq_bands[None, None, :]  # (N, D, K)
         enc = np.concatenate(
-            [np.sin(angles).reshape(x.shape[0], -1), np.cos(angles).reshape(x.shape[0], -1)],
+            [np.sin(angles).reshape(x.shape[0], width), np.cos(angles).reshape(x.shape[0], width)],
             axis=1,
         )
         if self.include_input:

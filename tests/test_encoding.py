@@ -171,13 +171,15 @@ MIXED_GRID = HashGridConfig(num_levels=5, table_size=2**10, base_resolution=3, m
     num_points=st.integers(0, 300),
     block=st.integers(1, 64),
     negative_zeros=st.booleans(),
+    non_finite=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_forward_is_bit_identical_to_the_reference(
-    dtype, hash_fn, features, num_points, block, negative_zeros, seed
+    dtype, hash_fn, features, num_points, block, negative_zeros, non_finite, seed
 ):
-    """forward equals forward_reference byte for byte, signed zeros included,
-    in one block or many; backward gives the same grads after either."""
+    """forward equals forward_reference byte for byte, signed zeros and NaN or
+    infinite coordinates included, in one block or many; backward gives the
+    same grads after either."""
     rng = np.random.default_rng(seed)
     config = replace(MIXED_GRID, hash_fn=hash_fn, features_per_entry=features, dtype=dtype)
     enc = HashGridEncoding(config, rng=rng)
@@ -192,6 +194,9 @@ def test_forward_is_bit_identical_to_the_reference(
     # Coordinates on grid vertices give corners of zero weight.
     on_vertex = rng.random(pos.shape) < 0.2
     pos[on_vertex] = rng.choice([0.0, 0.25, 0.5, 1.0], size=int(on_vertex.sum()))
+    if non_finite:  # NaN maps to vertex 0 with NaN weights; +-inf clip to the cube
+        odd = rng.random(pos.shape) < 0.1
+        pos[odd] = rng.choice([np.nan, np.inf, -np.inf], size=int(odd.sum()))
     upstream = rng.normal(size=(num_points, config.output_dim))
     enc.FORWARD_BLOCK = block
 
@@ -203,7 +208,9 @@ def test_forward_is_bit_identical_to_the_reference(
             outputs += [g.copy() for g in enc.grads]
         return outputs
 
-    for fast, reference in zip(run(enc.forward), run(enc.forward_reference), strict=True):
+    with np.errstate(invalid="ignore"):  # casting NaN to a vertex index
+        outputs = zip(run(enc.forward), run(enc.forward_reference), strict=True)
+    for fast, reference in outputs:
         assert fast.dtype == reference.dtype and fast.shape == reference.shape
         assert np.array_equal(fast.view(np.uint8), reference.view(np.uint8))
 
@@ -260,3 +267,37 @@ def test_frequency_encoding_output_dim_property(dim, freqs):
     enc = FrequencyEncoding(input_dim=dim, num_frequencies=freqs, include_input=False)
     assert enc.output_dim == dim * freqs * 2
     assert enc.forward(np.zeros((3, dim))).shape == (3, enc.output_dim)
+
+
+#: Direction rows a batch can hold: +0.0 next to -0.0, NaNs with two
+#: payloads and infinities must never share an encoding.
+_NAN_PAYLOAD = np.array([0x7FF8000000000001], dtype=np.uint64).view(np.float64)[0]
+DIRECTION_ROWS = [
+    (0.0, 0.6, 0.8),
+    (-0.0, 0.6, 0.8),
+    (0.0, 0.6, -0.0),
+    (np.nan, 0.0, 1.0),
+    (_NAN_PAYLOAD, 0.0, 1.0),
+    (np.inf, -np.inf, 0.5),
+    (-0.3, 1e-300, 2.0),
+]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    runs=st.lists(
+        st.tuples(st.sampled_from(range(len(DIRECTION_ROWS))), st.integers(1, 5)), max_size=12
+    ),
+    include_input=st.booleans(),
+    num_frequencies=st.integers(1, 5),
+)
+def test_frequency_forward_is_bit_identical_to_the_reference(runs, include_input, num_frequencies):
+    """forward, once per run of equal rows, equals the row-by-row reference byte for byte."""
+    enc = FrequencyEncoding(3, num_frequencies, include_input=include_input)
+    rows = np.array([DIRECTION_ROWS[row] for row, _ in runs], dtype=np.float64).reshape(-1, 3)
+    x = np.repeat(rows, [count for _, count in runs], axis=0)
+    with np.errstate(invalid="ignore"):  # sin and cos of infinity
+        fast, reference = enc.forward(x), enc.forward_reference(x)
+    assert fast.dtype == reference.dtype == np.float32
+    assert fast.shape == reference.shape == (x.shape[0], enc.output_dim)
+    assert np.array_equal(fast.view(np.uint8), reference.view(np.uint8))

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,6 +19,9 @@ from repro.core.hashing import (
     cube_vertices,
     index_distance_breakdown,
 )
+from repro.core.morton import MAX_BITS_PER_COORD
+from repro.nerf.encoding import HashGridConfig
+from repro.serve.cost import ServiceCostConfig
 
 
 @pytest.fixture(scope="module")
@@ -126,3 +131,47 @@ def test_hash_indices_always_within_table(table_size):
     for fn in (OriginalSpatialHash(), MortonLocalityHash()):
         idx = fn(coords, table_size)
         assert np.all((idx >= 0) & (idx < table_size))
+
+
+#: Coordinates up to and past the 21 bits the Morton interleave keeps, with
+#: every power-of-two boundary (where the spread table grows) nearby.
+COORDINATES = st.one_of(
+    st.integers(0, 2**22),
+    st.sampled_from(
+        [2**k + d for k in range(MAX_BITS_PER_COORD + 2) for d in (-2, -1, 0) if 2**k + d >= 0]
+    ),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    hash_fn=st.one_of(
+        st.sampled_from([OriginalSpatialHash(), MortonLocalityHash()]),
+        st.integers(1, 300).map(DenseGridIndexer),
+    ),
+    coords=st.lists(st.tuples(COORDINATES, COORDINATES, COORDINATES), max_size=40),
+    table_size=st.one_of(st.integers(1, 2**20), st.integers(0, 20).map(lambda k: 2**k)),
+    dtype=st.sampled_from([np.int64, np.int32, np.uint64]),
+)
+def test_corner_hashes_match_hashing_every_corner(hash_fn, coords, table_size, dtype):
+    """corner_hashes equals the hash of each of cube_vertices' 8 corners."""
+    base = np.array(coords, dtype=dtype).reshape(-1, 3)
+    expected = hash_fn(cube_vertices(base).reshape(-1, 3), table_size).reshape(-1, 8)
+    got = hash_fn.corner_hashes(base, table_size)
+    assert got.dtype == np.int64 and got.shape == (base.shape[0], 8)
+    np.testing.assert_array_equal(got, expected)
+
+
+def test_hash_functions_compare_by_value():
+    """Equal parameters make equal hash functions, and so equal grid configs."""
+    assert HashGridConfig() == HashGridConfig()
+    assert ServiceCostConfig().grid() == ServiceCostConfig().grid()
+    grid = HashGridConfig(hash_fn=MortonLocalityHash())
+    twin = pickle.loads(pickle.dumps(grid))
+    assert twin == grid and hash(twin) == hash(grid)
+    assert OriginalSpatialHash() == OriginalSpatialHash(primes=(1, 2_654_435_761, 805_459_861))
+    assert hash(DenseGridIndexer(8)) == hash(DenseGridIndexer(8))
+    assert OriginalSpatialHash(primes=(1, 3, 5)) != OriginalSpatialHash()
+    assert DenseGridIndexer(8) != DenseGridIndexer(9)
+    assert MortonLocalityHash() != OriginalSpatialHash()
+    assert HashGridConfig(hash_fn=MortonLocalityHash()) != HashGridConfig()

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.hashing import MortonLocalityHash
 from repro.core.morton import (
     MAX_BITS_PER_COORD,
     compact_by_two,
@@ -94,6 +95,8 @@ def test_morton_hash_rejects_negative_coordinates():
         morton_hash(np.array([[-1, 0, 0]]), 16)
     with pytest.raises(ValueError):
         morton_hash(np.array([[0, 0, 0], [2, -5, 1]]), 2**19)
+    with pytest.raises(ValueError):
+        MortonLocalityHash().corner_hashes(np.array([[0, 0, 0], [2, -5, 1]]), 2**19)
     # Positive overflow keeps the documented hardware-style 21-bit masking.
     over = morton_hash(np.array([[2**MAX_BITS_PER_COORD, 0, 0]]), 2**19)
     masked = morton_hash(np.array([[0, 0, 0]]), 2**19)
