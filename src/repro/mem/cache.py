@@ -27,12 +27,14 @@ Consecutive same-line accesses within a set collapse into one run (only
 run heads can change tag state), and the run heads are swept in "waves":
 the t-th head of every set is processed in one vector step, which is exact
 because sets are independent and each set contributes at most one head per
-wave.  The waves carry only what LRU replacement needs — each way's tag,
-its last use and the run head whose fill brought its line in.  That fill
-is the head's *residency*, and everything else follows from residencies
-after the sweep: an access inside its residency's MSHR window coalesces, a
-residency is dirty when its fill or a demand touch wrote, and a
-prefetch-filled residency is useful once a demand access touches it.
+wave.  The waves carry only what LRU replacement needs — each way's tag
+and last use — and record the way each head lands in.  A head whose way
+last held another line is a fill; any other head's *residency*, the fill
+that brought its line in, is its way's latest fill.  Everything else
+follows from residencies after the sweep: an access inside its
+residency's MSHR window coalesces, a residency is dirty when its fill or a
+demand touch wrote, and a prefetch-filled residency is useful once a
+demand access touches it.
 :func:`simulate_cache_reference` is the retained per-access oracle the
 engine is equivalence-tested against.
 """
@@ -242,117 +244,121 @@ def simulate_cache(
         ``stats`` the aggregate :class:`CacheStats`.  Exactly equivalent to
         :func:`simulate_cache_reference`.
 
-    The wave sweep keeps, per way, only the tag (``-1`` while invalid), the
-    last use and the run head whose fill holds the way, and records each
-    head's residency: the fill that brought its line in.  The rest follows
-    from residencies after the sweep.  An access coalesces when it comes
-    before its residency's fill completes (``fill position + 1 +
-    mshr_latency``).  A residency is dirty when its fill or a demand touch
-    wrote, and costs a writeback unless it is still cached at the end.  A
-    prefetch-filled residency is useful once a demand access touches it.
+    Runs are found by one compare of the set-sorted line ids, and only run
+    heads are split into set and tag.  A head's wave is its within-set
+    ordinal: its index less a prefix sum of the per-set head counts.  The
+    sweep keeps, per way, the tag (``-1`` while invalid) and the last use,
+    which a redundant prefetch leaves as it was, and records the way each
+    head lands in.  Sorted by way, each way's heads are in stream order: a
+    head fills unless the one before it held its line, and its residency
+    is the latest fill.  An access coalesces when it comes before its
+    residency's fill completes (``fill position + 1 + mshr_latency``); the
+    dirty and useful-prefetch rules are in the module docstring.  Write and
+    prefetch bookkeeping is skipped when no access is flagged.
     """
     lines = np.asarray(line_ids, dtype=np.int64).ravel()
     n = lines.size
     outcomes = np.empty(n, dtype=np.int8)
     if n == 0:
         return outcomes, _build_stats(outcomes, 0, 0, 0, config)
-    if np.any(lines < 0):
+    if lines.min() < 0:
         raise ValueError("line ids must be non-negative")
     writes = _as_flags(is_write, n, "is_write")
     prefetches = _as_flags(is_prefetch, n, "is_prefetch")
+    has_writes, has_prefetches = writes.any(), prefetches.any()
     num_sets, ways, mshr = config.num_sets, config.ways, config.mshr_latency
 
-    sets = lines % num_sets
-    tags = lines // num_sets
-
+    # Dead stream-length arrays are deleted pass by pass: on long streams,
+    # fresh pages for a larger peak footprint cost as much as the passes.
     # Pass 1 — group accesses by set, keeping stream order inside each set.
     # ``by_set`` holds each sorted access's stream position: the LRU clock.
-    by_set = stable_order(sets, num_sets)
-    s_sorted, t_sorted = sets[by_set], tags[by_set]
-    w_sorted, f_sorted = writes[by_set], prefetches[by_set]
+    by_set = stable_order(lines % num_sets, num_sets)
+    sorted_lines = lines[by_set]
 
-    # Pass 2 — collapse consecutive same-line accesses within a set into
-    # runs: only the head can change tag state; members are hits (or MSHR
-    # coalesces, resolved from the head's residency afterwards).  Prefetch
-    # accesses never merge: a dropped prefetch must not refresh LRU state.
-    head = np.empty(n, dtype=bool)
-    head[0] = True
-    head[1:] = (
-        (s_sorted[1:] != s_sorted[:-1])
-        | (t_sorted[1:] != t_sorted[:-1])
-        | f_sorted[1:]
-        | f_sorted[:-1]
-    )
-    head_idx = np.flatnonzero(head)
-    run_id = np.cumsum(head) - 1
+    # Pass 2 — runs of equal line ids in the set-sorted stream (equal lines
+    # have equal set and tag): only a run's head can change tag state; its
+    # members are hits or MSHR coalesces.  Prefetch accesses never merge: a
+    # dropped prefetch must not refresh LRU state.
+    head = np.append(True, sorted_lines[1:] != sorted_lines[:-1])
+    if has_prefetches:
+        f_sorted = prefetches[by_set]
+        head[1:] |= f_sorted[1:] | f_sorted[:-1]
+    head_idx = head.nonzero()[0]
     num_runs = head_idx.size
-    run_write = np.logical_or.reduceat(w_sorted, head_idx)
-    run_last_p = by_set[np.append(head_idx[1:], n) - 1]  # stream position of its last member
+    run_end = np.append(head_idx[1:], n)
+    line_h, p_h = sorted_lines[head_idx], by_set[head_idx]
+    f_h = f_sorted[head_idx] if has_prefetches else np.zeros(num_runs, dtype=bool)
+    del sorted_lines, head
 
-    s_h, t_h, p_h = s_sorted[head_idx], t_sorted[head_idx], by_set[head_idx]
-    f_h = f_sorted[head_idx]
-
-    # Pass 3 — wave schedule: sort run heads by their within-set ordinal, so
-    # wave t (one contiguous slice) holds the t-th head of every set.  Sets
-    # are independent and appear at most once per wave, so each wave is one
-    # race-free vector step.
-    set_start = np.empty(num_runs, dtype=bool)
-    set_start[0] = True
-    set_start[1:] = s_h[1:] != s_h[:-1]
-    starts = np.flatnonzero(set_start)
-    per_set = np.diff(np.append(starts, num_runs))
-    ordinal = np.arange(num_runs) - np.repeat(starts, per_set)
+    # Pass 3 — wave schedule: a head's within-set ordinal is its index minus
+    # the index of its set's first head (a prefix sum of per-set counts), and
+    # wave t, one contiguous slice of the heads sorted by ordinal, holds the
+    # t-th head of every set.  Sets are independent and appear at most once
+    # per wave, so each wave is one race-free vector step.
+    set_h = line_h % num_sets
+    per_set = np.bincount(set_h, minlength=num_sets)
+    ordinal = np.arange(num_runs) - (per_set.cumsum() - per_set)[set_h]
     by_wave = stable_order(ordinal, int(per_set.max()))
-    s_g, t_g, lp_g, f_g = s_h[by_wave], t_h[by_wave], run_last_p[by_wave], f_h[by_wave]
-    bounds = np.append(0, np.cumsum(np.bincount(ordinal))).tolist()
+    bounds = np.bincount(ordinal).cumsum().tolist()
+    del set_h, ordinal
 
-    # Pass 4 — the sweep, over flat (set, way) slots.  A -1 tag never matches
-    # and a -1 last use makes LRU fill invalid ways first, lowest way first.
-    slots = num_sets * ways
-    tag_state = np.full(slots, -1, dtype=np.int64)
-    last_used = np.full(slots, -1, dtype=np.int64)
-    filler = np.zeros(slots, dtype=np.int64)  # run head whose fill holds the slot
-    tag_rows = tag_state.reshape(num_sets, ways)
-    lru_rows = last_used.reshape(num_sets, ways)
-    row_base, t_col = s_g * ways, t_g[:, None]
-    residency_g = by_wave.astype(np.int64)  # a fill is its own residency
-    has_prefetches = bool(f_h.any())
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        s, t, lp = s_g[lo:hi], t_g[lo:hi], lp_g[lo:hi]
-        match = tag_rows.take(s, axis=0) == t_col[lo:hi]
+    # Pass 4 — the sweep over flat (set, way) slots: ``slot_g`` starts at
+    # each head's set row and gains its way.  A -1 tag never matches and a
+    # -1 last use makes LRU fill invalid ways first, lowest way first.
+    t_g, s_g = np.divmod(line_h[by_wave], num_sets)
+    lp_g, f_g = by_set[run_end[by_wave] - 1], f_h[by_wave]  # a run's last use
+    slot_g, t_col = s_g * ways, t_g[:, None]
+    tag_state = np.full(num_sets * ways, -1, dtype=np.int64)
+    last_used = np.full(num_sets * ways, -1, dtype=np.int64)
+    tag_rows, lru_rows = tag_state.reshape(num_sets, ways), last_used.reshape(num_sets, ways)
+    lo = 0
+    for hi in bounds:
+        s, t, slot, lp = s_g[lo:hi], t_g[lo:hi], slot_g[lo:hi], lp_g[lo:hi]
         lru = lru_rows.take(s, axis=0)
-        lru[match] = -2  # a present line keeps its way; others evict the LRU
-        slot = row_base[lo:hi] + lru.argmin(axis=1)
-        present = tag_state[slot] == t
-        res = residency_g[lo:hi]
-        np.copyto(res, filler[slot], where=present)
-        if has_prefetches:  # a dropped prefetch changes no state
-            keep = ~(present & f_g[lo:hi])
-            slot, t, lp, res = slot[keep], t[keep], lp[keep], res[keep]
+        np.putmask(lru, tag_rows.take(s, axis=0) == t_col[lo:hi], -2)  # a present line stays
+        slot += lru.argmin(axis=1)
+        if has_prefetches:  # a dropped prefetch keeps its way's last use
+            lp = np.where(f_g[lo:hi] & (tag_state[slot] == t), last_used[slot], lp)
         tag_state[slot] = t
         last_used[slot] = lp
-        filler[slot] = res
+        lo = hi
 
-    residency = np.empty(num_runs, dtype=np.int64)
-    residency[by_wave] = residency_g
-    fill = residency == np.arange(num_runs)
+    # Pass 5 — residencies: among a slot's heads in stream order, a head is
+    # a fill unless the head before it held the same line, and its residency
+    # is the latest fill.
+    slot_h = np.empty(num_runs, dtype=np.int64)
+    slot_h[by_wave] = slot_g
+    by_slot = stable_order(slot_h, num_sets * ways)
+    slot_s, line_s = slot_h[by_slot], line_h[by_slot]
+    slot_end = np.append(slot_s[1:] != slot_s[:-1], True)
+    fill_s = np.append(True, slot_end[:-1] | (line_s[1:] != line_s[:-1]))
+    del slot_s, line_s
+    latest_fill = by_slot[np.maximum.accumulate(np.where(fill_s, np.arange(num_runs), 0))]
+    residency, fill = np.empty(num_runs, dtype=np.intp), np.empty(num_runs, dtype=bool)
+    residency[by_slot], fill[by_slot] = latest_fill, fill_s
     demand = ~f_h
-    # A residency is dirty when its fill or a demand touch wrote (prefetch
-    # fills start clean); it ends with a writeback unless it is still cached.
-    dirty = np.zeros(num_runs, dtype=bool)
-    dirty[residency[demand & run_write]] = True
-    dirty_left = int(np.count_nonzero(dirty[filler[tag_state >= 0]]))
-    writebacks = int(np.count_nonzero(dirty)) - dirty_left
-    # A prefetch-filled residency is useful once a demand access touches it.
-    touched = np.zeros(num_runs, dtype=bool)
-    touched[residency[demand]] = True
-    useful = int(np.count_nonzero(touched & f_h))
+    writebacks = useful = dirty_left = 0
+    if has_writes:
+        # A residency is dirty when its fill or a demand touch wrote
+        # (prefetch fills start clean); it ends with a writeback unless it
+        # is still cached, as the last residency of its slot.
+        run_write = np.logical_or.reduceat(writes[by_set], head_idx)
+        dirty = np.zeros(num_runs, dtype=bool)
+        dirty[residency.compress(demand & run_write)] = True
+        dirty_left = int(np.count_nonzero(dirty[latest_fill.compress(slot_end)]))
+        writebacks = int(np.count_nonzero(dirty)) - dirty_left
+    if has_prefetches:
+        # A prefetch-filled residency is useful once a demand access touches it.
+        touched = np.zeros(num_runs, dtype=bool)
+        touched[residency.compress(demand)] = True
+        useful = int(np.count_nonzero(touched & f_h))
 
     # An access before its residency's fill completes coalesces into it.
-    fill_done = p_h[residency] + 1 + mshr
-    out = np.where(by_set < fill_done[run_id], COALESCED, HIT).astype(np.int8)
-    out[head_idx[fill]] = np.where(f_h[fill], PREFETCH_FILL, MISS)
-    out[head_idx[f_h & ~fill]] = PREFETCH_REDUNDANT
+    fill_done = (p_h[residency] + (1 + mshr)).repeat(run_end - head_idx)
+    out = np.where(by_set < fill_done, np.int8(COALESCED), np.int8(HIT))
+    out[head_idx.compress(fill)] = MISS
+    if has_prefetches:
+        out[head_idx.compress(f_h)] = np.where(fill[f_h], PREFETCH_FILL, PREFETCH_REDUNDANT)
     outcomes[by_set] = out
     return outcomes, _build_stats(outcomes, writebacks, useful, dirty_left, config)
 

@@ -64,6 +64,13 @@ def scratchpad_filter(lines: NDArray[Any], capacity_lines: int) -> NDArray[Any]:
     among the first ``capacity_lines`` distinct lines of the previous point
     (the lines the scratchpad still holds).  Equivalent to
     :func:`scratchpad_filter_reference`.
+
+    Blocks of points are transposed to ``(P, N)`` line matrices and take two
+    broadcast compares of ``(P, P, N)`` bools.  The first matches each access
+    against the earlier accesses of its point (a strictly lower-triangular
+    mask): one with no match is a first occurrence, held when its rank (a
+    cumulative sum down the point) is below ``capacity_lines``.  The second
+    matches each access against the previous point's held lines.
     """
     if capacity_lines <= 0:
         raise ValueError(f"capacity_lines must be positive, got {capacity_lines}")
@@ -71,20 +78,18 @@ def scratchpad_filter(lines: NDArray[Any], capacity_lines: int) -> NDArray[Any]:
     if lines.ndim != 2:
         raise ValueError(f"lines must have shape (N, P), got {lines.shape}")
     n, p = lines.shape
-    if n == 0:
-        return np.zeros((0, p), dtype=bool)
-    first = np.ones((n, p), dtype=bool)
-    for j in range(1, p):
-        duplicate = np.zeros(n, dtype=bool)
-        for k in range(j):
-            duplicate |= lines[:, j] == lines[:, k]
-        first[:, j] = ~duplicate
-    rank = np.cumsum(first, axis=1) - 1
-    held_eligible = first & (rank < capacity_lines)
-    held = np.zeros((n, p), dtype=bool)
-    for k in range(p):
-        held[1:] |= (lines[1:] == lines[:-1, k : k + 1]) & held_eligible[:-1, k : k + 1]
-    return first & ~held
+    block = 2048  # points: small temporaries reuse freed memory, not fresh pages
+    earlier = np.tri(p, p, -1, dtype=bool)[:, :, None]
+    emit = np.empty((n, p), dtype=bool)
+    for lo in range(0, n, block):
+        start = max(lo - 1, 0)  # with the previous point, whose held lines matter
+        by_point = np.ascontiguousarray(lines[start : lo + block].T)
+        first = ~((by_point[:, None] == by_point[None]) & earlier).any(axis=1)
+        held = first & (first.cumsum(axis=0) <= capacity_lines)
+        same_held = (by_point[:, None, 1:] == by_point[None, :, :-1]) & held[None, :, :-1]
+        first[:, 1:] &= ~same_held.any(axis=1)
+        emit[lo : lo + block] = first.T[lo - start :]
+    return emit
 
 
 def scratchpad_filter_reference(lines: NDArray[Any], capacity_lines: int) -> NDArray[Any]:
@@ -225,7 +230,7 @@ class CacheHierarchy:
     def _assemble(
         self,
         lines: NDArray[Any],
-        emit: NDArray[Any],
+        demand: NDArray[Any],
         merged: NDArray[Any],
         is_prefetch: NDArray[Any],
         outcomes: NDArray[Any],
@@ -234,8 +239,7 @@ class CacheHierarchy:
     ) -> FilteredStream:
         num_points, per_point = lines.shape
         l0_accesses = int(lines.size)
-        demand = lines[emit]
-        dram = merged[(outcomes == MISS) | (outcomes == PREFETCH_FILL)]
+        dram = merged.compress((outcomes == MISS) | (outcomes == PREFETCH_FILL))
         l0_energy = self.scratchpad.access_energy_j(
             l0_accesses * entry_bytes + demand.size * self.cache.line_bytes
         )
@@ -271,13 +275,13 @@ class CacheHierarchy:
         """
         with get_tracer().span("mem.filter_stream", "mem") as span:
             lines = self._lines(stream)
-            emit = scratchpad_filter(lines, self.capacity_lines)
-            demand = lines[emit]
+            # ``compress``: several times faster than a long boolean index
+            demand = lines.compress(scratchpad_filter(lines, self.capacity_lines).ravel())
             merged, is_prefetch = plan_prefetches(demand, self.prefetcher)
             is_write = ~is_prefetch if stream.writes else None
             outcomes, cache_stats = simulate_cache(merged, self.cache, is_write, is_prefetch)
             filtered = self._assemble(
-                lines, emit, merged, is_prefetch, outcomes, cache_stats, stream.entry_bytes
+                lines, demand, merged, is_prefetch, outcomes, cache_stats, stream.entry_bytes
             )
             if span.enabled:
                 stats = filtered.stats
@@ -299,11 +303,10 @@ class CacheHierarchy:
     def filter_stream_reference(self, stream: RequestStream) -> FilteredStream:
         """Per-access oracle composition for :meth:`filter_stream`."""
         lines = self._lines(stream)
-        emit = scratchpad_filter_reference(lines, self.capacity_lines)
-        demand = lines[emit]
+        demand = lines[scratchpad_filter_reference(lines, self.capacity_lines)]
         merged, is_prefetch = plan_prefetches_reference(demand, self.prefetcher)
         is_write = ~is_prefetch if stream.writes else None
         outcomes, cache_stats = simulate_cache_reference(merged, self.cache, is_write, is_prefetch)
         return self._assemble(
-            lines, emit, merged, is_prefetch, outcomes, cache_stats, stream.entry_bytes
+            lines, demand, merged, is_prefetch, outcomes, cache_stats, stream.entry_bytes
         )

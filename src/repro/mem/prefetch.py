@@ -66,44 +66,34 @@ def plan_prefetches(
     placed directly after its triggering demand access.  Prefetch targets
     below line 0 are clamped out (not issued).  Exactly equivalent to
     :func:`plan_prefetches_reference`.
+
+    Only the moves (accesses that switch to a new line) are planned: the
+    triggering moves and their strides give a ``(moves, degree)`` target
+    matrix, and an issued target's slot in the merged stream is its
+    trigger's position plus its rank, from 1, among the issued targets.
     """
     demand = np.asarray(line_ids, dtype=np.int64).ravel()
     n = demand.size
     if config.policy == "none" or n == 0:
         return demand.copy(), np.zeros(n, dtype=bool)
 
-    moved = np.empty(n, dtype=bool)  # access switches to a new line
-    moved[0] = True
-    moved[1:] = demand[1:] != demand[:-1]
+    moves = np.append(True, demand[1:] != demand[:-1]).nonzero()[0]
     if config.policy == "next_line":
-        trigger = moved
-        stride = np.ones(n, dtype=np.int64)
+        fire, stride = moves, np.ones(1, dtype=np.int64)
     else:  # stride: confirmed when two consecutive moves repeat one delta
-        unique_idx = np.flatnonzero(moved)
-        unique = demand[unique_idx]
-        deltas = np.diff(unique)
-        confirmed = np.zeros(unique.size, dtype=bool)
-        confirmed[2:] = deltas[1:] == deltas[:-1]
-        trigger = np.zeros(n, dtype=bool)
-        trigger[unique_idx[confirmed]] = True
-        stride = np.zeros(n, dtype=np.int64)
-        stride[unique_idx[1:]] = deltas
+        visited = demand[moves]
+        deltas = visited[1:] - visited[:-1]
+        confirmed = deltas[1:] == deltas[:-1]
+        fire, stride = moves[2:][confirmed], deltas[1:][confirmed]
 
-    degree = config.degree
-    counts = 1 + degree * trigger.astype(np.int64)
-    offsets = np.cumsum(counts) - counts
-    total = int(counts.sum())
-    merged = np.empty(total, dtype=np.int64)
-    is_prefetch = np.zeros(total, dtype=bool)
-    merged[offsets] = demand
-    fire = np.flatnonzero(trigger)
-    for k in range(1, degree + 1):
-        slot = offsets[fire] + k
-        merged[slot] = demand[fire] + stride[fire] * k
-        is_prefetch[slot] = True
-    if is_prefetch.any():
-        keep = ~(is_prefetch & (merged < 0))  # negative targets are not issued
-        merged, is_prefetch = merged[keep], is_prefetch[keep]
+    targets = demand[fire][:, None] + np.multiply.outer(stride, np.arange(1, config.degree + 1))
+    issued = targets >= 0
+    slots = fire[issued.nonzero()[0]] + np.arange(1, np.count_nonzero(issued) + 1)
+    merged = np.empty(n + slots.size, dtype=np.int64)
+    is_prefetch = np.zeros(n + slots.size, dtype=bool)
+    is_prefetch[slots] = True
+    merged[slots] = targets[issued]
+    merged[~is_prefetch] = demand
     return merged, is_prefetch
 
 

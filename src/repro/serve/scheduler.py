@@ -139,6 +139,11 @@ class BatchQueue:
         return len(self._entries)
 
     @property
+    def entries(self) -> tuple[QueueEntry, ...]:
+        """The queued entries, in admission order."""
+        return tuple(self._entries)
+
+    @property
     def earliest_admit_us(self) -> float:
         """Admission time of the longest-waiting queued request."""
         if not self._entries:

@@ -174,6 +174,28 @@ def _shed_record(entry: QueueEntry, shed_us: float) -> RequestRecord:
     )
 
 
+def _observe_dispatch(waiting: tuple[QueueEntry, ...], batch: list[QueueEntry]) -> None:
+    """Metrics showing whether the batch budget and the policy shaped a dispatch.
+
+    ``serve.queued_points`` observes the points queued at the dispatch.
+    ``serve.budget_limited`` counts dispatches that left queued requests
+    behind, and ``serve.reordered`` those that served a different set of
+    requests than the FIFO prefix of the same length; both are incremented,
+    by 0 or 1, at every dispatch.  ``serve.reordered`` compares sets, not
+    order: under SJF at fig14's 4,096-point budget it reads 0 on the smoke
+    workload, yet SJF orders the requests inside 38 of its 268 batches
+    differently from FIFO.  That changes ``dram_us`` in 34 of them but not
+    the batch time, which is ``max(dram_us, compute_us)`` plus overhead.
+    """
+    metrics = get_metrics()
+    metrics.histogram("serve.queued_points").observe(
+        sum(entry.request.num_points for entry in waiting)
+    )
+    metrics.counter("serve.budget_limited").inc(int(len(batch) < len(waiting)))
+    fifo = {entry.admit_seq for entry in waiting[: len(batch)]}
+    metrics.counter("serve.reordered").inc(int({entry.admit_seq for entry in batch} != fifo))
+
+
 def _cost_model(cost: ServiceCostConfig | None, model: ServiceCostModel | None) -> ServiceCostModel:
     """``model`` when given (it must agree with ``cost``), else a model of ``cost``."""
     if model is None:
@@ -246,7 +268,10 @@ def simulate_serving(
                 # dispatch time (new arrivals may intervene first).
                 continue
             depth_before = queue.depth
+            waiting = queue.entries if tracer.enabled else ()
             entries = queue.next_batch()
+            if tracer.enabled:
+                _observe_dispatch(waiting, entries)
             batch = [entry.request for entry in entries]
             with tracer.span("serve.batch", "serve") as span:
                 batch_cost = cost_model.cost(batch, table)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.accel import NMPAccelerator, Scratchpad
@@ -279,17 +279,35 @@ def test_hierarchy_write_streams_match_reference(rng):
 
 
 # -------------------------------------------------------------- prefetcher
+@st.composite
+def _demand_streams(draw):
+    """Demand line streams: random walks with repeats, constant strides
+    (negative ones too, whose targets cross below line 0, each line
+    repeated or not), and empty and one-line streams."""
+    kind = draw(st.sampled_from(["walk", "stride", "short"]))
+    if kind == "short":
+        return np.array(draw(st.lists(st.integers(0, 50), max_size=1)), dtype=np.int64)
+    if kind == "walk":
+        steps = draw(st.lists(st.integers(-3, 3), min_size=1, max_size=120))
+        return np.abs(draw(st.integers(0, 20)) + np.cumsum(steps))
+    stride = draw(st.integers(-6, 6))
+    lines = draw(st.integers(0, 40)) + stride * np.arange(draw(st.integers(2, 40)))
+    return np.repeat(lines[lines >= 0], draw(st.integers(1, 3)))
+
+
 @pytest.mark.parametrize("policy", ["none", "next_line", "stride"])
-@pytest.mark.parametrize("degree", [1, 3])
-def test_prefetch_plan_matches_reference(policy, degree, rng):
+@pytest.mark.parametrize("degree", [1, 2, 3])
+@settings(max_examples=60, deadline=None)
+@given(lines=_demand_streams())
+def test_prefetch_plan_matches_reference(policy, degree, lines):
+    """Property: merged lines and prefetch flags equal the oracle's, and the
+    demand stream passes through unchanged."""
     config = PrefetcherConfig(policy=policy, degree=degree)
-    for _ in range(5):
-        lines = np.abs(np.cumsum(rng.integers(-3, 4, 300)))
-        merged_vec, flags_vec = plan_prefetches(lines, config)
-        merged_ref, flags_ref = plan_prefetches_reference(lines, config)
-        np.testing.assert_array_equal(merged_vec, merged_ref)
-        np.testing.assert_array_equal(flags_vec, flags_ref)
-        assert np.array_equal(merged_vec[~flags_vec], lines)  # demand preserved
+    merged, flags = plan_prefetches(lines, config)
+    merged_ref, flags_ref = plan_prefetches_reference(lines, config)
+    np.testing.assert_array_equal(merged, merged_ref)
+    np.testing.assert_array_equal(flags, flags_ref)
+    np.testing.assert_array_equal(merged[~flags], lines)
 
 
 def test_next_line_prefetcher_turns_sequential_misses_into_hits():
@@ -316,14 +334,29 @@ def test_stride_prefetcher_detects_constant_stride():
 
 
 # ------------------------------------------------------ L0 scratchpad window
-def test_scratchpad_filter_matches_reference(rng):
-    for _ in range(10):
-        lines = rng.integers(0, 40, (60, 8))
-        for capacity in (1, 2, 8, 64):
-            np.testing.assert_array_equal(
-                scratchpad_filter(lines, capacity),
-                scratchpad_filter_reference(lines, capacity),
-            )
+@st.composite
+def _scratchpad_cases(draw):
+    """``(N, P)`` line ids over a small alphabet, so lines repeat inside a
+    point and across consecutive points, offset near 2**40 or not, and a
+    capacity from one line to one more than a point holds."""
+    p = draw(st.integers(min_value=1, max_value=9))
+    n = draw(st.integers(min_value=0, max_value=60))
+    alphabet = draw(st.integers(min_value=1, max_value=12))
+    ids = draw(st.lists(st.integers(0, alphabet - 1), min_size=n * p, max_size=n * p))
+    offset = draw(st.sampled_from([0, 2**40 - 6]))
+    lines = offset + np.array(ids, dtype=np.int64).reshape(n, p)
+    return lines, draw(st.integers(min_value=1, max_value=p + 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_scratchpad_cases())
+@example((np.random.default_rng(0).integers(0, 6, (4_100, 8)), 3))  # past two block ends
+def test_scratchpad_filter_matches_reference(case):
+    """Property: the L0 window mask equals the per-point oracle's."""
+    lines, capacity = case
+    np.testing.assert_array_equal(
+        scratchpad_filter(lines, capacity), scratchpad_filter_reference(lines, capacity)
+    )
 
 
 def test_l0_window_reproduces_row_request_accounting():

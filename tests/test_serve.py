@@ -17,8 +17,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import obs
 from repro.core.hashing import OriginalSpatialHash
 from repro.pipeline.context import SimulationContext
+from repro.pipeline.registry import get_experiment
 from repro.serve import stream as serve_stream
 from repro.serve import (
     AdmissionConfig,
@@ -420,3 +422,30 @@ def test_context_memoizes_serving_summaries(cost_model):
     assert ctx.stats.hits == hits + 1
     direct = simulate_serving(SMALL_WORKLOAD, scheduler, model=cost_model).summary()
     assert first == direct
+
+
+@pytest.mark.parametrize("policy", ["fifo", "sjf"])
+def test_dispatch_metrics_show_whether_the_batch_budget_binds(policy):
+    """On fig14's smoke workload the default 4,096-point budget never binds:
+    no dispatch leaves requests queued or serves other than the FIFO prefix.
+    At 256 points dispatches are budget-limited, and SJF also reorders.
+    Tracing leaves the results byte-identical."""
+    spec = get_experiment("fig14_serving_latency")
+    counts = {}
+    for budget in (4096, 256):
+        params = dict(spec.smoke, policies=policy, batch_points=budget)
+        untraced = spec.run(**params)
+        obs.enable(wall_clock=False)
+        try:
+            traced = spec.run(**params)
+            metrics = obs.get_metrics().snapshot()
+        finally:
+            obs.disable()
+        assert traced.to_json() == untraced.to_json()
+        dispatches = metrics["histograms"]["serve.queued_points"]["count"]
+        assert dispatches == sum(row["num_batches"] for row in traced.rows)
+        counters = metrics["counters"]
+        counts[budget] = (counters["serve.budget_limited"], counters["serve.reordered"])
+    assert counts[4096] == (0, 0)
+    assert counts[256][0] > 0
+    assert (counts[256][1] > 0) == (policy == "sjf")

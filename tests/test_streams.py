@@ -46,10 +46,12 @@ from repro.dram.spec import DRAM_SPECS, DRAMOrganization, DRAMSpec, DRAMTiming
 from repro.dram.system import DRAMSystem
 from repro.dram.trace import MemoryRequest, RequestType
 from repro.experiments import run_fig07, run_fig09, run_fig10, run_fig15
+from repro.accel.scratchpad import Scratchpad
 from repro.mem import CacheConfig, CacheHierarchy, PrefetcherConfig
 from repro.nerf.encoding import HashGridConfig
 from repro.pipeline import ArtifactStore, SimulationContext
 from repro.pipeline.registry import get_experiment
+from repro.serve.cost import ServiceCostModel
 from repro.streams import (
     RequestStream,
     StreamKind,
@@ -293,6 +295,31 @@ PROPERTY_DRAM_SPECS = [
 ]
 
 
+#: The serving cost model's hierarchy: 64 KB, 4-way, MSHR 4, stride prefetch.
+SERVING_HIERARCHY = ServiceCostModel().hierarchy
+
+
+@st.composite
+def _hierarchies(draw):
+    """The serving hierarchy, or a drawn cache and prefetcher behind a
+    scratchpad of 1 to 7 lines, so the L0 window's rank bound binds."""
+    if draw(st.booleans()):
+        return SERVING_HIERARCHY
+    line_bytes = draw(st.sampled_from([32, 64]))
+    ways = draw(st.sampled_from([1, 2, 4]))
+    cache = CacheConfig(
+        capacity_bytes=line_bytes * ways * draw(st.sampled_from([1, 2, 8, 64])),
+        line_bytes=line_bytes,
+        ways=ways,
+        mshr_latency=draw(st.integers(min_value=0, max_value=4)),
+    )
+    return CacheHierarchy(
+        cache,
+        PrefetcherConfig(draw(st.sampled_from(["none", "next_line", "stride"]))),
+        Scratchpad(capacity_bytes=line_bytes * draw(st.integers(min_value=1, max_value=7))),
+    )
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     seed=st.integers(min_value=0, max_value=2**32 - 1),
@@ -302,10 +329,11 @@ PROPERTY_DRAM_SPECS = [
     base_address=st.integers(min_value=0, max_value=2**40),
     kind=st.sampled_from([StreamKind.GATHER, StreamKind.WRITE]),
     burst=st.integers(min_value=16, max_value=4096),
-    prefetch=st.sampled_from(["none", "next_line", "stride"]),
+    hierarchy=_hierarchies(),
     spec=st.sampled_from(PROPERTY_DRAM_SPECS),
     subarrays_per_bank=st.sampled_from([None, 1, 4, 7]),
     sorted_indices=st.booleans(),
+    small_table=st.booleans(),
 )
 def test_stream_accounting_balances_through_hierarchy_and_dram(
     seed,
@@ -315,16 +343,18 @@ def test_stream_accounting_balances_through_hierarchy_and_dram(
     base_address,
     kind,
     burst,
-    prefetch,
+    hierarchy,
     spec,
     subarrays_per_bank,
     sorted_indices,
+    small_table,
 ):
     """Property: on any request stream, the hierarchy and DRAM engines equal
     their per-access oracles and every count they report balances.  Sorted
-    indices give row-hit-heavy streams."""
+    indices give row-hit-heavy streams, and tables of at most 64 entries
+    give L0 and L1 hits."""
     rng = np.random.default_rng(seed)
-    table_entries = int(rng.integers(1, 1 << 16))
+    table_entries = int(rng.integers(1, 65 if small_table else 1 << 16))
     indices = rng.integers(0, table_entries, (num_points, per_point))
     if sorted_indices:
         indices = np.sort(indices, axis=None).reshape(indices.shape)
@@ -350,10 +380,6 @@ def test_stream_accounting_balances_through_hierarchy_and_dram(
     assert batch.row_hits + batch.row_misses == batch.total_requests == stream.num_accesses
     assert batch.bytes_transferred == batch.total_requests * min(burst, org.row_buffer_bytes)
 
-    hierarchy = CacheHierarchy(
-        CacheConfig(capacity_bytes=2048, line_bytes=64, ways=2, mshr_latency=2),
-        PrefetcherConfig(prefetch),
-    )
     filtered = hierarchy.filter_stream(stream)
     reference = hierarchy.filter_stream_reference(stream)
     assert filtered.stats == reference.stats
