@@ -7,6 +7,11 @@ fixture (see ``benchmarks/conftest.py``):
   oracle divided by the batching scheduler's makespan on the same hot
   arrival trace.  This is the serving win the coalescing scheduler exists
   for, and the metric ``bench compare`` gates.
+* ``bulk_pricing`` — fig14-default batches (every request alone, plus
+  random multi-request batches) priced by one ``cost`` call each against
+  one ``costs`` call, which prices every batch in one memory-system pass;
+  ``speedup`` must reach 2.0 under ``bench run`` at full scale, and the two
+  must agree exactly in every run.
 * the p99 latency at every swept offered load, for both batching policies —
   asserted monotone non-decreasing in load.  Offered load is pure time
   compression of one seeded arrival sequence (see
@@ -23,6 +28,7 @@ on modeled time, not on the wall clock.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from benchmarks.conftest import SMOKE
@@ -32,6 +38,7 @@ from repro.serve import (
     ServeWorkloadConfig,
     ServiceCostConfig,
     ServiceCostModel,
+    generate_requests,
     simulate_serving,
     simulate_serving_reference,
 )
@@ -46,6 +53,10 @@ SWEEP_BATCH_POINTS = 256
 #: The fig14 defaults: 4 tenants x 64 requests, 20 us mean gap at unit load.
 WORKLOAD = ServeWorkloadConfig()
 COST = ServiceCostConfig()
+#: Requests priced alone and random multi-request batches of the bulk
+#: pricing section.
+PRICED_REQUESTS = 64 if SMOKE else 256
+MULTI_BATCHES = 16 if SMOKE else 64
 BENCH_ENTRY = {"loads": list(LOADS), "max_batch_points": SWEEP_BATCH_POINTS}
 
 
@@ -97,3 +108,23 @@ def test_batching_beats_per_request_oracle(bench, model):
     # Every request is served in both runs; the batcher only wins on time.
     assert summary["served"] == float(hot.num_requests)
     assert speedup > 1.05
+
+
+def test_bulk_pricing_beats_one_cost_call_per_batch(bench, model):
+    """The gated simulator win: one ``costs`` call against one ``cost`` call
+    per batch, on the batches fig14's defaults dispatch (mostly one request,
+    some several)."""
+    requests = generate_requests(WORKLOAD)[:PRICED_REQUESTS]
+    rng = np.random.default_rng(0)
+    batches = [[request] for request in requests] + [
+        [requests[i] for i in rng.choice(len(requests), size=size, replace=False)]
+        for size in rng.integers(2, 6, size=MULTI_BATCHES)
+    ]
+    table = model.compile(requests)
+    (one_by_one_s, one_by_one), (bulk_s, bulk) = bench.time_pair(
+        lambda: [model.cost(batch, table) for batch in batches],
+        lambda: model.costs(batches, table),
+        repeats=5,
+    )
+    assert bulk == one_by_one
+    bench.record_speedup("bulk_pricing", one_by_one_s, bulk_s, floor=2.0)

@@ -11,7 +11,9 @@ serves them in stream order, so whether a request hits the open row, and
 whether it pays a precharge, follows from the previous access to its
 subarray; a row hit is ready its latency after its bank's previous
 request.  Only activations wait on the channel's tRRD/tFAW window, so the
-one scalar loop runs over activations alone.
+one scalar loop runs over activations alone.  :meth:`DRAMSystem.service_batches`
+times many streams in the same pass, each on idle banks as if alone, and
+``service_batch`` is its one-stream case.
 
 :meth:`DRAMSystem.service_requests` is its per-request oracle: it walks a
 :class:`MemoryRequest` list through the :class:`ChannelController` and
@@ -20,6 +22,7 @@ one scalar loop runs over activations alone.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -130,7 +133,7 @@ class DRAMSystem:
                 span.set_cycles(result.total_cycles)
                 span.add_args(requests=result.total_requests)
                 self._emit_metrics(
-                    result,
+                    [result],
                     {c.channel_id: c.stats.busy_cycles for c in controllers if c.stats.requests},
                 )
             return result
@@ -140,99 +143,163 @@ class DRAMSystem:
     ) -> TraceResult:
         """Service one back-pressured request stream without building request objects.
 
-        The stream's addresses are wrapped into the modeled capacity, its
-        kind picks the request direction and its ``entry_bytes`` the burst
-        size (``size_bytes`` overrides it).  Every request arrives at cycle
-        0, and :meth:`_time_batch` times them all with one
-        :meth:`AddressMapper.decode_array` call, two stable sorts and a
-        scalar loop over the activations only.  Produces the same
+        The one-stream case of :meth:`service_batches`.  The stream's
+        addresses are wrapped into the modeled capacity, its kind picks the
+        request direction and its ``entry_bytes`` the burst size
+        (``size_bytes`` overrides it).  Produces the same
         :class:`TraceResult` as :meth:`service_requests` on the equivalent
         :class:`MemoryRequest` trace.
         """
-        if size_bytes is None:
-            size_bytes = stream.entry_bytes
+        return self.service_batches([stream], size_bytes, near_bank)[0]
+
+    def service_batches(
+        self,
+        streams: Sequence[RequestStream],
+        size_bytes: int | None = None,
+        near_bank: bool = False,
+    ) -> list[TraceResult]:
+        """Service each stream as if it were alone, all in one pass.
+
+        Every stream starts cold: idle banks with no open row and an empty
+        tRRD/tFAW window on every channel, whatever the streams before it
+        left behind.  So each :class:`TraceResult` equals
+        :meth:`service_batch` of its stream, read and write streams mixed.
+        Every request arrives at cycle 0, and :meth:`_time_batch` times
+        them all with one :meth:`AddressMapper.decode_array` call, stable
+        sorts by stream and by subarray or bank, and a scalar loop over the
+        activations only.  When tracing, one ``dram.service_batch`` span
+        (with the stream count in its args) and one set of ``dram.*``
+        counters cover the call; the counters add up to what one call per
+        stream would count.
+        """
         org = self.spec.organization
-        addresses = stream.addresses % org.total_capacity_bytes
         with get_tracer().span("dram.service_batch", "dram") as span:
+            if not streams:
+                return []
+            addresses = [stream.addresses % org.total_capacity_bytes for stream in streams]
+            counts = [int(a.size) for a in addresses]
+            writes = [stream.writes for stream in streams]
+            ids = None
+            is_write: bool | np.ndarray = writes[0]
+            if len(streams) > 1:
+                ids = np.repeat(np.arange(len(streams)), counts)
+                if any(writes) and not all(writes):
+                    is_write = np.repeat(writes, counts)
             total_cycles, row_hits, bank_conflicts, busy_cycles = self._time_batch(
-                addresses, is_write=stream.writes
+                addresses[0] if ids is None else np.concatenate(addresses),
+                is_write,
+                ids,
+                len(streams),
             )
-            requests = int(addresses.size)
-            result = self._summarise(
-                total_cycles,
-                requests=requests,
-                row_hits=row_hits,
-                row_misses=requests - row_hits,
-                bank_conflicts=bank_conflicts,
-                activations=requests - row_hits,
-                bytes_transferred=requests * min(size_bytes, org.row_buffer_bytes),
-                near_bank=near_bank,
-            )
+            results = []
+            for stream, requests, cycles, hits, conflicts in zip(
+                streams, counts, total_cycles, row_hits, bank_conflicts
+            ):
+                burst = stream.entry_bytes if size_bytes is None else size_bytes
+                results.append(
+                    self._summarise(
+                        cycles,
+                        requests=requests,
+                        row_hits=hits,
+                        row_misses=requests - hits,
+                        bank_conflicts=conflicts,
+                        activations=requests - hits,
+                        bytes_transferred=requests * min(burst, org.row_buffer_bytes),
+                        near_bank=near_bank,
+                    )
+                )
             if span.enabled:
-                span.set_cycles(result.total_cycles)
-                span.add_args(requests=result.total_requests)
-                self._emit_metrics(result, busy_cycles)
-            return result
+                span.set_cycles(sum(result.total_cycles for result in results))
+                span.add_args(streams=len(results), requests=sum(counts))
+                self._emit_metrics(results, busy_cycles)
+            return results
 
     # ------------------------------------------------------------ internals
     def _time_batch(
-        self, addresses: np.ndarray, is_write: bool
-    ) -> tuple[int, int, int, dict[int, int]]:
+        self,
+        addresses: np.ndarray,
+        is_write: bool | np.ndarray,
+        streams: np.ndarray | None = None,
+        num_streams: int = 1,
+    ) -> tuple[list[int], list[int], list[int], dict[int, int]]:
         """Time requests that all arrive at cycle 0, served in order per channel.
 
-        Returns the completion cycle, the row hits, the bank conflicts and
-        the busy cycles of each channel that served a request.
+        ``is_write`` is one flag, or one per request.  ``streams`` optionally
+        gives each request a stream id below ``num_streams``; the requests
+        of one stream are consecutive, and each stream is timed as if alone.
+        Returns, per stream, the completion cycle, the row hits and the bank
+        conflicts, and the busy cycles of each channel that served a
+        request, summed over the streams.
         """
         if addresses.size == 0:
-            return 0, 0, 0, {}
+            return [0] * num_streams, [0] * num_streams, [0] * num_streams, {}
         org, timing = self.spec.organization, self.spec.timing
         channel, _, bank, subarray, row, _ = self.mapper.decode_array(addresses)
         bank += channel * org.banks_per_chip  # one id per bank of the system
         n = bank.size
 
-        # A request hits when the previous access to its subarray opened the
-        # same row, and pays a precharge when that access opened another one.
+        # A request hits when the previous access to its subarray, in its
+        # stream, opened the same row, and pays a precharge when that access
+        # opened another one.
         num_banks = org.num_channels * org.banks_per_chip
         key = bank * self.subarrays_per_bank + subarray % self.subarrays_per_bank
-        by_subarray = stable_order(key, num_banks * self.subarrays_per_bank)
+        by_subarray = stable_order(
+            key, num_banks * self.subarrays_per_bank, streams, num_streams
+        )
         key, rows = key[by_subarray], row[by_subarray]
         follows = np.zeros(n, dtype=bool)
         np.equal(key[1:], key[:-1], out=follows[1:])
+        if streams is not None:
+            sorted_streams = streams[by_subarray]
+            follows[1:] &= sorted_streams[1:] == sorted_streams[:-1]
         same_row = np.zeros(n, dtype=bool)
         np.equal(rows[1:], rows[:-1], out=same_row[1:])
         hit = np.empty(n, dtype=bool)
         hit[by_subarray] = follows & same_row
         row_open = np.empty(n, dtype=bool)
         row_open[by_subarray] = follows
-        column = timing.tWR if is_write else timing.tCL
+        column = np.where(is_write, timing.tWR, timing.tCL)
         latency = np.where(hit, column + timing.tCCD, timing.tRCD + column + row_open * timing.tRP)
 
         # A bank serves its requests back to back: each starts once the
         # previous one is ready.  ``before`` is the latency of the requests
         # its bank served earlier, so a bank whose latest activation started
         # ``lag`` cycles after its own ``before`` frees up at ``before + lag``.
-        by_bank = stable_order(bank, num_banks)
+        # With streams, each stream has its own banks.
+        by_bank = stable_order(bank, num_banks, streams, num_streams)
         sorted_bank, sorted_latency = bank[by_bank], latency[by_bank]
         first = np.ones(n, dtype=bool)
         np.not_equal(sorted_bank[1:], sorted_bank[:-1], out=first[1:])
+        if streams is not None:
+            sorted_streams = streams[by_bank]
+            first[1:] |= sorted_streams[1:] != sorted_streams[:-1]
+            unit = bank + streams * num_banks  # one id per bank of each stream
+        else:
+            unit = bank
         firsts = np.flatnonzero(first)
         ahead = np.cumsum(sorted_latency) - sorted_latency
         before = np.empty(n, dtype=np.int64)
         before[by_bank] = ahead - ahead[firsts][np.cumsum(first) - 1]
 
         # Only activations wait on the tRRD/tFAW window, so the recurrence
-        # across banks walks each channel's activations in stream order.  An
-        # activation starts at the later of the window and its bank's free
-        # cycle, and conflicts when the bank, not the window, held it back.
+        # across banks walks each channel's activations in stream order, one
+        # stream at a time.  An activation starts at the later of the window
+        # and its bank's free cycle, and conflicts when the bank, not the
+        # window, held it back.
         activations = np.flatnonzero(~hit)
-        activation_channel = channel[activations]
-        activations = activations[stable_order(activation_channel, org.num_channels)]
-        banks, befores = bank[activations].tolist(), before[activations].tolist()
-        ends = np.cumsum(np.bincount(activation_channel, minlength=org.num_channels)).tolist()
-        lag = [0] * num_banks
+        group = channel[activations]  # (stream, channel) pairs, stream-major
+        if streams is not None:
+            group += streams[activations] * org.num_channels
+        num_groups = num_streams * org.num_channels
+        activations = activations[stable_order(group, num_groups)]
+        banks, befores = unit[activations].tolist(), before[activations].tolist()
+        ends = np.cumsum(np.bincount(group, minlength=num_groups)).tolist()
+        lag = [0] * (num_banks * num_streams)
         t_rrd, t_faw = timing.tRRD, timing.tFAW
-        bank_conflicts = begin = 0
-        for end in ends:
+        conflicts = [0] * num_streams
+        begin = 0
+        for group_index, end in enumerate(ends):
+            bank_conflicts = 0
             # The channel's last four activation starts, latest first; the
             # placeholder is the controller's "no activation yet" cycle.
             act1 = act2 = act3 = act4 = -(10**9)
@@ -248,29 +315,37 @@ class DRAMSystem:
                     bank_conflicts += 1
                 lag[b] = start - earlier
                 act4, act3, act2, act1 = act3, act2, act1, start
+            conflicts[group_index // org.num_channels] += bank_conflicts
             begin = end
 
         # A bank finishes its total latency after the lag of its last activation.
-        used = sorted_bank[firsts]
         bank_latency = np.add.reduceat(sorted_latency, firsts)
-        finish = bank_latency + np.asarray(lag, dtype=np.int64)[used]
-        used_channels = used // org.banks_per_chip
+        used_bank = sorted_bank[firsts]
+        used_unit = used_bank if streams is None else used_bank + sorted_streams[firsts] * num_banks
+        finish = bank_latency + np.asarray(lag, dtype=np.int64)[used_unit]
+        used_channels = used_bank // org.banks_per_chip
         busy = np.bincount(used_channels, weights=bank_latency).tolist()
         busy_cycles = {c: int(busy[c]) for c in sorted(set(used_channels.tolist()))}
-        return int(finish.max()), n - activations.size, bank_conflicts, busy_cycles
+        if streams is None:
+            return [int(finish.max())], [n - activations.size], conflicts, busy_cycles
+        used_stream = used_unit // num_banks
+        total_cycles = np.zeros(num_streams, dtype=np.int64)
+        np.maximum.at(total_cycles, used_stream, finish)
+        row_hits = np.bincount(streams.compress(hit), minlength=num_streams)
+        return total_cycles.tolist(), row_hits.tolist(), conflicts, busy_cycles
 
-    def _emit_metrics(self, result: TraceResult, busy_cycles: dict[int, int]) -> None:
-        """Record one serviced trace in the metrics registry (enabled-only).
+    def _emit_metrics(self, results: list[TraceResult], busy_cycles: dict[int, int]) -> None:
+        """Record serviced traces in the metrics registry (enabled-only).
 
         ``busy_cycles`` maps each channel that served a request to the sum
         of its requests' latencies.
         """
         metrics = get_metrics()
-        metrics.counter("dram.requests").inc(result.total_requests)
-        metrics.counter("dram.row_hits").inc(result.row_hits)
-        metrics.counter("dram.row_misses").inc(result.row_misses)
-        metrics.counter("dram.bank_conflicts").inc(result.bank_conflicts)
-        metrics.counter("dram.bytes_transferred").inc(result.bytes_transferred)
+        metrics.counter("dram.requests").inc(sum(r.total_requests for r in results))
+        metrics.counter("dram.row_hits").inc(sum(r.row_hits for r in results))
+        metrics.counter("dram.row_misses").inc(sum(r.row_misses for r in results))
+        metrics.counter("dram.bank_conflicts").inc(sum(r.bank_conflicts for r in results))
+        metrics.counter("dram.bytes_transferred").inc(sum(r.bytes_transferred for r in results))
         for channel, cycles in busy_cycles.items():
             metrics.counter(f"dram.channel{channel}.busy_cycles").inc(cycles)
 

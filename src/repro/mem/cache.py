@@ -43,7 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from typing import Any
+from typing import Any, overload
 
 import numpy as np
 from numpy.typing import NDArray
@@ -201,9 +201,9 @@ def _as_flags(flags: NDArray[Any] | None, n: int, name: str) -> NDArray[Any]:
 
 
 def _build_stats(
-    outcomes: NDArray[Any], writebacks: int, useful: int, dirty_left: int, config: CacheConfig
+    counts: NDArray[Any], writebacks: int, useful: int, dirty_left: int, config: CacheConfig
 ) -> CacheStats:
-    counts = np.bincount(outcomes, minlength=5)
+    """Stats from the per-outcome ``counts`` (``bincount`` of the outcome codes)."""
     return CacheStats(
         demand_accesses=int(counts[MISS] + counts[HIT] + counts[COALESCED]),
         hits=int(counts[HIT]),
@@ -219,12 +219,34 @@ def _build_stats(
     )
 
 
+@overload
 def simulate_cache(
     line_ids: NDArray[Any],
     config: CacheConfig,
     is_write: NDArray[Any] | None = None,
     is_prefetch: NDArray[Any] | None = None,
-) -> tuple[NDArray[Any], CacheStats]:
+    streams: None = None,
+) -> tuple[NDArray[Any], CacheStats]: ...
+
+
+@overload
+def simulate_cache(
+    line_ids: NDArray[Any],
+    config: CacheConfig,
+    is_write: NDArray[Any] | None = None,
+    is_prefetch: NDArray[Any] | None = None,
+    *,
+    streams: NDArray[Any],
+) -> tuple[NDArray[Any], list[CacheStats]]: ...
+
+
+def simulate_cache(
+    line_ids: NDArray[Any],
+    config: CacheConfig,
+    is_write: NDArray[Any] | None = None,
+    is_prefetch: NDArray[Any] | None = None,
+    streams: NDArray[Any] | None = None,
+) -> tuple[NDArray[Any], CacheStats | list[CacheStats]]:
     """Simulate a line-access stream; returns per-access outcomes and stats.
 
     Parameters
@@ -236,6 +258,12 @@ def simulate_cache(
         Cache geometry and policy.
     is_write / is_prefetch:
         Optional per-access flags (default all-reads, all-demand).
+    streams:
+        Optional stream id per access, non-decreasing: the accesses of one
+        stream are consecutive.  Each stream starts cold, on empty sets, and
+        ``stats`` is then a list with one :class:`CacheStats` per stream id
+        up to the last access's.  Every stream gets exactly the outcomes and
+        stats it would get alone.
 
     Returns
     -------
@@ -254,13 +282,18 @@ def simulate_cache(
     is the latest fill.  An access coalesces when it comes before its
     residency's fill completes (``fill position + 1 + mshr_latency``); the
     dirty and useful-prefetch rules are in the module docstring.  Write and
-    prefetch bookkeeping is skipped when no access is flagged.
+    prefetch bookkeeping is skipped when no access is flagged.  With
+    ``streams`` the sets of each stream are its own: accesses sort by
+    stream, then set, and one wave holds the next head of every used
+    (stream, set) pair, so all streams sweep together.
     """
     lines = np.asarray(line_ids, dtype=np.int64).ravel()
     n = lines.size
+    num_streams = 1 if streams is None else (int(streams[-1]) + 1 if n else 0)
     outcomes = np.empty(n, dtype=np.int8)
     if n == 0:
-        return outcomes, _build_stats(outcomes, 0, 0, 0, config)
+        empty = _build_stats(np.zeros(5, dtype=np.int64), 0, 0, 0, config)
+        return outcomes, (empty if streams is None else [])
     if lines.min() < 0:
         raise ValueError("line ids must be non-negative")
     writes = _as_flags(is_write, n, "is_write")
@@ -272,7 +305,7 @@ def simulate_cache(
     # fresh pages for a larger peak footprint cost as much as the passes.
     # Pass 1 — group accesses by set, keeping stream order inside each set.
     # ``by_set`` holds each sorted access's stream position: the LRU clock.
-    by_set = stable_order(lines % num_sets, num_sets)
+    by_set = stable_order(lines % num_sets, num_sets, streams, num_streams)
     sorted_lines = lines[by_set]
 
     # Pass 2 — runs of equal line ids in the set-sorted stream (equal lines
@@ -280,6 +313,9 @@ def simulate_cache(
     # members are hits or MSHR coalesces.  Prefetch accesses never merge: a
     # dropped prefetch must not refresh LRU state.
     head = np.append(True, sorted_lines[1:] != sorted_lines[:-1])
+    if streams is not None:
+        stream_sorted = streams[by_set]
+        head[1:] |= stream_sorted[1:] != stream_sorted[:-1]
     if has_prefetches:
         f_sorted = prefetches[by_set]
         head[1:] |= f_sorted[1:] | f_sorted[:-1]
@@ -288,29 +324,37 @@ def simulate_cache(
     run_end = np.append(head_idx[1:], n)
     line_h, p_h = sorted_lines[head_idx], by_set[head_idx]
     f_h = f_sorted[head_idx] if has_prefetches else np.zeros(num_runs, dtype=bool)
+    stream_h = None if streams is None else stream_sorted[head_idx]
     del sorted_lines, head
 
     # Pass 3 — wave schedule: a head's within-set ordinal is its index minus
     # the index of its set's first head (a prefix sum of per-set counts), and
     # wave t, one contiguous slice of the heads sorted by ordinal, holds the
     # t-th head of every set.  Sets are independent and appear at most once
-    # per wave, so each wave is one race-free vector step.
+    # per wave, so each wave is one race-free vector step.  With streams a
+    # "set" is a used (stream, set) pair, numbered densely in sorted order.
     set_h = line_h % num_sets
-    per_set = np.bincount(set_h, minlength=num_sets)
-    ordinal = np.arange(num_runs) - (per_set.cumsum() - per_set)[set_h]
+    if stream_h is None:
+        group_h, num_groups = set_h, num_sets
+    else:
+        new_group = (set_h[1:] != set_h[:-1]) | (stream_h[1:] != stream_h[:-1])
+        group_h = np.append(0, new_group.cumsum())
+        num_groups = int(group_h[-1]) + 1
+    per_set = np.bincount(group_h, minlength=num_groups)
+    ordinal = np.arange(num_runs) - (per_set.cumsum() - per_set)[group_h]
     by_wave = stable_order(ordinal, int(per_set.max()))
     bounds = np.bincount(ordinal).cumsum().tolist()
-    del set_h, ordinal
+    del ordinal
 
     # Pass 4 — the sweep over flat (set, way) slots: ``slot_g`` starts at
     # each head's set row and gains its way.  A -1 tag never matches and a
     # -1 last use makes LRU fill invalid ways first, lowest way first.
-    t_g, s_g = np.divmod(line_h[by_wave], num_sets)
+    t_g, s_g = line_h[by_wave] // num_sets, group_h[by_wave]
     lp_g, f_g = by_set[run_end[by_wave] - 1], f_h[by_wave]  # a run's last use
     slot_g, t_col = s_g * ways, t_g[:, None]
-    tag_state = np.full(num_sets * ways, -1, dtype=np.int64)
-    last_used = np.full(num_sets * ways, -1, dtype=np.int64)
-    tag_rows, lru_rows = tag_state.reshape(num_sets, ways), last_used.reshape(num_sets, ways)
+    tag_state = np.full(num_groups * ways, -1, dtype=np.int64)
+    last_used = np.full(num_groups * ways, -1, dtype=np.int64)
+    tag_rows, lru_rows = tag_state.reshape(num_groups, ways), last_used.reshape(num_groups, ways)
     lo = 0
     for hi in bounds:
         s, t, slot, lp = s_g[lo:hi], t_g[lo:hi], slot_g[lo:hi], lp_g[lo:hi]
@@ -325,10 +369,15 @@ def simulate_cache(
 
     # Pass 5 — residencies: among a slot's heads in stream order, a head is
     # a fill unless the head before it held the same line, and its residency
-    # is the latest fill.
+    # is the latest fill.  A stream's (set, way) order is its slot order.
     slot_h = np.empty(num_runs, dtype=np.int64)
     slot_h[by_wave] = slot_g
-    by_slot = stable_order(slot_h, num_sets * ways)
+    if stream_h is None:
+        by_slot = stable_order(slot_h, num_sets * ways)
+    else:
+        way_h = slot_h - group_h * ways
+        by_slot = stable_order(set_h * ways + way_h, num_sets * ways, stream_h, num_streams)
+    del set_h, group_h
     slot_s, line_s = slot_h[by_slot], line_h[by_slot]
     slot_end = np.append(slot_s[1:] != slot_s[:-1], True)
     fill_s = np.append(True, slot_end[:-1] | (line_s[1:] != line_s[:-1]))
@@ -337,7 +386,7 @@ def simulate_cache(
     residency, fill = np.empty(num_runs, dtype=np.intp), np.empty(num_runs, dtype=bool)
     residency[by_slot], fill[by_slot] = latest_fill, fill_s
     demand = ~f_h
-    writebacks = useful = dirty_left = 0
+    writebacks = useful = dirty_left = _tally(np.zeros(0, dtype=bool), stream_h, num_streams)
     if has_writes:
         # A residency is dirty when its fill or a demand touch wrote
         # (prefetch fills start clean); it ends with a writeback unless it
@@ -345,13 +394,15 @@ def simulate_cache(
         run_write = np.logical_or.reduceat(writes[by_set], head_idx)
         dirty = np.zeros(num_runs, dtype=bool)
         dirty[residency.compress(demand & run_write)] = True
-        dirty_left = int(np.count_nonzero(dirty[latest_fill.compress(slot_end)]))
-        writebacks = int(np.count_nonzero(dirty)) - dirty_left
+        cached = latest_fill.compress(slot_end)
+        cached_streams = None if stream_h is None else stream_h[cached]
+        dirty_left = _tally(dirty[cached], cached_streams, num_streams)
+        writebacks = _tally(dirty, stream_h, num_streams) - dirty_left
     if has_prefetches:
         # A prefetch-filled residency is useful once a demand access touches it.
         touched = np.zeros(num_runs, dtype=bool)
         touched[residency.compress(demand)] = True
-        useful = int(np.count_nonzero(touched & f_h))
+        useful = _tally(touched & f_h, stream_h, num_streams)
 
     # An access before its residency's fill completes coalesces into it.
     fill_done = (p_h[residency] + (1 + mshr)).repeat(run_end - head_idx)
@@ -360,7 +411,26 @@ def simulate_cache(
     if has_prefetches:
         out[head_idx.compress(f_h)] = np.where(fill[f_h], PREFETCH_FILL, PREFETCH_REDUNDANT)
     outcomes[by_set] = out
-    return outcomes, _build_stats(outcomes, writebacks, useful, dirty_left, config)
+    if streams is None:
+        counts = np.bincount(outcomes, minlength=5)
+        return outcomes, _build_stats(counts, int(writebacks), int(useful), int(dirty_left), config)
+    per_stream = np.bincount(streams * 5 + outcomes, minlength=5 * num_streams)
+    return outcomes, [
+        _build_stats(counts, w, u, d, config)
+        for counts, w, u, d in zip(
+            per_stream.reshape(num_streams, 5),
+            np.broadcast_to(writebacks, num_streams).tolist(),
+            np.broadcast_to(useful, num_streams).tolist(),
+            np.broadcast_to(dirty_left, num_streams).tolist(),
+        )
+    ]
+
+
+def _tally(mask: NDArray[Any], streams: NDArray[Any] | None, num_streams: int) -> Any:
+    """``mask``'s true entries, counted, or counted per stream with ``streams``."""
+    if streams is None:
+        return int(np.count_nonzero(mask))
+    return np.bincount(streams.compress(mask), minlength=num_streams)
 
 
 def simulate_cache_reference(
@@ -420,4 +490,5 @@ def simulate_cache_reference(
     dirty_left = sum(
         1 for ways_state in state.values() for w in ways_state if w[1] >= 0 and w[2]
     )
-    return outcomes, _build_stats(outcomes, writebacks, useful, dirty_left, config)
+    counts = np.bincount(outcomes, minlength=5)
+    return outcomes, _build_stats(counts, writebacks, useful, dirty_left, config)

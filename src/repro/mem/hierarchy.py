@@ -21,11 +21,14 @@ the DRAM banks:
 
 Every stage has a vectorized whole-stream engine and a retained per-access
 reference oracle (:meth:`CacheHierarchy.filter_stream_reference`), and the
-two are exactly equivalent on any input stream.
+two are exactly equivalent on any input stream.  The engines also take an
+optional stream id per point or access, so :meth:`CacheHierarchy.filter_streams`
+filters many streams in one pass, each as if it were alone.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from typing import Any
@@ -55,7 +58,9 @@ __all__ = [
 ]
 
 
-def scratchpad_filter(lines: NDArray[Any], capacity_lines: int) -> NDArray[Any]:
+def scratchpad_filter(
+    lines: NDArray[Any], capacity_lines: int, streams: NDArray[Any] | None = None
+) -> NDArray[Any]:
     """Mask of accesses that miss the L0 scratchpad window, shape ``(N, P)``.
 
     ``lines`` holds the line id of each of the ``P`` lookups of ``N``
@@ -64,6 +69,11 @@ def scratchpad_filter(lines: NDArray[Any], capacity_lines: int) -> NDArray[Any]:
     among the first ``capacity_lines`` distinct lines of the previous point
     (the lines the scratchpad still holds).  Equivalent to
     :func:`scratchpad_filter_reference`.
+
+    ``streams`` optionally gives each point a stream id; the points of one
+    stream are consecutive.  Each stream starts cold: its first point finds
+    the window empty, whatever the previous stream's last point held, so
+    every stream gets exactly the mask it would get alone.
 
     Blocks of points are transposed to ``(P, N)`` line matrices and take two
     broadcast compares of ``(P, P, N)`` bools.  The first matches each access
@@ -86,6 +96,9 @@ def scratchpad_filter(lines: NDArray[Any], capacity_lines: int) -> NDArray[Any]:
         by_point = np.ascontiguousarray(lines[start : lo + block].T)
         first = ~((by_point[:, None] == by_point[None]) & earlier).any(axis=1)
         held = first & (first.cumsum(axis=0) <= capacity_lines)
+        if streams is not None:  # a stream's last point holds nothing for the next
+            ids = streams[start : lo + block]
+            held[:, :-1] &= ids[1:] == ids[:-1]
         same_held = (by_point[:, None, 1:] == by_point[None, :, :-1]) & held[None, :, :-1]
         first[:, 1:] &= ~same_held.any(axis=1)
         emit[lo : lo + block] = first.T[lo - start :]
@@ -234,12 +247,12 @@ class CacheHierarchy:
         merged: NDArray[Any],
         is_prefetch: NDArray[Any],
         outcomes: NDArray[Any],
+        dram: NDArray[Any],
         cache_stats: CacheStats,
         entry_bytes: int,
     ) -> FilteredStream:
         num_points, per_point = lines.shape
         l0_accesses = int(lines.size)
-        dram = merged.compress((outcomes == MISS) | (outcomes == PREFETCH_FILL))
         l0_energy = self.scratchpad.access_energy_j(
             l0_accesses * entry_bytes + demand.size * self.cache.line_bytes
         )
@@ -266,38 +279,96 @@ class CacheHierarchy:
     def filter_stream(self, stream: RequestStream) -> FilteredStream:
         """Push one request stream through L0 + prefetcher + L1.
 
-        The stream's point shape, access kind (a ``WRITE`` stream models the
-        gradient-scatter direction: every demand access writes its line) and
-        ``entry_bytes`` (which only scales the scratchpad read energy) all
-        come from the IR.  Returns the :class:`FilteredStream` whose
-        ``dram_stream()`` is the only traffic the DRAM system still has to
-        service.
+        The one-stream case of :meth:`filter_streams`.  The stream's point
+        shape, access kind (a ``WRITE`` stream models the gradient-scatter
+        direction: every demand access writes its line) and ``entry_bytes``
+        (which only scales the scratchpad read energy) all come from the
+        IR.  Returns the :class:`FilteredStream` whose ``dram_stream()`` is
+        the only traffic the DRAM system still has to service.
+        """
+        return self.filter_streams([stream])[0]
+
+    def filter_streams(self, streams: Sequence[RequestStream]) -> list[FilteredStream]:
+        """Push each stream through L0 + prefetcher + L1 as if it were alone.
+
+        Every stream starts cold: an empty L0 window, no prefetch stride
+        history and empty cache sets, whatever the streams before it left
+        behind.  So each :class:`FilteredStream` equals
+        :meth:`filter_stream` of its stream, read and write streams mixed.
+        The streams must share their accesses per point (``ValueError``
+        otherwise): their line matrices are stacked and each engine runs
+        once, with a stream id per point or access.  When tracing, one
+        ``mem.filter_stream`` span (with the stream count in its args) and
+        one set of ``mem.*`` counters cover the call; the counters add up to
+        what one call per stream would count.
         """
         with get_tracer().span("mem.filter_stream", "mem") as span:
-            lines = self._lines(stream)
+            if not streams:
+                return []
+            if len({stream.accesses_per_point for stream in streams}) > 1:
+                raise ValueError("streams filtered in one call must share accesses per point")
+            lines = [self._lines(stream) for stream in streams]
+            points = [block.shape[0] for block in lines]
+            ids = None
+            if len(streams) > 1:
+                ids = np.repeat(np.arange(len(streams)), points)
+            stacked = lines[0] if ids is None else np.concatenate(lines)
             # ``compress``: several times faster than a long boolean index
-            demand = lines.compress(scratchpad_filter(lines, self.capacity_lines).ravel())
-            merged, is_prefetch = plan_prefetches(demand, self.prefetcher)
-            is_write = ~is_prefetch if stream.writes else None
-            outcomes, cache_stats = simulate_cache(merged, self.cache, is_write, is_prefetch)
-            filtered = self._assemble(
-                lines, demand, merged, is_prefetch, outcomes, cache_stats, stream.entry_bytes
-            )
-            if span.enabled:
-                stats = filtered.stats
-                span.add_args(
-                    points=stats.num_points, dram_lines=int(filtered.dram_lines.size)
+            kept = scratchpad_filter(stacked, self.capacity_lines, ids).ravel()
+            demand = stacked.compress(kept)
+            demand_ids = None if ids is None else ids.repeat(stacked.shape[1]).compress(kept)
+            merged, is_prefetch = plan_prefetches(demand, self.prefetcher, demand_ids)
+            writes = [stream.writes for stream in streams]
+            is_write = ~is_prefetch if any(writes) else None
+            if demand_ids is None:
+                outcomes, stats = simulate_cache(merged, self.cache, is_write, is_prefetch)
+                cache_stats = [stats]
+            else:
+                # A prefetch belongs to the stream of the demand access before it.
+                merged_ids = demand_ids[np.cumsum(~is_prefetch) - 1]
+                if is_write is not None and not all(writes):
+                    is_write &= np.asarray(writes)[merged_ids]
+                outcomes, cache_stats = simulate_cache(
+                    merged, self.cache, is_write, is_prefetch, streams=merged_ids
                 )
+                # Streams past the last one with an access are empty.
+                empty = CacheStats(line_bytes=self.cache.line_bytes)
+                cache_stats += [empty] * (len(streams) - len(cache_stats))
+            dram = merged.compress((outcomes == MISS) | (outcomes == PREFETCH_FILL))
+            # Each stream's slices, sized by its own counts.
+            filtered = []
+            demand_at = merged_at = dram_at = 0
+            for stream, block, stats in zip(streams, lines, cache_stats):
+                demand_to = demand_at + stats.demand_accesses
+                merged_to = merged_at + stats.demand_accesses + stats.prefetch_issued
+                dram_to = dram_at + stats.dram_line_fetches
+                filtered.append(
+                    self._assemble(
+                        block,
+                        demand[demand_at:demand_to],
+                        merged[merged_at:merged_to],
+                        is_prefetch[merged_at:merged_to],
+                        outcomes[merged_at:merged_to],
+                        dram[dram_at:dram_to],
+                        stats,
+                        stream.entry_bytes,
+                    )
+                )
+                demand_at, merged_at, dram_at = demand_to, merged_to, dram_to
+            if span.enabled:
+                span.add_args(streams=len(streams), points=sum(points), dram_lines=int(dram.size))
+                l0 = [f.stats for f in filtered]
+                cache = [f.stats.cache for f in filtered]
                 metrics = get_metrics()
-                metrics.counter("mem.l0_accesses").inc(stats.l0_accesses)
-                metrics.counter("mem.l0_hits").inc(stats.l0_hits)
-                metrics.counter("mem.cache_hits").inc(stats.cache.hits)
-                metrics.counter("mem.cache_misses").inc(stats.cache.misses)
-                metrics.counter("mem.cache_coalesced").inc(stats.cache.coalesced)
-                metrics.counter("mem.prefetch_fills").inc(stats.cache.prefetch_fills)
-                metrics.counter("mem.prefetch_useful").inc(stats.cache.prefetch_useful)
-                metrics.counter("mem.writebacks").inc(stats.cache.writebacks)
-                metrics.counter("mem.dram_line_fetches").inc(int(filtered.dram_lines.size))
+                metrics.counter("mem.l0_accesses").inc(sum(s.l0_accesses for s in l0))
+                metrics.counter("mem.l0_hits").inc(sum(s.l0_hits for s in l0))
+                metrics.counter("mem.cache_hits").inc(sum(s.hits for s in cache))
+                metrics.counter("mem.cache_misses").inc(sum(s.misses for s in cache))
+                metrics.counter("mem.cache_coalesced").inc(sum(s.coalesced for s in cache))
+                metrics.counter("mem.prefetch_fills").inc(sum(s.prefetch_fills for s in cache))
+                metrics.counter("mem.prefetch_useful").inc(sum(s.prefetch_useful for s in cache))
+                metrics.counter("mem.writebacks").inc(sum(s.writebacks for s in cache))
+                metrics.counter("mem.dram_line_fetches").inc(int(dram.size))
             return filtered
 
     def filter_stream_reference(self, stream: RequestStream) -> FilteredStream:
@@ -307,6 +378,7 @@ class CacheHierarchy:
         merged, is_prefetch = plan_prefetches_reference(demand, self.prefetcher)
         is_write = ~is_prefetch if stream.writes else None
         outcomes, cache_stats = simulate_cache_reference(merged, self.cache, is_write, is_prefetch)
+        dram = merged[(outcomes == MISS) | (outcomes == PREFETCH_FILL)]
         return self._assemble(
-            lines, demand, merged, is_prefetch, outcomes, cache_stats, stream.entry_bytes
+            lines, demand, merged, is_prefetch, outcomes, dram, cache_stats, stream.entry_bytes
         )

@@ -58,7 +58,7 @@ class PrefetcherConfig:
 
 
 def plan_prefetches(
-    line_ids: NDArray[Any], config: PrefetcherConfig
+    line_ids: NDArray[Any], config: PrefetcherConfig, streams: NDArray[Any] | None = None
 ) -> tuple[NDArray[Any], NDArray[Any]]:
     """Merge prefetch accesses into a demand line stream.
 
@@ -66,6 +66,12 @@ def plan_prefetches(
     placed directly after its triggering demand access.  Prefetch targets
     below line 0 are clamped out (not issued).  Exactly equivalent to
     :func:`plan_prefetches_reference`.
+
+    ``streams`` optionally gives each access a stream id; the accesses of
+    one stream are consecutive.  Each stream starts cold, with no last line
+    and no stride history, so its first access is a move and a stride is
+    confirmed only by moves of one stream.  A prefetch belongs to its
+    trigger's stream.
 
     Only the moves (accesses that switch to a new line) are planned: the
     triggering moves and their strides give a ``(moves, degree)`` target
@@ -77,13 +83,19 @@ def plan_prefetches(
     if config.policy == "none" or n == 0:
         return demand.copy(), np.zeros(n, dtype=bool)
 
-    moves = np.append(True, demand[1:] != demand[:-1]).nonzero()[0]
+    move = np.append(True, demand[1:] != demand[:-1])
+    if streams is not None:
+        move[1:] |= streams[1:] != streams[:-1]
+    moves = move.nonzero()[0]
     if config.policy == "next_line":
         fire, stride = moves, np.ones(1, dtype=np.int64)
     else:  # stride: confirmed when two consecutive moves repeat one delta
         visited = demand[moves]
         deltas = visited[1:] - visited[:-1]
         confirmed = deltas[1:] == deltas[:-1]
+        if streams is not None:  # three moves of one stream
+            visited_streams = streams[moves]
+            confirmed &= visited_streams[2:] == visited_streams[:-2]
         fire, stride = moves[2:][confirmed], deltas[1:][confirmed]
 
     targets = demand[fire][:, None] + np.multiply.outer(stride, np.arange(1, config.degree + 1))

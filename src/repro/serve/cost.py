@@ -16,6 +16,11 @@ Memory and compute overlap exactly as in :class:`repro.accel.nmp.StepCost`
 (``max(memory, compute)``), plus a fixed per-batch dispatch overhead — which
 is what makes batching worth it and what the fig14 throughput comparison
 against a per-request oracle measures.
+
+:meth:`ServiceCostModel.costs` prices many batches in a few passes through
+the same engines, each batch's stream starting cold (empty scratchpad
+window, no prefetch history, empty cache sets, idle DRAM banks), and gives
+each batch exactly what :meth:`cost` gives it.
 """
 
 from __future__ import annotations
@@ -36,9 +41,17 @@ from .workload import RenderRequest
 if TYPE_CHECKING:
     from collections.abc import Sequence
 
+    from ..dram.system import TraceResult
     from ..streams.ir import RequestStream
 
-__all__ = ["ServiceCost", "ServiceCostConfig", "ServiceCostModel"]
+__all__ = ["PASS_POINTS", "ServiceCost", "ServiceCostConfig", "ServiceCostModel"]
+
+#: Sample points :meth:`ServiceCostModel.costs` prices per memory-system
+#: pass.  A pass this size already amortizes the engines' per-call cost,
+#: and larger passes put their stream-length temporaries on fresh pages:
+#: on fig14-default batches, one pass over 38,000 points took ~8,000 minor
+#: faults and was ~25% slower than passes of 4,096 points, which took none.
+PASS_POINTS = 4096
 
 
 @dataclass(frozen=True)
@@ -165,17 +178,72 @@ class ServiceCostModel:
     def cost(
         self, requests: "Sequence[RenderRequest]", table: RequestTable | None = None
     ) -> ServiceCost:
-        """Service-latency breakdown of one coalesced batch (see :meth:`batch_stream`)."""
+        """Service-latency breakdown of one coalesced batch (see :meth:`batch_stream`).
+
+        What :meth:`costs` gives this batch, priced through the one-stream
+        :meth:`~repro.mem.hierarchy.CacheHierarchy.filter_stream` and
+        :meth:`~repro.dram.system.DRAMSystem.service_batch`.
+        """
         stream = self.batch_stream(requests, table)
         filtered = self.hierarchy.filter_stream(stream)
         lines = filtered.dram_stream()
         serviced = self.dram.service_batch(lines, size_bytes=self.config.line_bytes)
+        return self._service_cost(len(requests), stream.num_points, serviced)
+
+    def costs(
+        self,
+        batches: "Sequence[Sequence[RenderRequest]]",
+        table: RequestTable | None = None,
+    ) -> list[ServiceCost]:
+        """:meth:`cost` of every batch, priced in a few memory-system passes.
+
+        Each batch is priced as if it were alone: the hierarchy
+        (:meth:`~repro.mem.hierarchy.CacheHierarchy.filter_streams`) and
+        DRAM (:meth:`~repro.dram.system.DRAMSystem.service_batches`) start
+        every batch's stream cold, so the list equals one :meth:`cost` call
+        per batch.  Consecutive batches share a pass up to
+        :data:`PASS_POINTS` sample points.  Without ``table`` the batches'
+        requests are compiled together first.
+        """
+        if not batches:
+            return []
+        if table is None:
+            table = self.compile(list(dict.fromkeys(r for batch in batches for r in batch)))
+        prices: list[ServiceCost] = []
+        group: list[tuple[int, RequestStream]] = []
+        points = 0
+        for batch in batches:
+            stream = table.batch_stream(batch)
+            if group and points + stream.num_points > PASS_POINTS:
+                prices += self._price_pass(group)
+                group, points = [], 0
+            group.append((len(batch), stream))
+            points += stream.num_points
+        return prices + self._price_pass(group)
+
+    def _price_pass(self, batches: "list[tuple[int, RequestStream]]") -> list[ServiceCost]:
+        """Price ``(requests, stream)`` batches in one hierarchy and one DRAM call."""
+        filtered = self.hierarchy.filter_streams([stream for _, stream in batches])
+        serviced = self.dram.service_batches(
+            [f.dram_stream() for f in filtered], size_bytes=self.config.line_bytes
+        )
+        return [
+            self._service_cost(requests, stream.num_points, result)
+            for (requests, stream), result in zip(batches, serviced)
+        ]
+
+    def _service_cost(
+        self, num_requests: int, num_points: int, serviced: "TraceResult"
+    ) -> ServiceCost:
         dram_us = serviced.elapsed_ns * self.config.grid_levels / 1e3
-        compute_us = self.compute_us_per_point * stream.num_points
         return ServiceCost(
-            num_requests=len(requests),
-            num_points=stream.num_points,
+            num_requests=num_requests,
+            num_points=num_points,
             dram_us=float(dram_us),
-            compute_us=float(compute_us),
+            compute_us=self.compute_us(num_points),
             overhead_us=self.config.batch_overhead_us,
         )
+
+    def compute_us(self, num_points: int) -> float:
+        """Forward-MLP compute time of ``num_points`` sample points."""
+        return float(self.compute_us_per_point * num_points)

@@ -145,14 +145,27 @@ class BatchQueue:
 
     @property
     def earliest_admit_us(self) -> float:
-        """Admission time of the longest-waiting queued request."""
+        """Admission time of the longest-waiting queued request.
+
+        Offers never go back in time and every removal keeps admission
+        order, so that is the first entry's.
+        """
         if not self._entries:
             raise ValueError("queue is empty")
-        return min(entry.admit_us for entry in self._entries)
+        return self._entries[0].admit_us
 
     # -------------------------------------------------------------- admission
     def offer(self, request: RenderRequest, now_us: float) -> bool:
-        """Admit or reject an arriving request; returns ``True`` on admit."""
+        """Admit or reject an arriving request; returns ``True`` on admit.
+
+        ``now_us`` must not precede the last admission still queued
+        (``ValueError``): the event loop offers requests in arrival order.
+        """
+        if self._entries and now_us < self._entries[-1].admit_us:
+            raise ValueError(
+                f"offer at {now_us} us precedes the last admission at "
+                f"{self._entries[-1].admit_us} us"
+            )
         admission = self.config.admission
         if admission.max_queue_depth and len(self._entries) >= admission.max_queue_depth:
             return False

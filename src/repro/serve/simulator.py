@@ -9,6 +9,19 @@ non-empty, the next batch starts at
 ``max(server_free, earliest_admit + batch_window)`` — the queue only ever
 waits for the configured coalescing window, never idly.
 
+A batch's price depends only on its requests, but which batches form
+depends on the prices before them.  :func:`simulate_serving` therefore runs
+the one event loop twice.  The plan pass prices every batch as
+``overhead + compute``, the price it has whenever its memory time does not
+exceed its compute time; one :meth:`ServiceCostModel.costs` call then
+prices all the batches the plan formed in a few memory-system passes, each
+batch starting cold as if alone.  The exact pass takes each dispatch's
+price from that call when the plan formed the same batch, and from
+:meth:`ServiceCostModel.cost` when it did not, so results equal pricing
+batch by batch.  Until a batch is memory-bound both passes see the same
+clock and queue, so the plan forms every batch; after one, the schedules
+can part and the exact pass prices the rest alone.
+
 Everything is deterministic: arrivals are seeded, service times are modeled
 cycles, and the clock is purely virtual (no wall-clock reads), so the same
 configuration always produces byte-identical records.  Per-request latency
@@ -19,12 +32,13 @@ recorded as typed rows and — when tracing is enabled — emitted as
 
 from __future__ import annotations
 
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..obs import get_metrics, get_tracer
-from .cost import ServiceCostConfig, ServiceCostModel
+from ..obs import Tracer, get_metrics, get_tracer
+from .cost import ServiceCost, ServiceCostConfig, ServiceCostModel
 from .scheduler import BatchQueue, QueueEntry, SchedulerConfig
 from .workload import RenderRequest, ServeWorkloadConfig, generate_requests
 
@@ -38,6 +52,9 @@ __all__ = [
 
 #: Terminal states of a request.
 REQUEST_STATUSES = ("served", "shed", "rejected")
+
+#: The disabled tracer the plan pass runs under, whatever is enabled.
+_UNTRACED = Tracer()
 
 
 @dataclass(frozen=True)
@@ -205,6 +222,130 @@ def _cost_model(cost: ServiceCostConfig | None, model: ServiceCostModel | None) 
     return model
 
 
+def _batch_key(batch: list[RenderRequest]) -> tuple[int, ...]:
+    """A batch's requests, in batch order (request ids are unique in a run)."""
+    return tuple(request.request_id for request in batch)
+
+
+def _serve(
+    requests: Sequence[RenderRequest],
+    scheduler: SchedulerConfig,
+    price: Callable[[list[RenderRequest]], ServiceCost],
+    tracer: Tracer,
+) -> ServingResult:
+    """The event loop: admit, shed and dispatch ``requests``; ``price`` prices each batch.
+
+    Spans and metrics go to ``tracer`` and the metrics registry only when
+    ``tracer`` is enabled.
+    """
+    queue = BatchQueue(scheduler)
+    records: list[RequestRecord] = []
+    batches: list[BatchRecord] = []
+    depth_samples: list[int] = []
+    free_at = 0.0
+    next_arrival = 0
+
+    def admit_next() -> None:
+        nonlocal next_arrival
+        request = requests[next_arrival]
+        next_arrival += 1
+        if queue.offer(request, request.arrival_us):
+            depth_samples.append(queue.depth)
+        else:
+            records.append(_rejected_record(request))
+            if tracer.enabled:
+                get_metrics().counter("serve.rejected").inc()
+
+    while next_arrival < len(requests) or queue.depth:
+        if queue.depth == 0:
+            admit_next()
+            continue
+        dispatch_at = max(free_at, queue.earliest_admit_us + scheduler.batch_window_us)
+        if next_arrival < len(requests) and (
+            requests[next_arrival].arrival_us <= dispatch_at
+        ):
+            admit_next()
+            continue
+        expired = queue.shed_expired(dispatch_at)
+        for entry in expired:
+            records.append(_shed_record(entry, dispatch_at))
+            if tracer.enabled:
+                get_metrics().counter("serve.shed").inc()
+        if queue.depth == 0:
+            continue
+        earliest = queue.earliest_admit_us
+        if max(free_at, earliest + scheduler.batch_window_us) > dispatch_at:
+            # Shedding removed the oldest entries; re-evaluate the
+            # dispatch time (new arrivals may intervene first).
+            continue
+        depth_before = queue.depth
+        waiting = queue.entries if tracer.enabled else ()
+        entries = queue.next_batch()
+        if tracer.enabled:
+            _observe_dispatch(waiting, entries)
+        batch = [entry.request for entry in entries]
+        with tracer.span("serve.batch", "serve") as span:
+            batch_cost = price(batch)
+            if span.enabled:
+                span.set_cycles(int(batch_cost.total_us * 1e3))
+                span.add_args(
+                    requests=batch_cost.num_requests,
+                    points=batch_cost.num_points,
+                    dram_us=batch_cost.dram_us,
+                    compute_us=batch_cost.compute_us,
+                )
+        start = dispatch_at
+        finish = start + batch_cost.total_us
+        free_before = free_at
+        free_at = finish
+        batch_id = len(batches)
+        batches.append(
+            BatchRecord(
+                batch_id=batch_id,
+                start_us=start,
+                free_before_us=free_before,
+                earliest_admit_us=earliest,
+                num_requests=batch_cost.num_requests,
+                num_points=batch_cost.num_points,
+                service_us=batch_cost.total_us,
+                dram_us=batch_cost.dram_us,
+                compute_us=batch_cost.compute_us,
+                queue_depth_before=depth_before,
+            )
+        )
+        for entry in entries:
+            request = entry.request
+            records.append(
+                RequestRecord(
+                    request_id=request.request_id,
+                    tenant=request.tenant,
+                    arrival_us=request.arrival_us,
+                    num_points=request.num_points,
+                    status="served",
+                    start_us=start,
+                    finish_us=finish,
+                    queue_us=start - entry.admit_us,
+                    service_us=batch_cost.total_us,
+                    latency_us=finish - request.arrival_us,
+                    batch_id=batch_id,
+                )
+            )
+            if tracer.enabled:
+                get_metrics().counter("serve.served").inc()
+                get_metrics().histogram("serve.latency_us").observe(
+                    finish - request.arrival_us
+                )
+
+    records.sort(key=lambda r: r.request_id)
+    makespan = max((r.finish_us for r in records), default=0.0)
+    return ServingResult(
+        records=tuple(records),
+        batches=tuple(batches),
+        queue_depth_samples=tuple(depth_samples),
+        makespan_us=float(makespan),
+    )
+
+
 def simulate_serving(
     workload: ServeWorkloadConfig,
     scheduler: SchedulerConfig,
@@ -219,133 +360,63 @@ def simulate_serving(
     and a ``model`` built from another config raises ``ValueError``.
 
     Every request, served or not, is compiled to its lookup rows once up
-    front (:meth:`ServiceCostModel.compile`); each batch is then priced from
-    its requests' rows.
+    front (:meth:`ServiceCostModel.compile`).  The event loop then runs
+    twice.  The plan pass prices each batch as ``overhead + compute``, as if
+    memory were never the bottleneck, and one :meth:`ServiceCostModel.costs`
+    call prices every batch the plan formed.  The exact pass prices each
+    dispatch from that call when the plan formed the same batch (the same
+    requests in the same order), and with :meth:`ServiceCostModel.cost`
+    otherwise.  Every price comes from the cost model, so the result equals
+    the event loop priced batch by batch.  The plan forms every batch the
+    exact pass does whenever no batch's memory time exceeds its compute
+    time: a batch then takes ``overhead + compute`` in both passes, so both
+    see the same clock and the same queue at every dispatch.  The planned
+    prices live only inside this call.
+
+    When tracing, ``serve.planned_batches`` counts the batches the plan
+    priced and ``serve.plan_misses`` the dispatches priced alone; the plan
+    pass itself emits no span or metric.
     """
     cost_model = _cost_model(cost, model)
     tracer = get_tracer()
     with tracer.span("serve.simulate", "serve") as run_span:
         requests = generate_requests(workload)
         table = cost_model.compile(requests)
-        queue = BatchQueue(scheduler)
-        records: list[RequestRecord] = []
-        batches: list[BatchRecord] = []
-        depth_samples: list[int] = []
-        free_at = 0.0
-        next_arrival = 0
+        overhead_us = cost_model.config.batch_overhead_us
+        planned: list[list[RenderRequest]] = []
 
-        def admit_next() -> None:
-            nonlocal next_arrival
-            request = requests[next_arrival]
-            next_arrival += 1
-            if queue.offer(request, request.arrival_us):
-                depth_samples.append(queue.depth)
-            else:
-                records.append(_rejected_record(request))
-                if tracer.enabled:
-                    get_metrics().counter("serve.rejected").inc()
+        def compute_bound(batch: list[RenderRequest]) -> ServiceCost:
+            planned.append(batch)
+            points = sum(request.num_points for request in batch)
+            return ServiceCost(len(batch), points, 0.0, cost_model.compute_us(points), overhead_us)
 
-        while next_arrival < len(requests) or queue.depth:
-            if queue.depth == 0:
-                admit_next()
-                continue
-            dispatch_at = max(free_at, queue.earliest_admit_us + scheduler.batch_window_us)
-            if next_arrival < len(requests) and (
-                requests[next_arrival].arrival_us <= dispatch_at
-            ):
-                admit_next()
-                continue
-            expired = queue.shed_expired(dispatch_at)
-            for entry in expired:
-                records.append(_shed_record(entry, dispatch_at))
-                if tracer.enabled:
-                    get_metrics().counter("serve.shed").inc()
-            if queue.depth == 0:
-                continue
-            earliest = queue.earliest_admit_us
-            if max(free_at, earliest + scheduler.batch_window_us) > dispatch_at:
-                # Shedding removed the oldest entries; re-evaluate the
-                # dispatch time (new arrivals may intervene first).
-                continue
-            depth_before = queue.depth
-            waiting = queue.entries if tracer.enabled else ()
-            entries = queue.next_batch()
-            if tracer.enabled:
-                _observe_dispatch(waiting, entries)
-            batch = [entry.request for entry in entries]
-            with tracer.span("serve.batch", "serve") as span:
-                batch_cost = cost_model.cost(batch, table)
-                if span.enabled:
-                    span.set_cycles(int(batch_cost.total_us * 1e3))
-                    span.add_args(
-                        requests=batch_cost.num_requests,
-                        points=batch_cost.num_points,
-                        dram_us=batch_cost.dram_us,
-                        compute_us=batch_cost.compute_us,
-                    )
-            start = dispatch_at
-            finish = start + batch_cost.total_us
-            free_before = free_at
-            free_at = finish
-            batch_id = len(batches)
-            batches.append(
-                BatchRecord(
-                    batch_id=batch_id,
-                    start_us=start,
-                    free_before_us=free_before,
-                    earliest_admit_us=earliest,
-                    num_requests=batch_cost.num_requests,
-                    num_points=batch_cost.num_points,
-                    service_us=batch_cost.total_us,
-                    dram_us=batch_cost.dram_us,
-                    compute_us=batch_cost.compute_us,
-                    queue_depth_before=depth_before,
-                )
-            )
-            for entry in entries:
-                request = entry.request
-                records.append(
-                    RequestRecord(
-                        request_id=request.request_id,
-                        tenant=request.tenant,
-                        arrival_us=request.arrival_us,
-                        num_points=request.num_points,
-                        status="served",
-                        start_us=start,
-                        finish_us=finish,
-                        queue_us=start - entry.admit_us,
-                        service_us=batch_cost.total_us,
-                        latency_us=finish - request.arrival_us,
-                        batch_id=batch_id,
-                    )
-                )
-                if tracer.enabled:
-                    get_metrics().counter("serve.served").inc()
-                    get_metrics().histogram("serve.latency_us").observe(
-                        finish - request.arrival_us
-                    )
+        _serve(requests, scheduler, compute_bound, _UNTRACED)
+        prices = dict(zip(map(_batch_key, planned), cost_model.costs(planned, table)))
+        misses = 0
 
-        records.sort(key=lambda r: r.request_id)
-        makespan = max(
-            (r.finish_us for r in records), default=0.0
-        )
-        result = ServingResult(
-            records=tuple(records),
-            batches=tuple(batches),
-            queue_depth_samples=tuple(depth_samples),
-            makespan_us=float(makespan),
-        )
+        def exact(batch: list[RenderRequest]) -> ServiceCost:
+            nonlocal misses
+            price = prices.get(_batch_key(batch))
+            if price is None:
+                misses += 1
+                price = cost_model.cost(batch, table)
+            return price
+
+        result = _serve(requests, scheduler, exact, tracer)
         if run_span.enabled:
             summary = result.summary()
-            run_span.set_cycles(int(makespan * 1e3))
+            run_span.set_cycles(int(result.makespan_us * 1e3))
             run_span.add_args(
-                requests=len(records),
+                requests=len(result.records),
                 served=int(summary["served"]),
                 shed=int(summary["shed"]),
                 rejected=int(summary["rejected"]),
                 p99_latency_us=summary["p99_latency_us"],
             )
-            get_metrics().gauge("serve.p99_latency_us").set(summary["p99_latency_us"])
+            metrics = get_metrics()
+            metrics.gauge("serve.p99_latency_us").set(summary["p99_latency_us"])
+            metrics.counter("serve.planned_batches").inc(len(planned))
+            metrics.counter("serve.plan_misses").inc(misses)
         return result
 
 

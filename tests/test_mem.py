@@ -278,6 +278,75 @@ def test_hierarchy_write_streams_match_reference(rng):
     assert fast.stats.cache.writebacks + fast.stats.cache.dirty_lines_left > 0
 
 
+# ------------------------------------------- many streams, each as if alone
+@st.composite
+def _stream_hierarchies(draw):
+    """Every prefetch policy at degree 1-3 and MSHR 0-4, in front of a
+    cache of 1-8 sets or the default 32 KB one, behind a scratchpad of 1-8
+    lines, often fewer than a point's accesses."""
+    line_bytes = draw(st.sampled_from([32, 64]))
+    mshr = draw(st.integers(min_value=0, max_value=4))
+    if draw(st.booleans()):
+        ways = draw(st.sampled_from([1, 2, 4]))
+        sets = draw(st.sampled_from([1, 2, 8]))
+        cache = CacheConfig(line_bytes * ways * sets, line_bytes, ways, mshr)
+    else:
+        cache = CacheConfig(line_bytes=line_bytes, mshr_latency=mshr)
+    prefetcher = PrefetcherConfig(
+        draw(st.sampled_from(["none", "next_line", "stride"])),
+        draw(st.integers(min_value=1, max_value=3)),
+    )
+    lines = draw(st.integers(min_value=1, max_value=8))
+    return CacheHierarchy(cache, prefetcher, Scratchpad(capacity_bytes=line_bytes * lines))
+
+
+@st.composite
+def _stream_lists(draw):
+    """0-6 streams of one point shape over one table, READ or WRITE, some
+    empty.  Small tables make streams share lines with their neighbours, so
+    state carried across a stream boundary would change the outcomes."""
+    per_point = draw(st.integers(min_value=1, max_value=8))
+    entries = draw(st.sampled_from([4, 24, 4096]))
+    entry_bytes = draw(st.sampled_from([4, 16]))
+    streams = []
+    for _ in range(draw(st.integers(min_value=0, max_value=6))):
+        num_points = draw(st.sampled_from([0, 1, 2, 5, 12, 30]))
+        rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+        indices = rng.integers(0, entries, (num_points, per_point))
+        if draw(st.booleans()):  # strided runs, so the stride prefetcher fires
+            indices = np.sort(indices, axis=None).reshape(indices.shape)
+        kind = draw(st.sampled_from([StreamKind.READ, StreamKind.WRITE]))
+        streams.append(RequestStream(indices, entry_bytes, entries, kind=kind))
+    return streams
+
+
+@settings(max_examples=200, deadline=None)
+@given(hierarchy=_stream_hierarchies(), streams=_stream_lists())
+def test_filter_streams_filters_each_stream_as_if_alone(hierarchy, streams):
+    """Property: one ``filter_streams`` call gives every stream exactly the
+    filtered stream the per-access oracle gives it alone: each stream starts
+    with an empty L0 window, no stride history and empty cache sets."""
+    filtered = hierarchy.filter_streams(streams)
+    assert len(filtered) == len(streams)
+    for stream, fast in zip(streams, filtered):
+        oracle = hierarchy.filter_stream_reference(stream)
+        for name in ("demand_lines", "merged_lines", "is_prefetch", "outcomes", "dram_lines"):
+            actual, expected = getattr(fast, name), getattr(oracle, name)
+            np.testing.assert_array_equal(actual, expected, err_msg=name)
+            assert actual.dtype == expected.dtype, name
+        assert fast.stats == oracle.stats
+        assert fast.line_bytes == oracle.line_bytes
+
+
+def test_filter_streams_needs_one_point_shape():
+    hierarchy = CacheHierarchy()
+    eight = _gather_stream(np.arange(16).reshape(2, 8))
+    four = _gather_stream(np.arange(16).reshape(4, 4))
+    assert hierarchy.filter_streams([]) == []
+    with pytest.raises(ValueError, match="accesses per point"):
+        hierarchy.filter_streams([eight, four])
+
+
 # -------------------------------------------------------------- prefetcher
 @st.composite
 def _demand_streams(draw):

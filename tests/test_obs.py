@@ -319,6 +319,50 @@ def test_filter_stream_counts_what_the_cache_knobs_changed():
     assert all(expected.values())
 
 
+def test_bulk_calls_count_what_one_call_per_stream_counts():
+    """``filter_streams`` and ``service_batches`` open one span each, with
+    the stream count in its args, and their ``mem.*`` / ``dram.*`` counter
+    totals equal those of the single-stream methods called once per stream."""
+    rng = np.random.default_rng(7)
+    hierarchy = CacheHierarchy(
+        CacheConfig(capacity_bytes=2048, ways=2, mshr_latency=4), PrefetcherConfig("stride")
+    )
+    streams = [
+        RequestStream(
+            indices=rng.integers(0, 3_000, (points, 4)) * 4,
+            entry_bytes=4,
+            table_entries=12_000,
+            kind=kind,
+        )
+        for points, kind in [(60, StreamKind.WRITE), (0, StreamKind.READ), (90, StreamKind.READ)]
+    ]
+    dram = DRAMSystem()
+
+    def bulk() -> None:
+        filtered = hierarchy.filter_streams(streams)
+        dram.service_batches([f.dram_stream() for f in filtered], size_bytes=64)
+
+    def one_by_one() -> None:
+        for stream in streams:
+            dram.service_batch(hierarchy.filter_stream(stream).dram_stream(), size_bytes=64)
+
+    runs = []
+    for run in (bulk, one_by_one):
+        tracer, metrics = obs.enable(wall_clock=False)
+        run()
+        runs.append((tracer.events(), metrics.snapshot()["counters"]))
+        obs.disable()
+    (bulk_events, bulk_counts), (single_events, single_counts) = runs
+    assert bulk_counts == single_counts
+    assert bulk_counts["mem.writebacks"] > 0 and bulk_counts["dram.row_hits"] > 0
+    assert any(name.endswith(".busy_cycles") for name in bulk_counts)
+    assert [(e.name, dict(e.args)["streams"]) for e in bulk_events] == [
+        ("mem.filter_stream", 3),
+        ("dram.service_batch", 3),
+    ]
+    assert len(single_events) == 2 * len(streams)
+
+
 # ------------------------------------------------------------- determinism
 def test_serial_sweep_artifact_identical_with_obs_enabled():
     baseline = sweep("fig07", FIG07_GRID, executor="serial", extra_params=FIG07_EXTRA)

@@ -11,6 +11,7 @@ exactly reproduces the per-request G/G/1 reference oracle.
 from __future__ import annotations
 
 from dataclasses import replace
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -19,8 +20,13 @@ from hypothesis import strategies as st
 
 from repro import obs
 from repro.core.hashing import OriginalSpatialHash
+from repro.dram.system import DRAMSystem
+from repro.dram.trace import MemoryRequest, RequestType
+from repro.obs import Tracer
 from repro.pipeline.context import SimulationContext
 from repro.pipeline.registry import get_experiment
+from repro.serve import cost as serve_cost
+from repro.serve import simulator
 from repro.serve import stream as serve_stream
 from repro.serve import (
     AdmissionConfig,
@@ -51,6 +57,9 @@ SMALL_COST = ServiceCostConfig(
 SMALL_WORKLOAD = ServeWorkloadConfig(
     num_tenants=2, requests_per_tenant=12, mean_interarrival_us=20.0, rays_min=2, rays_max=6
 )
+#: fig14's cost model at 16 levels behind a 4 KB cache: most batches are
+#: DRAM-bound, so the compute-bound plan misses some dispatches.
+DRAM_BOUND = ServiceCostConfig(grid_levels=16, cache_kb=4)
 
 
 @pytest.fixture(scope="module")
@@ -204,6 +213,18 @@ def test_sjf_orders_small_jobs_first():
         queue.offer(_request(i, arrival=0.0, rays=rays, ppr=8), 0.0)
     batch = queue.next_batch()
     assert [e.request.request_id for e in batch] == [1]  # 8 points, then 5x8=40 > 32-8
+
+
+def test_offers_never_go_back_in_time():
+    """The earliest queued admission is the first entry's, so a queue refuses
+    an offer earlier than the last admission it still holds."""
+    queue = BatchQueue(SchedulerConfig(policy=BatchPolicy.SJF, max_batch_points=40))
+    for i, (arrival, rays) in enumerate([(1.0, 4), (2.0, 1), (3.0, 4)]):
+        queue.offer(_request(i, arrival=arrival, rays=rays), arrival)
+    assert [e.request.request_id for e in queue.next_batch()] == [1, 0]
+    assert queue.earliest_admit_us == 3.0
+    with pytest.raises(ValueError, match="precedes"):
+        queue.offer(_request(3, arrival=2.5), 2.5)
 
 
 def test_shed_expired_removes_only_timed_out_entries():
@@ -449,3 +470,151 @@ def test_dispatch_metrics_show_whether_the_batch_budget_binds(policy):
     assert counts[4096] == (0, 0)
     assert counts[256][0] > 0
     assert (counts[256][1] > 0) == (policy == "sjf")
+
+
+# ------------------------------------------------- one memory-system pass
+#: Cost models for the bulk-pricing properties, built once.
+COST_MODELS = [ServiceCostModel(SMALL_COST), ServiceCostModel(), ServiceCostModel(DRAM_BOUND)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(0, 2**16),
+    st.sampled_from(range(len(COST_MODELS))),
+    st.data(),
+)
+def test_costs_price_each_batch_as_if_alone(seed, model_index, data):
+    """Property: one ``costs`` call prices every batch exactly as ``cost``
+    does, and as the per-batch reference stream priced through the
+    per-access hierarchy oracle and the per-request DRAM oracle, whether
+    the batches share one pass or are split across several."""
+    model = COST_MODELS[model_index]
+    requests = generate_requests(
+        ServeWorkloadConfig(num_tenants=2, requests_per_tenant=4, rays_min=1, rays_max=6, seed=seed)
+    )
+    batch = st.lists(st.sampled_from(requests), min_size=1, max_size=4, unique=True)
+    batches = data.draw(st.lists(batch, max_size=6))
+    table = model.compile(requests)
+
+    pass_points = data.draw(st.sampled_from([1, 100, serve_cost.PASS_POINTS]))
+    with patch.object(serve_cost, "PASS_POINTS", pass_points):
+        prices = model.costs(batches, table)
+    assert prices == [model.cost(batch, table) for batch in batches]
+    assert model.costs(batches) == prices
+    capacity = model.dram.spec.organization.total_capacity_bytes
+    for batch, price in zip(batches, prices):
+        stream = batch_request_stream_reference(batch, model.grid, model.grid.hash_fn, model.level)
+        lines = model.hierarchy.filter_stream_reference(stream).dram_stream()
+        serviced = DRAMSystem(model.dram.spec).service_requests(
+            [MemoryRequest(int(a) % capacity, RequestType.READ, model.config.line_bytes)
+             for a in lines.addresses]
+        )
+        assert price.dram_us == float(serviced.elapsed_ns * model.config.grid_levels / 1e3)
+        assert price.compute_us == model.compute_us(stream.num_points)
+        assert (price.num_requests, price.num_points) == (len(batch), stream.num_points)
+
+
+def _priced_batch_by_batch(workload, scheduler, model, tracer=None):
+    """The simulator's event loop with every dispatch priced by ``cost``."""
+    requests = generate_requests(workload)
+    table = model.compile(requests)
+
+    def price(batch):
+        return model.cost(batch, table)
+
+    return simulator._serve(requests, scheduler, price, tracer or Tracer())
+
+
+#: Schedulers the plan must not change the outcome of: both policies, three
+#: budgets (one point dispatches every request alone), token and depth
+#: admission, and a coalescing window with a shedding timeout.
+PLAN_SCHEDULERS = [
+    SchedulerConfig(),
+    SchedulerConfig(policy=BatchPolicy.SJF, max_batch_points=256),
+    SchedulerConfig(max_batch_points=256),
+    SchedulerConfig(policy=BatchPolicy.SJF, max_batch_points=1),
+    SchedulerConfig(admission=AdmissionConfig(tokens_per_us=0.05, bucket_capacity=2.0)),
+    SchedulerConfig(policy=BatchPolicy.SJF, admission=AdmissionConfig(max_queue_depth=3)),
+    SchedulerConfig(batch_window_us=5.0, timeout_us=50.0),
+]
+
+
+@pytest.mark.parametrize("scheduler", PLAN_SCHEDULERS)
+@pytest.mark.parametrize("cost", [SMALL_COST, DRAM_BOUND], ids=["small", "dram_bound"])
+@pytest.mark.parametrize("load", [1.0, 4.0])
+def test_simulation_equals_the_loop_priced_batch_by_batch(scheduler, cost, load):
+    """Planning the schedule compute-bound and pricing it in one ``costs``
+    call gives the same result as pricing every dispatch with ``cost``."""
+    model = ServiceCostModel(cost)
+    workload = ServeWorkloadConfig(num_tenants=3, requests_per_tenant=10).at_load(load)
+    result = simulate_serving(workload, scheduler, model=model)
+    assert result == _priced_batch_by_batch(workload, scheduler, model)
+
+
+def _traced_fig14(params):
+    obs.enable(wall_clock=False)
+    try:
+        result = get_experiment("fig14_serving_latency").run(**params)
+        counters = obs.get_metrics().snapshot()["counters"]
+    finally:
+        obs.disable()
+    return result, counters
+
+
+def test_plan_foresees_every_dispatch_unless_memory_binds():
+    """On fig14's smoke workload no batch is DRAM-bound, so the plan forms
+    every batch and one ``costs`` call prices them all.  At 16 levels behind
+    a 4 KB cache DRAM binds: some dispatches fall back to ``cost``, and the
+    results still equal the uninstrumented run."""
+    spec = get_experiment("fig14_serving_latency")
+    smoke, counters = _traced_fig14(dict(spec.smoke))
+    dispatches = sum(row["num_batches"] for row in smoke.rows)
+    assert counters["serve.plan_misses"] == 0
+    assert counters["serve.planned_batches"] == dispatches
+
+    dram_bound = dict(spec.smoke, grid_levels=16, cache_kb=4, loads="1.0,4.0")
+    traced, counters = _traced_fig14(dram_bound)
+    assert 0 < counters["serve.plan_misses"] < sum(row["num_batches"] for row in traced.rows)
+    assert traced.to_json() == spec.run(**dram_bound).to_json()
+
+
+def _serving_metrics(run):
+    """The ``serve.*`` counters and histograms, and the ``serve.batch`` span
+    args, that ``run(tracer)`` records."""
+    tracer, metrics = obs.enable(wall_clock=False)
+    try:
+        run(tracer)
+        snapshot = metrics.snapshot()
+    finally:
+        obs.disable()
+    serving = {
+        name: value
+        for kind in ("counters", "histograms")
+        for name, value in snapshot[kind].items()
+        if name.startswith("serve.")
+    }
+    spans = [event.args for event in tracer.events() if event.name == "serve.batch"]
+    return serving, spans
+
+
+def test_plan_pass_emits_no_serving_metric():
+    """The traced ``serve.*`` counters and histograms and the batch spans are
+    those of the event loop priced batch by batch: the plan pass emits none."""
+    model = ServiceCostModel(SMALL_COST)
+    workload = SMALL_WORKLOAD.at_load(8.0)
+    scheduler = SchedulerConfig(
+        policy=BatchPolicy.SJF,
+        max_batch_points=64,
+        timeout_us=10.0,
+        admission=AdmissionConfig(max_queue_depth=4),
+    )
+    planned, planned_spans = _serving_metrics(
+        lambda tracer: simulate_serving(workload, scheduler, model=model)
+    )
+    alone, alone_spans = _serving_metrics(
+        lambda tracer: _priced_batch_by_batch(workload, scheduler, model, tracer)
+    )
+    assert planned.pop("serve.plan_misses") <= planned.pop("serve.planned_batches")
+    assert planned == alone
+    assert planned_spans == alone_spans
+    assert planned["serve.shed"] > 0 and planned["serve.rejected"] > 0

@@ -389,6 +389,41 @@ def test_stream_accounting_balances_through_hierarchy_and_dram(
     assert stats.l0_hits + stats.cache.demand_accesses == stats.l0_accesses
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    seeds=st.lists(st.integers(min_value=0, max_value=2**32 - 1), max_size=6),
+    burst=st.integers(min_value=16, max_value=4096),
+    spec=st.sampled_from(PROPERTY_DRAM_SPECS),
+    subarrays_per_bank=st.sampled_from([None, 1, 4, 7]),
+    data=st.data(),
+)
+def test_service_batches_time_each_stream_as_if_alone(
+    seeds, burst, spec, subarrays_per_bank, data
+):
+    """Property: one ``service_batches`` call times every stream exactly as
+    the per-request oracle times it alone, read and write streams mixed:
+    each stream starts on idle banks with empty tRRD/tFAW windows."""
+    streams = []
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        table_entries = int(rng.integers(1, 65 if data.draw(st.booleans()) else 1 << 16))
+        indices = rng.integers(0, table_entries, (data.draw(st.integers(0, 40)), 1))
+        if data.draw(st.booleans()):  # row-hit-heavy
+            indices = np.sort(indices, axis=None).reshape(indices.shape)
+        kind = data.draw(st.sampled_from([StreamKind.READ, StreamKind.WRITE]))
+        streams.append(RequestStream(indices, 64, table_entries, kind=kind))
+
+    results = DRAMSystem(spec, subarrays_per_bank).service_batches(streams, size_bytes=burst)
+    assert len(results) == len(streams)
+    capacity = DRAMSystem(spec).spec.organization.total_capacity_bytes
+    for stream, result in zip(streams, results):
+        request_type = RequestType.WRITE if stream.writes else RequestType.READ
+        oracle = DRAMSystem(spec, subarrays_per_bank).service_requests(
+            [MemoryRequest(int(a) % capacity, request_type, burst) for a in stream.addresses]
+        )
+        assert result == oracle
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     seed=st.integers(min_value=0, max_value=2**32 - 1),
