@@ -108,14 +108,6 @@ class BankMicroarchitecture:
         return dynamic + cfg.crossbar_power_mw + cfg.controller.power_mw + static_power
 
     # --------------------------------------------------------- throughput
-    @property
-    def int_peak_gops(self) -> float:
-        return self.config.int_pe_group.peak_gops
-
-    @property
-    def fp_peak_gops(self) -> float:
-        return self.config.fp_pe_group.peak_gops
-
     def compute_seconds(self, fp_ops: float, int_ops: float, efficiency: float = 0.8) -> float:
         """Time for a block of work using both PE groups in parallel."""
         fp_time = self.config.fp_pe_group.seconds_for(fp_ops, efficiency) if fp_ops else 0.0

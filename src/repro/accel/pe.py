@@ -54,10 +54,6 @@ class PEGroup:
     def peak_ops_per_second(self) -> float:
         return self.num_pes * self.frequency_mhz * 1e6 * self.ops_per_pe_per_cycle
 
-    @property
-    def peak_gops(self) -> float:
-        return self.peak_ops_per_second / 1e9
-
     def cycles_for(self, num_ops: float, efficiency: float = 1.0) -> float:
         """Cycles needed to execute ``num_ops`` operations on this group."""
         if num_ops < 0:

@@ -16,12 +16,14 @@ field annotations, and requires everything reachable to be ``frozen=True``.
 | RPR006 | registered experiments reuse context artifacts, never recompute  |
 | RPR008 | no ad-hoc print/logging in ``src/repro``; emit via ``repro.obs`` |
 | RPR009 | memory-system consumers take ``RequestStream``s, not inline arrays|
+| RPR010 | ``src/repro`` imports only stdlib, numpy and repro at module level  |
 """
 
 from __future__ import annotations
 
 import ast
 import re
+import sys
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -91,6 +93,14 @@ RULES: tuple[Rule, ...] = (
         "bypasses the typed request-stream IR (and its provenance, dtype and "
         "grouping); construct a RequestStream in a repro.streams front-end "
         "and pass that instead",
+    ),
+    Rule(
+        "RPR010",
+        "module-level imports are the standard library, numpy or repro",
+        "setup.py's install_requires lists numpy alone, so a module-level import "
+        "of any other package breaks `import repro` on a numpy-only install and "
+        "lengthens every CLI, worker and pool process start; import an optional "
+        "package inside the function that needs it",
     ),
 )
 
@@ -207,6 +217,11 @@ STREAM_BOUNDARY_EXEMPT_DIRS = (
 _STREAM_CONSUMERS = frozenset({"filter_stream", "filter_stream_reference", "service_batch"})
 
 _IDENTIFIER_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
+#: Top-level packages ``src/repro`` may import when a module loads: the
+#: standard library, numpy (``install_requires``) and the package itself.
+_MODULE_LEVEL_IMPORTS = frozenset(sys.stdlib_module_names) | {"numpy", "repro"}
+_TYPE_CHECKING = frozenset({"TYPE_CHECKING", "typing.TYPE_CHECKING"})
 
 
 # --------------------------------------------------------------------------
@@ -391,6 +406,7 @@ def run_file_rules(file: FileSource, index: ProjectIndex) -> Iterator[Finding]:
     yield from _rule_rpr006(file, resolver, index)
     yield from _rule_rpr008(file, resolver)
     yield from _rule_rpr009(file, resolver)
+    yield from _rule_rpr010(file, resolver)
 
 
 def _rule_rpr001(file: FileSource, resolver: NameResolver) -> Iterator[Finding]:
@@ -686,6 +702,45 @@ def _rule_rpr009(file: FileSource, resolver: NameResolver) -> Iterator[Finding]:
                 f"{reason} passed straight to {node.func.attr}() bypasses the "
                 "typed request-stream IR; build a repro.streams.RequestStream "
                 "(front-end or FilteredStream producer) and pass that",
+            )
+
+
+def _load_time_imports(tree: ast.Module, resolver: NameResolver) -> Iterator[tuple[ast.stmt, str]]:
+    """``(statement, module)`` of every absolute import run when the module loads.
+
+    Function bodies run later and ``if TYPE_CHECKING:`` bodies never run, so
+    both are skipped; class bodies and ``if``/``try``/``with`` blocks run.
+    """
+    stack: list[ast.AST] = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield node, alias.name
+        elif isinstance(node, ast.ImportFrom):
+            if node.level == 0 and node.module:
+                yield node, node.module
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        elif isinstance(node, ast.If) and resolver.resolve(node.test) in _TYPE_CHECKING:
+            stack.extend(node.orelse)
+        else:
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def _rule_rpr010(file: FileSource, resolver: NameResolver) -> Iterator[Finding]:
+    """``src/repro`` loads only the standard library, numpy and itself."""
+    if not file.rel.startswith("src/repro/"):
+        return
+    for node, module in _load_time_imports(file.tree, resolver):
+        if module.split(".")[0] not in _MODULE_LEVEL_IMPORTS:
+            yield _finding(
+                file,
+                node,
+                "RPR010",
+                f"module-level import of {module} needs a package setup.py does "
+                "not install (install_requires is numpy alone); import it inside "
+                "the function that uses it",
             )
 
 

@@ -96,14 +96,3 @@ class AddressMapper:
         bank = np.minimum(bank, self.org.banks_per_chip - 1)
         channel = np.minimum(channel, self.org.num_channels - 1)
         return channel, rank, bank, subarray, row, column
-
-    # ---------------------------------------------------------- utilities
-    def row_of(self, addresses: np.ndarray) -> np.ndarray:
-        """Global row identifier (unique across channel/bank/row) per address."""
-        channel, _, bank, _, row, _ = self.decode_array(addresses)
-        return ((row * self.org.num_channels + channel) * self.org.banks_per_chip) + bank
-
-    def bank_of(self, addresses: np.ndarray) -> np.ndarray:
-        """Flat bank identifier (channel-major) per address."""
-        channel, _, bank, _, _, _ = self.decode_array(addresses)
-        return channel * self.org.banks_per_chip + bank

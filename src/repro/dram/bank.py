@@ -114,10 +114,6 @@ class Bank:
         return AccessResult(ready, latency, row_hit, bank_conflict, subarray, start_cycle)
 
     # ------------------------------------------------------------ statistics
-    @property
-    def total_accesses(self) -> int:
-        return self.state.reads + self.state.writes
-
     def row_hit_rate(self) -> float:
         total = self.state.row_hits + self.state.row_misses
         return self.state.row_hits / total if total else 0.0

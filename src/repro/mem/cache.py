@@ -120,10 +120,6 @@ class CacheConfig:
     def num_sets(self) -> int:
         return self.capacity_bytes // (self.line_bytes * self.ways)
 
-    @property
-    def num_lines(self) -> int:
-        return self.capacity_bytes // self.line_bytes
-
     @classmethod
     def fully_associative(
         cls, capacity_bytes: int, line_bytes: int = 64, **kwargs: Any
@@ -159,25 +155,9 @@ class CacheStats:
         return self.hits / self.demand_accesses if self.demand_accesses else 0.0
 
     @property
-    def miss_rate(self) -> float:
-        return self.misses / self.demand_accesses if self.demand_accesses else 0.0
-
-    @property
     def dram_line_fetches(self) -> int:
         """Lines read from DRAM: demand misses plus prefetch fills."""
         return self.misses + self.prefetch_fills
-
-    @property
-    def dram_read_bytes(self) -> int:
-        return self.dram_line_fetches * self.line_bytes
-
-    @property
-    def dram_writeback_bytes(self) -> int:
-        return self.writebacks * self.line_bytes
-
-    @property
-    def dram_bytes(self) -> int:
-        return self.dram_read_bytes + self.dram_writeback_bytes
 
     @property
     def prefetch_accuracy(self) -> float:

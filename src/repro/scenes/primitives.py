@@ -11,6 +11,7 @@ produces the ground-truth images.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -26,20 +27,36 @@ __all__ = [
 ]
 
 
-def _norm(v: np.ndarray, axis: int = -1) -> np.ndarray:
-    return np.linalg.norm(v, axis=axis)
+def _offsets(points: np.ndarray, center: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The x, y and z components of ``points - center``, each contiguous."""
+    points = np.asarray(points)
+    center = np.asarray(center)
+    return tuple(points[..., i] - center[..., i] for i in range(3))
+
+
+def _length(*components: np.ndarray) -> np.ndarray:
+    """Euclidean length of a vector given as 2 or 3 component arrays.
+
+    Squares are summed left to right, the order of ``np.linalg.norm(v,
+    axis=-1)``, so the result equals it bit for bit.
+    """
+    total = components[0] * components[0]
+    for c in components[1:]:
+        total += c * c
+    return np.sqrt(total)
 
 
 def sphere_sdf(points: np.ndarray, center: np.ndarray, radius: float) -> np.ndarray:
     """Signed distance to a sphere."""
-    return _norm(points - np.asarray(center)) - radius
+    return _length(*_offsets(points, center)) - radius
 
 
 def box_sdf(points: np.ndarray, center: np.ndarray, half_extents: np.ndarray) -> np.ndarray:
     """Signed distance to an axis-aligned box."""
-    q = np.abs(points - np.asarray(center)) - np.asarray(half_extents)
-    outside = _norm(np.maximum(q, 0.0))
-    inside = np.minimum(np.max(q, axis=-1), 0.0)
+    half = np.asarray(half_extents)
+    qx, qy, qz = (np.abs(p) - half[..., i] for i, p in enumerate(_offsets(points, center)))
+    outside = _length(np.maximum(qx, 0.0), np.maximum(qy, 0.0), np.maximum(qz, 0.0))
+    inside = np.minimum(np.maximum(np.maximum(qx, qy), qz), 0.0)
     return outside + inside
 
 
@@ -47,22 +64,19 @@ def torus_sdf(
     points: np.ndarray, center: np.ndarray, major_radius: float, minor_radius: float
 ) -> np.ndarray:
     """Signed distance to a torus lying in the xz-plane."""
-    p = points - np.asarray(center)
-    q_x = _norm(p[..., [0, 2]]) - major_radius
-    q = np.stack([q_x, p[..., 1]], axis=-1)
-    return _norm(q) - minor_radius
+    x, y, z = _offsets(points, center)
+    return _length(_length(x, z) - major_radius, y) - minor_radius
 
 
 def cylinder_sdf(
     points: np.ndarray, center: np.ndarray, radius: float, half_height: float
 ) -> np.ndarray:
     """Signed distance to a vertical (y-axis) capped cylinder."""
-    p = points - np.asarray(center)
-    d_radial = _norm(p[..., [0, 2]]) - radius
-    d_vertical = np.abs(p[..., 1]) - half_height
-    d = np.stack([d_radial, d_vertical], axis=-1)
-    outside = _norm(np.maximum(d, 0.0))
-    inside = np.minimum(np.max(d, axis=-1), 0.0)
+    x, y, z = _offsets(points, center)
+    d_radial = _length(x, z) - radius
+    d_vertical = np.abs(y) - half_height
+    outside = _length(np.maximum(d_radial, 0.0), np.maximum(d_vertical, 0.0))
+    inside = np.minimum(np.maximum(d_radial, d_vertical), 0.0)
     return outside + inside
 
 
@@ -121,38 +135,44 @@ class SDFScene:
         self.primitives = list(primitives)
         self.tint_frequency = float(tint_frequency)
 
+    def _densities(self, points: np.ndarray) -> Iterator[np.ndarray]:
+        """Each primitive's density at ``points``, in primitive order."""
+        for prim in self.primitives:
+            yield prim.density(points)
+
     def density(self, points: np.ndarray) -> np.ndarray:
         """Total volumetric density, shape ``(N,)``."""
         points = np.asarray(points, dtype=np.float64)
         total = np.zeros(points.shape[:-1], dtype=np.float64)
-        for prim in self.primitives:
-            total += prim.density(points)
+        for sigma in self._densities(points):
+            total += sigma
         return total
 
     def color(self, points: np.ndarray) -> np.ndarray:
         """Albedo color at each point, shape ``(N, 3)``."""
-        points = np.asarray(points, dtype=np.float64)
-        weights = np.zeros(points.shape[:-1] + (len(self.primitives),), dtype=np.float64)
-        colors = np.zeros((len(self.primitives), 3), dtype=np.float64)
-        for i, prim in enumerate(self.primitives):
-            weights[..., i] = prim.density(points) + 1e-9
-            colors[i] = prim.color
-        weights = weights / weights.sum(axis=-1, keepdims=True)
-        base = weights @ colors
-        if self.tint_frequency > 0:
-            tint = 0.12 * np.sin(self.tint_frequency * np.pi * points)
-            base = np.clip(base + tint, 0.0, 1.0)
-        return base
+        return self.radiance(points)[1]
 
     def radiance(
         self, points: np.ndarray, directions: np.ndarray | None = None
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Convenience: ``(density, color)`` with an optional view-dependent sheen."""
-        sigma = self.density(points)
-        rgb = self.color(points)
+        """``(density, color)`` from one pass over the primitives.
+
+        With ``directions``, the color gains a mild view-dependent sheen.
+        """
+        points = np.asarray(points, dtype=np.float64)
+        total = np.zeros(points.shape[:-1], dtype=np.float64)
+        weights = np.empty(points.shape[:-1] + (len(self.primitives),), dtype=np.float64)
+        for i, sigma in enumerate(self._densities(points)):
+            total += sigma
+            weights[..., i] = sigma + 1e-9
+        weights = weights / weights.sum(axis=-1, keepdims=True)
+        rgb = weights @ np.array([prim.color for prim in self.primitives], dtype=np.float64)
+        if self.tint_frequency > 0:
+            tint = 0.12 * np.sin(self.tint_frequency * np.pi * points)
+            rgb = np.clip(rgb + tint, 0.0, 1.0)
         if directions is not None:
             directions = np.asarray(directions, dtype=np.float64)
             # Mild view-dependent brightening so view direction matters.
             sheen = 0.05 * (directions[..., 1:2] + 1.0)
             rgb = np.clip(rgb + sheen, 0.0, 1.0)
-        return sigma, rgb
+        return total, rgb

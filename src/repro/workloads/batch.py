@@ -36,10 +36,6 @@ class BatchGeometry:
         return self.points_per_iteration // self.points_per_ray
 
     @property
-    def total_points_per_scene(self) -> int:
-        return self.points_per_iteration * self.iterations_per_scene
-
-    @property
     def input_bytes_per_iteration(self) -> int:
         """Bytes of raw point inputs (position + direction) per iteration."""
         return self.points_per_iteration * (self.position_bytes + self.direction_bytes)

@@ -293,6 +293,47 @@ def test_rpr009_silent_on_streams_and_plumbed_values():
     assert lint_snippet(raw, rel="src/repro/streams/ir.py").ok
 
 
+# ----------------------------------------------------------------- RPR010
+
+
+def test_rpr010_fires_on_load_time_imports_outside_numpy_and_stdlib():
+    result = lint_snippet(
+        "import numpy as np\n"
+        "from scipy.ndimage import uniform_filter\n"
+        "import json, pandas as pd\n"
+        "try:\n"
+        "    import numba\n"
+        "except ImportError:\n"
+        "    numba = None\n"
+        "class Plot:\n"
+        "    import matplotlib.pyplot as plt\n"
+    )
+    assert rule_ids(result) == ["RPR010"] * 4
+    assert "scipy.ndimage" in result.findings[0].message
+    assert "install_requires" in result.findings[0].message
+
+
+def test_rpr010_silent_on_stdlib_numpy_repro_lazy_and_type_checking_imports():
+    code = (
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "from typing import TYPE_CHECKING\n"
+        "import numpy as np\n"
+        "from numpy.lib import stride_tricks\n"
+        "from repro.core import hashing\n"
+        "from . import sibling\n"
+        "if TYPE_CHECKING:\n"
+        "    import pandas\n"
+        "def smooth(x):\n"
+        "    from scipy.ndimage import uniform_filter\n"
+        "    return uniform_filter(x, 7)\n"
+    )
+    assert lint_snippet(code).ok
+    # Only the installed package is held to install_requires.
+    assert lint_snippet("import pytest\n", rel="benchmarks/conftest.py").ok
+    assert lint_snippet("import hypothesis\n", rel="tests/test_example.py").ok
+
+
 # ----------------------------------------------------------------- waivers
 
 
@@ -358,6 +399,7 @@ def test_every_rule_has_docs_and_both_fixtures_exist():
         "RPR006",
         "RPR008",
         "RPR009",
+        "RPR010",
     ]
     for rule in RULES:
         assert rule.summary and rule.rationale
@@ -374,6 +416,7 @@ def test_cli_exit_codes_and_github_format(tmp_path, capsys):
     assert lint_main([str(clean), "--root", str(tmp_path)]) == 0
     assert lint_main([str(bad), "--root", str(tmp_path), "--rules", "RPR999"]) == 2
     assert lint_main(["--list-rules"]) == 0
+    assert "RPR010" in capsys.readouterr().out
 
 
 def test_python_m_repro_lint_is_wired():

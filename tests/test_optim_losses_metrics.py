@@ -7,7 +7,7 @@ import pytest
 
 from repro.nerf.adam import Adam
 from repro.nerf.losses import huber_loss, mse_loss
-from repro.nerf.metrics import mse, psnr, ssim
+from repro.nerf.metrics import _uniform_filter, mse, psnr, ssim
 
 
 def test_adam_minimises_quadratic():
@@ -103,3 +103,41 @@ def test_ssim_bounds_and_identity():
     assert value < 0.9
     with pytest.raises(ValueError):
         ssim(image, other[:12])
+
+
+@pytest.mark.parametrize("window", [1, 2, 3, 4, 7, 8, 11])
+@pytest.mark.parametrize("shape", [(24, 24), (5, 4), (1, 9), (17, 33)])
+def test_box_filter_matches_scipy_uniform_filter(shape, window):
+    ndimage = pytest.importorskip("scipy.ndimage")
+    image = np.random.default_rng(window).uniform(0, 1, shape)
+    filtered = _uniform_filter(image, window)
+    assert filtered.shape == image.shape
+    np.testing.assert_allclose(filtered, ndimage.uniform_filter(image, window), rtol=0, atol=1e-12)
+
+
+def test_ssim_matches_the_scipy_filtered_formula():
+    ndimage = pytest.importorskip("scipy.ndimage")
+    rng = np.random.default_rng(3)
+    x = rng.uniform(0, 1, (19, 23))
+    y = np.clip(x + rng.normal(0, 0.1, x.shape), 0, 1)
+    c1, c2 = 0.01**2, 0.03**2
+    for window in (4, 7):
+        mu_x = ndimage.uniform_filter(x, window)
+        mu_y = ndimage.uniform_filter(y, window)
+        sigma_x = ndimage.uniform_filter(x * x, window) - mu_x**2
+        sigma_y = ndimage.uniform_filter(y * y, window) - mu_y**2
+        sigma_xy = ndimage.uniform_filter(x * y, window) - mu_x * mu_y
+        expected = np.mean(
+            ((2 * mu_x * mu_y + c1) * (2 * sigma_xy + c2))
+            / ((mu_x**2 + mu_y**2 + c1) * (sigma_x + sigma_y + c2))
+        )
+        assert ssim(x, y, window=window) == pytest.approx(expected, rel=0, abs=1e-12)
+
+
+def test_ssim_of_an_image_with_itself_is_exactly_one():
+    rng = np.random.default_rng(4)
+    for shape, window in (((5, 4), 7), ((24, 24, 3), 7), ((16, 12), 4)):
+        image = rng.uniform(0, 1, shape)
+        assert ssim(image, image, window=window) == 1.0
+    with pytest.raises(ValueError):
+        ssim(image, image, window=0)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from repro.scenes.camera import CameraIntrinsics, look_at, poses_on_sphere
 from repro.scenes.library import SCENE_NAMES, available_scenes, build_scene
@@ -97,6 +98,123 @@ def test_scene_radiance_view_dependence():
     _, rgb_up = scene.radiance(points, up)
     _, rgb_down = scene.radiance(points, down)
     assert rgb_up.mean() >= rgb_down.mean()
+
+
+# ---------------------------------------------------------------------------
+# Bit-identity of the SDFs and of the one-pass radiance.  The oracles are the
+# axis-reduction forms: ``np.linalg.norm(..., axis=-1)`` and ``np.max(...,
+# axis=-1)`` over stacked components, and a color loop that evaluates every
+# primitive again.
+
+
+def _norm_oracle(v):
+    return np.linalg.norm(v, axis=-1)
+
+
+def _sphere_oracle(points, center, radius):
+    return _norm_oracle(points - np.asarray(center)) - radius
+
+
+def _box_oracle(points, center, half_extents):
+    q = np.abs(points - np.asarray(center)) - np.asarray(half_extents)
+    return _norm_oracle(np.maximum(q, 0.0)) + np.minimum(np.max(q, axis=-1), 0.0)
+
+
+def _torus_oracle(points, center, major_radius, minor_radius):
+    p = points - np.asarray(center)
+    q = np.stack([_norm_oracle(p[..., [0, 2]]) - major_radius, p[..., 1]], axis=-1)
+    return _norm_oracle(q) - minor_radius
+
+
+def _cylinder_oracle(points, center, radius, half_height):
+    p = points - np.asarray(center)
+    d = np.stack([_norm_oracle(p[..., [0, 2]]) - radius, np.abs(p[..., 1]) - half_height], axis=-1)
+    return _norm_oracle(np.maximum(d, 0.0)) + np.minimum(np.max(d, axis=-1), 0.0)
+
+
+def _color_oracle(scene, points):
+    weights = np.zeros(points.shape[:-1] + (len(scene.primitives),))
+    for i, prim in enumerate(scene.primitives):
+        weights[..., i] = prim.density(points) + 1e-9
+    weights = weights / weights.sum(axis=-1, keepdims=True)
+    base = weights @ np.array([prim.color for prim in scene.primitives])
+    if scene.tint_frequency > 0:
+        base = np.clip(base + 0.12 * np.sin(scene.tint_frequency * np.pi * points), 0.0, 1.0)
+    return base
+
+
+_SPECIAL = st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan])
+_COORD = st.one_of(
+    st.floats(-3.0, 3.0, width=64),
+    st.floats(allow_nan=False, allow_infinity=False, width=64),
+    _SPECIAL,
+)
+_SHAPES = st.one_of(
+    st.just((3,)),
+    st.integers(0, 24).map(lambda n: (n, 3)),
+    st.integers(0, 6).map(lambda n: (2, n, 3)),
+)
+_PARAM = st.floats(-1.0, 1.0, width=64)
+_POSITIVE = st.floats(0.0, 1.0, width=64)
+
+
+def _same_bits(actual, expected):
+    """Equal bytes, except that a NaN matches any NaN.
+
+    IEEE 754 leaves the sign and payload of a NaN result unspecified, and
+    numpy's scalar and vector loops pick them differently; a NaN input
+    therefore has to give a NaN, not a particular one.
+    """
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    if actual.dtype != expected.dtype or actual.shape != expected.shape:
+        return False
+    nan = np.isnan(expected)
+    if not np.array_equal(np.isnan(actual), nan):
+        return False
+    return actual[~nan].tobytes() == expected[~nan].tobytes()
+
+
+@given(
+    points=_SHAPES.flatmap(lambda shape: arrays(np.float64, shape, elements=_COORD)),
+    center=st.lists(_PARAM, min_size=3, max_size=3),
+    half_extents=st.lists(_POSITIVE, min_size=3, max_size=3),
+    radii=st.tuples(_POSITIVE, _POSITIVE),
+)
+@settings(max_examples=200, deadline=None)
+def test_sdfs_are_bit_identical_to_their_axis_reduction_forms(points, center, half_extents, radii):
+    big, small = radii
+    cases = [
+        (sphere_sdf, _sphere_oracle, (center, big)),
+        (box_sdf, _box_oracle, (center, half_extents)),
+        (torus_sdf, _torus_oracle, (center, big, small)),
+        (cylinder_sdf, _cylinder_oracle, (center, big, small)),
+    ]
+    for sdf, oracle, args in cases:
+        with np.errstate(all="ignore"):
+            actual, expected = sdf(points, *args), oracle(points, *args)
+        assert _same_bits(actual, expected), (sdf.__name__, actual, expected)
+
+
+@given(
+    name=st.sampled_from(SCENE_NAMES),
+    points=st.integers(0, 32).flatmap(
+        lambda n: arrays(np.float64, (n, 3), elements=st.one_of(st.floats(-1.5, 1.5), _SPECIAL))
+    ),
+    seed=st.integers(0, 2**16),
+)
+@settings(max_examples=100, deadline=None)
+def test_radiance_is_bit_identical_to_density_and_color(name, points, seed):
+    scene = build_scene(name)
+    directions = np.random.default_rng(seed).normal(size=points.shape)
+    with np.errstate(invalid="ignore"):
+        sigma, rgb = scene.radiance(points, directions)
+        color = scene.color(points)
+        expected_color = _color_oracle(scene, points)
+        undirected = scene.radiance(points)[1]
+    assert _same_bits(sigma, scene.density(points))
+    assert _same_bits(color, expected_color)
+    assert _same_bits(rgb, np.clip(color + 0.05 * (directions[..., 1:2] + 1.0), 0.0, 1.0))
+    assert _same_bits(undirected, color)
 
 
 def test_camera_intrinsics_from_fov():
