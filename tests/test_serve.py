@@ -578,6 +578,107 @@ def test_plan_foresees_every_dispatch_unless_memory_binds():
     assert traced.to_json() == spec.run(**dram_bound).to_json()
 
 
+#: fig14's traced ``mem.*``, ``dram.*`` and ``serve.*`` counter totals, and
+#: per memory-system span the calls and the streams they price, at the smoke
+#: scale and at the DRAM-bound preset.  Literal values: any rewrite of the
+#: bulk pass must keep this accounting.
+FIG14_ACCOUNTING = {
+    "smoke": (
+        {},
+        {
+            "dram.bank_conflicts": 34,
+            "dram.bytes_transferred": 10_310_400,
+            "dram.channel0.busy_cycles": 216_552,
+            "dram.channel1.busy_cycles": 222_968,
+            "dram.channel2.busy_cycles": 218_792,
+            "dram.channel3.busy_cycles": 214_448,
+            "dram.channel4.busy_cycles": 211_904,
+            "dram.channel5.busy_cycles": 230_144,
+            "dram.channel6.busy_cycles": 218_776,
+            "dram.channel7.busy_cycles": 216_992,
+            "dram.requests": 161_100,
+            "dram.row_hits": 115_444,
+            "dram.row_misses": 45_656,
+            "mem.cache_coalesced": 1_022,
+            "mem.cache_hits": 25_008,
+            "mem.cache_misses": 159_832,
+            "mem.dram_line_fetches": 161_100,
+            "mem.l0_accesses": 485_888,
+            "mem.l0_hits": 300_026,
+            "mem.prefetch_fills": 1_268,
+            "mem.prefetch_useful": 866,
+            "mem.writebacks": 0,
+            "serve.budget_limited": 0,
+            "serve.plan_misses": 0,
+            "serve.planned_batches": 536,
+            "serve.reordered": 0,
+            "serve.served": 768,
+        },
+        {"mem.filter_stream": (16, 536), "dram.service_batch": (16, 536)},
+    ),
+    "dram_bound": (
+        {"grid_levels": 16, "cache_kb": 4, "loads": "1.0,4.0"},
+        {
+            "dram.bank_conflicts": 154,
+            "dram.bytes_transferred": 21_033_600,
+            "dram.channel0.busy_cycles": 454_552,
+            "dram.channel1.busy_cycles": 454_600,
+            "dram.channel2.busy_cycles": 478_784,
+            "dram.channel3.busy_cycles": 467_264,
+            "dram.channel4.busy_cycles": 437_672,
+            "dram.channel5.busy_cycles": 472_680,
+            "dram.channel6.busy_cycles": 463_208,
+            "dram.channel7.busy_cycles": 482_200,
+            "dram.requests": 328_650,
+            "dram.row_hits": 270_440,
+            "dram.row_misses": 58_210,
+            "mem.cache_coalesced": 900,
+            "mem.cache_hits": 10_324,
+            "mem.cache_misses": 309_178,
+            "mem.dram_line_fetches": 328_650,
+            "mem.l0_accesses": 761_856,
+            "mem.l0_hits": 441_454,
+            "mem.prefetch_fills": 19_472,
+            "mem.prefetch_useful": 1_310,
+            "mem.writebacks": 0,
+            "serve.budget_limited": 0,
+            "serve.plan_misses": 108,
+            "serve.planned_batches": 504,
+            "serve.reordered": 0,
+            "serve.served": 768,
+        },
+        {"mem.filter_stream": (124, 612), "dram.service_batch": (124, 612)},
+    ),
+}
+
+
+@pytest.mark.parametrize("preset", sorted(FIG14_ACCOUNTING))
+def test_traced_fig14_accounting_is_pinned(preset):
+    """A traced fig14 run counts exactly the recorded memory, DRAM and
+    serving totals, and opens one ``mem.filter_stream`` and one
+    ``dram.service_batch`` span per memory-system pass: one per bulk pass
+    and one per plan miss, whose ``streams`` args add up to the batches
+    priced."""
+    overrides, expected, spans = FIG14_ACCOUNTING[preset]
+    spec = get_experiment("fig14_serving_latency")
+    tracer, metrics = obs.enable(wall_clock=False)
+    try:
+        spec.run(**dict(spec.smoke, **overrides))
+        counters = metrics.snapshot()["counters"]
+        events = tracer.events()
+    finally:
+        obs.disable()
+    counted = {
+        name: value
+        for name, value in counters.items()
+        if name.split(".")[0] in ("mem", "dram", "serve")
+    }
+    assert counted == expected
+    for name, (calls, streams) in spans.items():
+        args = [dict(event.args) for event in events if event.name == name]
+        assert (len(args), sum(a["streams"] for a in args)) == (calls, streams), name
+
+
 def _serving_metrics(run):
     """The ``serve.*`` counters and histograms, and the ``serve.batch`` span
     args, that ``run(tracer)`` records."""
