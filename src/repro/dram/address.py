@@ -81,18 +81,22 @@ class AddressMapper:
     def decode_array(self, addresses: np.ndarray) -> tuple[np.ndarray, ...]:
         """Vectorised decode; returns (channel, rank, bank, subarray, row, column)."""
         addr = np.asarray(addresses, dtype=np.int64)
+        channel, bank, row = self.decode_banks(addr)
+        rank = np.zeros_like(row)
+        subarray = row % self.org.subarrays_per_bank
         column = addr & (self.org.row_buffer_bytes - 1)
-        rest = addr >> self._column_bits
+        return channel, rank, bank, subarray, row, column
+
+    def decode_banks(self, addresses: np.ndarray) -> tuple[np.ndarray, ...]:
+        """The (channel, bank, row) of :meth:`decode_array`, without its other arrays."""
+        rest = np.asarray(addresses, dtype=np.int64) >> self._column_bits
         bank = rest & (2**self._bank_bits - 1)
-        rest = rest >> self._bank_bits
+        rest >>= self._bank_bits
         if self._channel_bits:
             channel = rest & (2**self._channel_bits - 1)
-            rest = rest >> self._channel_bits
+            rest >>= self._channel_bits
         else:
             channel = np.zeros_like(rest)
-        row = rest
-        rank = np.zeros_like(rest)
-        subarray = row % self.org.subarrays_per_bank
-        bank = np.minimum(bank, self.org.banks_per_chip - 1)
-        channel = np.minimum(channel, self.org.num_channels - 1)
-        return channel, rank, bank, subarray, row, column
+        np.minimum(bank, self.org.banks_per_chip - 1, out=bank)
+        np.minimum(channel, self.org.num_channels - 1, out=channel)
+        return channel, bank, rest

@@ -6,14 +6,15 @@ request streams and reports completion time, row-hit/bank-conflict counts,
 achieved bandwidth and energy.
 
 Every caller takes :meth:`DRAMSystem.service_batch`, which times a whole
-stream as arrays.  Its requests all arrive at cycle 0 and each channel
-serves them in stream order, so whether a request hits the open row, and
-whether it pays a precharge, follows from the previous access to its
-subarray; a row hit is ready its latency after its bank's previous
-request.  Only activations wait on the channel's tRRD/tFAW window, so the
-one scalar loop runs over activations alone.  :meth:`DRAMSystem.service_batches`
-times many streams in the same pass, each on idle banks as if alone, and
-``service_batch`` is its one-stream case.
+stream as arrays, or its array entry :meth:`DRAMSystem.service_addresses`.
+Requests all arrive at cycle 0 and each channel serves them in stream
+order, so whether a request hits the open row, and whether it pays a
+precharge, follows from the previous access to its subarray; a row hit is
+ready its latency after its bank's previous request.  Only activations
+wait on the channel's tRRD/tFAW window, so the one scalar loop runs over
+activations alone.  ``service_addresses`` takes an optional stream id per
+request and times many streams in the same pass, each on idle banks as if
+alone.
 
 :meth:`DRAMSystem.service_requests` is its per-request oracle: it walks a
 :class:`MemoryRequest` list through the :class:`ChannelController` and
@@ -22,7 +23,6 @@ times many streams in the same pass, each on idle banks as if alone, and
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -133,7 +133,10 @@ class DRAMSystem:
                 span.set_cycles(result.total_cycles)
                 span.add_args(requests=result.total_requests)
                 self._emit_metrics(
-                    [result],
+                    result.total_requests,
+                    result.row_hits,
+                    result.bank_conflicts,
+                    result.bytes_transferred,
                     {c.channel_id: c.stats.busy_cycles for c in controllers if c.stats.requests},
                 )
             return result
@@ -143,88 +146,86 @@ class DRAMSystem:
     ) -> TraceResult:
         """Service one back-pressured request stream without building request objects.
 
-        The one-stream case of :meth:`service_batches`.  The stream's
-        addresses are wrapped into the modeled capacity, its kind picks the
-        request direction and its ``entry_bytes`` the burst size
-        (``size_bytes`` overrides it).  Produces the same
-        :class:`TraceResult` as :meth:`service_requests` on the equivalent
-        :class:`MemoryRequest` trace.
-        """
-        return self.service_batches([stream], size_bytes, near_bank)[0]
-
-    def service_batches(
-        self,
-        streams: Sequence[RequestStream],
-        size_bytes: int | None = None,
-        near_bank: bool = False,
-    ) -> list[TraceResult]:
-        """Service each stream as if it were alone, all in one pass.
-
-        Every stream starts cold: idle banks with no open row and an empty
-        tRRD/tFAW window on every channel, whatever the streams before it
-        left behind.  So each :class:`TraceResult` equals
-        :meth:`service_batch` of its stream, read and write streams mixed.
-        Every request arrives at cycle 0, and :meth:`_time_batch` times
-        them all with one :meth:`AddressMapper.decode_array` call, stable
-        sorts by stream and by subarray or bank, and a scalar loop over the
-        activations only.  When tracing, one ``dram.service_batch`` span
-        (with the stream count in its args) and one set of ``dram.*``
-        counters cover the call; the counters add up to what one call per
-        stream would count.
+        The stream's addresses are wrapped into the modeled capacity and
+        timed by :meth:`service_addresses`; its kind picks the request
+        direction and its ``entry_bytes`` the burst size (``size_bytes``
+        overrides it).  Produces the same :class:`TraceResult` as
+        :meth:`service_requests` on the equivalent :class:`MemoryRequest`
+        trace.
         """
         org = self.spec.organization
+        burst = stream.entry_bytes if size_bytes is None else size_bytes
+        addresses = stream.addresses % org.total_capacity_bytes
+        (cycles,), (hits,), (conflicts,) = self.service_addresses(
+            addresses, burst, stream.writes
+        )
+        requests = int(addresses.size)
+        return self._summarise(
+            cycles,
+            requests=requests,
+            row_hits=hits,
+            row_misses=requests - hits,
+            bank_conflicts=conflicts,
+            activations=requests - hits,
+            bytes_transferred=requests * min(burst, org.row_buffer_bytes),
+            near_bank=near_bank,
+        )
+
+    def service_addresses(
+        self,
+        addresses: np.ndarray,
+        burst_bytes: int,
+        writes: bool = False,
+        streams: np.ndarray | None = None,
+        num_streams: int = 1,
+    ) -> tuple[list[int], list[int], list[int]]:
+        """Time requests to byte ``addresses`` below the modeled capacity.
+
+        The array entry of the DRAM model: :meth:`service_batch` and
+        :meth:`repro.serve.cost.ServiceCostModel.costs` both call it.  Every
+        request arrives at cycle 0 and reads (or, with ``writes``, writes)
+        ``burst_bytes``.  ``streams`` optionally gives each request a stream
+        id below ``num_streams``; the requests of one stream are
+        consecutive.  Every stream starts cold: idle banks with no open row
+        and an empty tRRD/tFAW window on every channel, whatever the streams
+        before it left behind.  Returns, per stream, the completion cycle,
+        the row hits and the bank conflicts, each exactly what the stream
+        gets alone.  :meth:`_time_batch` times them all with one
+        :meth:`AddressMapper.decode_banks` call, stable sorts by stream and
+        by subarray or bank, and a scalar loop over the activations only.
+        When tracing, one ``dram.service_batch`` span (with the stream count
+        in its args) and one set of ``dram.*`` counters cover the call; the
+        counters add up to what one call per stream would count.
+        """
         with get_tracer().span("dram.service_batch", "dram") as span:
-            if not streams:
-                return []
-            addresses = [stream.addresses % org.total_capacity_bytes for stream in streams]
-            counts = [int(a.size) for a in addresses]
-            writes = [stream.writes for stream in streams]
-            ids = None
-            is_write: bool | np.ndarray = writes[0]
-            if len(streams) > 1:
-                ids = np.repeat(np.arange(len(streams)), counts)
-                if any(writes) and not all(writes):
-                    is_write = np.repeat(writes, counts)
-            total_cycles, row_hits, bank_conflicts, busy_cycles = self._time_batch(
-                addresses[0] if ids is None else np.concatenate(addresses),
-                is_write,
-                ids,
-                len(streams),
+            cycles, row_hits, conflicts, busy_cycles = self._time_batch(
+                addresses, writes, streams, num_streams
             )
-            results = []
-            for stream, requests, cycles, hits, conflicts in zip(
-                streams, counts, total_cycles, row_hits, bank_conflicts
-            ):
-                burst = stream.entry_bytes if size_bytes is None else size_bytes
-                results.append(
-                    self._summarise(
-                        cycles,
-                        requests=requests,
-                        row_hits=hits,
-                        row_misses=requests - hits,
-                        bank_conflicts=conflicts,
-                        activations=requests - hits,
-                        bytes_transferred=requests * min(burst, org.row_buffer_bytes),
-                        near_bank=near_bank,
-                    )
-                )
             if span.enabled:
-                span.set_cycles(sum(result.total_cycles for result in results))
-                span.add_args(streams=len(results), requests=sum(counts))
-                self._emit_metrics(results, busy_cycles)
-            return results
+                requests = int(addresses.size)
+                row_bytes = self.spec.organization.row_buffer_bytes
+                span.set_cycles(sum(cycles))
+                span.add_args(streams=num_streams, requests=requests)
+                self._emit_metrics(
+                    requests,
+                    sum(row_hits),
+                    sum(conflicts),
+                    requests * min(burst_bytes, row_bytes),
+                    busy_cycles,
+                )
+            return cycles, row_hits, conflicts
 
     # ------------------------------------------------------------ internals
     def _time_batch(
         self,
         addresses: np.ndarray,
-        is_write: bool | np.ndarray,
+        writes: bool,
         streams: np.ndarray | None = None,
         num_streams: int = 1,
     ) -> tuple[list[int], list[int], list[int], dict[int, int]]:
         """Time requests that all arrive at cycle 0, served in order per channel.
 
-        ``is_write`` is one flag, or one per request.  ``streams`` optionally
+        ``writes`` is the direction of every request.  ``streams`` optionally
         gives each request a stream id below ``num_streams``; the requests
         of one stream are consecutive, and each stream is timed as if alone.
         Returns, per stream, the completion cycle, the row hits and the bank
@@ -234,7 +235,7 @@ class DRAMSystem:
         if addresses.size == 0:
             return [0] * num_streams, [0] * num_streams, [0] * num_streams, {}
         org, timing = self.spec.organization, self.spec.timing
-        channel, _, bank, subarray, row, _ = self.mapper.decode_array(addresses)
+        channel, bank, row = self.mapper.decode_banks(addresses)
         bank += channel * org.banks_per_chip  # one id per bank of the system
         n = bank.size
 
@@ -242,7 +243,9 @@ class DRAMSystem:
         # stream, opened the same row, and pays a precharge when that access
         # opened another one.
         num_banks = org.num_channels * org.banks_per_chip
-        key = bank * self.subarrays_per_bank + subarray % self.subarrays_per_bank
+        key = row % org.subarrays_per_bank  # the subarray the mapper decodes
+        key %= self.subarrays_per_bank
+        key += bank * self.subarrays_per_bank
         by_subarray = stable_order(
             key, num_banks * self.subarrays_per_bank, streams, num_streams
         )
@@ -258,7 +261,7 @@ class DRAMSystem:
         hit[by_subarray] = follows & same_row
         row_open = np.empty(n, dtype=bool)
         row_open[by_subarray] = follows
-        column = np.where(is_write, timing.tWR, timing.tCL)
+        column = timing.tWR if writes else timing.tCL
         latency = np.where(hit, column + timing.tCCD, timing.tRCD + column + row_open * timing.tRP)
 
         # A bank serves its requests back to back: each starts once the
@@ -334,18 +337,25 @@ class DRAMSystem:
         row_hits = np.bincount(streams.compress(hit), minlength=num_streams)
         return total_cycles.tolist(), row_hits.tolist(), conflicts, busy_cycles
 
-    def _emit_metrics(self, results: list[TraceResult], busy_cycles: dict[int, int]) -> None:
-        """Record serviced traces in the metrics registry (enabled-only).
+    def _emit_metrics(
+        self,
+        requests: int,
+        row_hits: int,
+        bank_conflicts: int,
+        bytes_transferred: int,
+        busy_cycles: dict[int, int],
+    ) -> None:
+        """Record serviced requests in the metrics registry (enabled-only).
 
         ``busy_cycles`` maps each channel that served a request to the sum
         of its requests' latencies.
         """
         metrics = get_metrics()
-        metrics.counter("dram.requests").inc(sum(r.total_requests for r in results))
-        metrics.counter("dram.row_hits").inc(sum(r.row_hits for r in results))
-        metrics.counter("dram.row_misses").inc(sum(r.row_misses for r in results))
-        metrics.counter("dram.bank_conflicts").inc(sum(r.bank_conflicts for r in results))
-        metrics.counter("dram.bytes_transferred").inc(sum(r.bytes_transferred for r in results))
+        metrics.counter("dram.requests").inc(requests)
+        metrics.counter("dram.row_hits").inc(row_hits)
+        metrics.counter("dram.row_misses").inc(requests - row_hits)
+        metrics.counter("dram.bank_conflicts").inc(bank_conflicts)
+        metrics.counter("dram.bytes_transferred").inc(bytes_transferred)
         for channel, cycles in busy_cycles.items():
             metrics.counter(f"dram.channel{channel}.busy_cycles").inc(cycles)
 

@@ -43,7 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from typing import Any, overload
+from typing import Any
 
 import numpy as np
 from numpy.typing import NDArray
@@ -199,34 +199,13 @@ def _build_stats(
     )
 
 
-@overload
-def simulate_cache(
-    line_ids: NDArray[Any],
-    config: CacheConfig,
-    is_write: NDArray[Any] | None = None,
-    is_prefetch: NDArray[Any] | None = None,
-    streams: None = None,
-) -> tuple[NDArray[Any], CacheStats]: ...
-
-
-@overload
-def simulate_cache(
-    line_ids: NDArray[Any],
-    config: CacheConfig,
-    is_write: NDArray[Any] | None = None,
-    is_prefetch: NDArray[Any] | None = None,
-    *,
-    streams: NDArray[Any],
-) -> tuple[NDArray[Any], list[CacheStats]]: ...
-
-
 def simulate_cache(
     line_ids: NDArray[Any],
     config: CacheConfig,
     is_write: NDArray[Any] | None = None,
     is_prefetch: NDArray[Any] | None = None,
     streams: NDArray[Any] | None = None,
-) -> tuple[NDArray[Any], CacheStats | list[CacheStats]]:
+) -> tuple[NDArray[Any], CacheStats]:
     """Simulate a line-access stream; returns per-access outcomes and stats.
 
     Parameters
@@ -240,10 +219,9 @@ def simulate_cache(
         Optional per-access flags (default all-reads, all-demand).
     streams:
         Optional stream id per access, non-decreasing: the accesses of one
-        stream are consecutive.  Each stream starts cold, on empty sets, and
-        ``stats`` is then a list with one :class:`CacheStats` per stream id
-        up to the last access's.  Every stream gets exactly the outcomes and
-        stats it would get alone.
+        stream are consecutive.  Each stream starts cold, on empty sets, so
+        every stream gets exactly the outcomes it would get alone, and
+        ``stats`` sums the streams' stats.
 
     Returns
     -------
@@ -269,17 +247,16 @@ def simulate_cache(
     """
     lines = np.asarray(line_ids, dtype=np.int64).ravel()
     n = lines.size
-    num_streams = 1 if streams is None else (int(streams[-1]) + 1 if n else 0)
     outcomes = np.empty(n, dtype=np.int8)
     if n == 0:
-        empty = _build_stats(np.zeros(5, dtype=np.int64), 0, 0, 0, config)
-        return outcomes, (empty if streams is None else [])
+        return outcomes, _build_stats(np.zeros(5, dtype=np.int64), 0, 0, 0, config)
     if lines.min() < 0:
         raise ValueError("line ids must be non-negative")
     writes = _as_flags(is_write, n, "is_write")
     prefetches = _as_flags(is_prefetch, n, "is_prefetch")
     has_writes, has_prefetches = writes.any(), prefetches.any()
     num_sets, ways, mshr = config.num_sets, config.ways, config.mshr_latency
+    num_streams = 1 if streams is None else int(streams[-1]) + 1
 
     # Dead stream-length arrays are deleted pass by pass: on long streams,
     # fresh pages for a larger peak footprint cost as much as the passes.
@@ -296,15 +273,17 @@ def simulate_cache(
     if streams is not None:
         stream_sorted = streams[by_set]
         head[1:] |= stream_sorted[1:] != stream_sorted[:-1]
+        del stream_sorted
     if has_prefetches:
         f_sorted = prefetches[by_set]
         head[1:] |= f_sorted[1:] | f_sorted[:-1]
+        del f_sorted
     head_idx = head.nonzero()[0]
     num_runs = head_idx.size
     run_end = np.append(head_idx[1:], n)
     line_h, p_h = sorted_lines[head_idx], by_set[head_idx]
-    f_h = f_sorted[head_idx] if has_prefetches else np.zeros(num_runs, dtype=bool)
-    stream_h = None if streams is None else stream_sorted[head_idx]
+    f_h = prefetches[p_h] if has_prefetches else np.zeros(num_runs, dtype=bool)
+    stream_h = None if streams is None else streams[p_h]
     del sorted_lines, head
 
     # Pass 3 — wave schedule: a head's within-set ordinal is its index minus
@@ -328,12 +307,15 @@ def simulate_cache(
 
     # Pass 4 — the sweep over flat (set, way) slots: ``slot_g`` starts at
     # each head's set row and gains its way.  A -1 tag never matches and a
-    # -1 last use makes LRU fill invalid ways first, lowest way first.
-    t_g, s_g = line_h[by_wave] // num_sets, group_h[by_wave]
-    lp_g, f_g = by_set[run_end[by_wave] - 1], f_h[by_wave]  # a run's last use
-    slot_g, t_col = s_g * ways, t_g[:, None]
-    tag_state = np.full(num_groups * ways, -1, dtype=np.int64)
-    last_used = np.full(num_groups * ways, -1, dtype=np.int64)
+    # -1 last use makes LRU fill invalid ways first, lowest way first.  Tags
+    # and last uses are 32-bit when line ids and positions fit, which halves
+    # the state and the rows each wave takes.
+    state = np.int32 if max(int(lines.max()), n) < 2**31 else np.int64
+    t_g, s_g = (line_h[by_wave] // num_sets).astype(state), group_h[by_wave]
+    lp_g = by_set[run_end[by_wave] - 1].astype(state)  # a run's last use
+    f_g, slot_g, t_col = f_h[by_wave], s_g * ways, t_g[:, None]
+    tag_state = np.full(num_groups * ways, -1, dtype=state)
+    last_used = np.full(num_groups * ways, -1, dtype=state)
     tag_rows, lru_rows = tag_state.reshape(num_groups, ways), last_used.reshape(num_groups, ways)
     lo = 0
     for hi in bounds:
@@ -346,27 +328,32 @@ def simulate_cache(
         tag_state[slot] = t
         last_used[slot] = lp
         lo = hi
+    del t_g, s_g, lp_g, f_g, t_col, tag_state, last_used, tag_rows, lru_rows
 
     # Pass 5 — residencies: among a slot's heads in stream order, a head is
     # a fill unless the head before it held the same line, and its residency
     # is the latest fill.  A stream's (set, way) order is its slot order.
     slot_h = np.empty(num_runs, dtype=np.int64)
     slot_h[by_wave] = slot_g
+    del by_wave, slot_g
     if stream_h is None:
         by_slot = stable_order(slot_h, num_sets * ways)
     else:
         way_h = slot_h - group_h * ways
         by_slot = stable_order(set_h * ways + way_h, num_sets * ways, stream_h, num_streams)
-    del set_h, group_h
+        del way_h
+    del set_h, group_h, per_set
     slot_s, line_s = slot_h[by_slot], line_h[by_slot]
+    del slot_h, line_h
     slot_end = np.append(slot_s[1:] != slot_s[:-1], True)
     fill_s = np.append(True, slot_end[:-1] | (line_s[1:] != line_s[:-1]))
     del slot_s, line_s
     latest_fill = by_slot[np.maximum.accumulate(np.where(fill_s, np.arange(num_runs), 0))]
     residency, fill = np.empty(num_runs, dtype=np.intp), np.empty(num_runs, dtype=bool)
     residency[by_slot], fill[by_slot] = latest_fill, fill_s
+    del by_slot, fill_s
     demand = ~f_h
-    writebacks = useful = dirty_left = _tally(np.zeros(0, dtype=bool), stream_h, num_streams)
+    writebacks = useful = dirty_left = 0
     if has_writes:
         # A residency is dirty when its fill or a demand touch wrote
         # (prefetch fills start clean); it ends with a writeback unless it
@@ -374,15 +361,13 @@ def simulate_cache(
         run_write = np.logical_or.reduceat(writes[by_set], head_idx)
         dirty = np.zeros(num_runs, dtype=bool)
         dirty[residency.compress(demand & run_write)] = True
-        cached = latest_fill.compress(slot_end)
-        cached_streams = None if stream_h is None else stream_h[cached]
-        dirty_left = _tally(dirty[cached], cached_streams, num_streams)
-        writebacks = _tally(dirty, stream_h, num_streams) - dirty_left
+        dirty_left = int(np.count_nonzero(dirty[latest_fill.compress(slot_end)]))
+        writebacks = int(np.count_nonzero(dirty)) - dirty_left
     if has_prefetches:
         # A prefetch-filled residency is useful once a demand access touches it.
         touched = np.zeros(num_runs, dtype=bool)
         touched[residency.compress(demand)] = True
-        useful = _tally(touched & f_h, stream_h, num_streams)
+        useful = int(np.count_nonzero(touched & f_h))
 
     # An access before its residency's fill completes coalesces into it.
     fill_done = (p_h[residency] + (1 + mshr)).repeat(run_end - head_idx)
@@ -391,26 +376,8 @@ def simulate_cache(
     if has_prefetches:
         out[head_idx.compress(f_h)] = np.where(fill[f_h], PREFETCH_FILL, PREFETCH_REDUNDANT)
     outcomes[by_set] = out
-    if streams is None:
-        counts = np.bincount(outcomes, minlength=5)
-        return outcomes, _build_stats(counts, int(writebacks), int(useful), int(dirty_left), config)
-    per_stream = np.bincount(streams * 5 + outcomes, minlength=5 * num_streams)
-    return outcomes, [
-        _build_stats(counts, w, u, d, config)
-        for counts, w, u, d in zip(
-            per_stream.reshape(num_streams, 5),
-            np.broadcast_to(writebacks, num_streams).tolist(),
-            np.broadcast_to(useful, num_streams).tolist(),
-            np.broadcast_to(dirty_left, num_streams).tolist(),
-        )
-    ]
-
-
-def _tally(mask: NDArray[Any], streams: NDArray[Any] | None, num_streams: int) -> Any:
-    """``mask``'s true entries, counted, or counted per stream with ``streams``."""
-    if streams is None:
-        return int(np.count_nonzero(mask))
-    return np.bincount(streams.compress(mask), minlength=num_streams)
+    counts = np.bincount(outcomes, minlength=5)
+    return outcomes, _build_stats(counts, writebacks, useful, dirty_left, config)
 
 
 def simulate_cache_reference(

@@ -22,15 +22,14 @@ the DRAM banks:
 Every stage has a vectorized whole-stream engine and a retained per-access
 reference oracle (:meth:`CacheHierarchy.filter_stream_reference`), and the
 two are exactly equivalent on any input stream.  The engines also take an
-optional stream id per point or access, so :meth:`CacheHierarchy.filter_streams`
-filters many streams in one pass, each as if it were alone.
+optional stream id per point or access, so :meth:`CacheHierarchy.filter_lines`,
+the hierarchy's array entry, filters the line matrices of many streams in
+one pass, each as if it were alone.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass, field
-
 from typing import Any
 
 import numpy as np
@@ -53,6 +52,7 @@ __all__ = [
     "scratchpad_filter",
     "scratchpad_filter_reference",
     "HierarchyStats",
+    "FilteredLines",
     "FilteredStream",
     "CacheHierarchy",
 ]
@@ -182,6 +182,26 @@ class HierarchyStats:
 
 
 @dataclass(frozen=True)
+class FilteredLines:
+    """Flat arrays of one :meth:`CacheHierarchy.filter_lines` pass."""
+
+    #: L0-surviving demand line ids, in stream order (the L1 input).
+    demand: NDArray[Any] = field(repr=False)
+    #: Demand + injected prefetch accesses, the per-access flags/outcomes,
+    #: and each access's stream id (``None`` without stream ids).
+    merged: NDArray[Any] = field(repr=False)
+    is_prefetch: NDArray[Any] = field(repr=False)
+    outcomes: NDArray[Any] = field(repr=False)
+    streams: NDArray[Any] | None = field(repr=False)
+    #: Line ids fetched from DRAM (demand misses + prefetch fills), stream
+    #: order, and their stream ids.
+    dram: NDArray[Any] = field(repr=False)
+    dram_streams: NDArray[Any] | None = field(repr=False)
+    #: Outcome counts summed over the streams.
+    cache: CacheStats
+
+
+@dataclass(frozen=True)
 class FilteredStream:
     """Result of pushing one lookup stream through the hierarchy."""
 
@@ -279,97 +299,85 @@ class CacheHierarchy:
     def filter_stream(self, stream: RequestStream) -> FilteredStream:
         """Push one request stream through L0 + prefetcher + L1.
 
-        The one-stream case of :meth:`filter_streams`.  The stream's point
-        shape, access kind (a ``WRITE`` stream models the gradient-scatter
-        direction: every demand access writes its line) and ``entry_bytes``
-        (which only scales the scratchpad read energy) all come from the
-        IR.  Returns the :class:`FilteredStream` whose ``dram_stream()`` is
-        the only traffic the DRAM system still has to service.
+        The stream's point shape, access kind (a ``WRITE`` stream models the
+        gradient-scatter direction: every demand access writes its line) and
+        ``entry_bytes`` (which only scales the scratchpad read energy) all
+        come from the IR.  Its line matrix goes through :meth:`filter_lines`.
+        Returns the :class:`FilteredStream` whose ``dram_stream()`` is the
+        only traffic the DRAM system still has to service.
         """
-        return self.filter_streams([stream])[0]
+        lines = self._lines(stream)
+        passed = self.filter_lines(lines, writes=stream.writes)
+        return self._assemble(
+            lines,
+            passed.demand,
+            passed.merged,
+            passed.is_prefetch,
+            passed.outcomes,
+            passed.dram,
+            passed.cache,
+            stream.entry_bytes,
+        )
 
-    def filter_streams(self, streams: Sequence[RequestStream]) -> list[FilteredStream]:
-        """Push each stream through L0 + prefetcher + L1 as if it were alone.
+    def filter_lines(
+        self,
+        lines: NDArray[Any],
+        streams: NDArray[Any] | None = None,
+        num_streams: int = 1,
+        writes: bool = False,
+    ) -> FilteredLines:
+        """Push an ``(N, P)`` line-id matrix through L0 + prefetcher + L1.
 
-        Every stream starts cold: an empty L0 window, no prefetch stride
-        history and empty cache sets, whatever the streams before it left
-        behind.  So each :class:`FilteredStream` equals
-        :meth:`filter_stream` of its stream, read and write streams mixed.
-        The streams must share their accesses per point (``ValueError``
-        otherwise): their line matrices are stacked and each engine runs
-        once, with a stream id per point or access.  When tracing, one
-        ``mem.filter_stream`` span (with the stream count in its args) and
-        one set of ``mem.*`` counters cover the call; the counters add up to
-        what one call per stream would count.
+        The array entry of the hierarchy: :meth:`filter_stream` and
+        :meth:`repro.serve.cost.ServiceCostModel.costs` both call it.
+        ``streams`` optionally gives each point a stream id below
+        ``num_streams``; the points of one stream are consecutive.  Every
+        stream starts cold: an empty L0 window, no prefetch stride history
+        and empty cache sets, whatever the streams before it left behind,
+        so each stream's accesses get exactly the outcomes they get alone.
+        With ``writes`` every demand access writes its line.  When tracing,
+        one ``mem.filter_stream`` span (with the stream count in its args)
+        and one set of ``mem.*`` counters cover the call; the counters add
+        up to what one call per stream would count.
         """
         with get_tracer().span("mem.filter_stream", "mem") as span:
-            if not streams:
-                return []
-            if len({stream.accesses_per_point for stream in streams}) > 1:
-                raise ValueError("streams filtered in one call must share accesses per point")
-            lines = [self._lines(stream) for stream in streams]
-            points = [block.shape[0] for block in lines]
-            ids = None
-            if len(streams) > 1:
-                ids = np.repeat(np.arange(len(streams)), points)
-            stacked = lines[0] if ids is None else np.concatenate(lines)
             # ``compress``: several times faster than a long boolean index
-            kept = scratchpad_filter(stacked, self.capacity_lines, ids).ravel()
-            demand = stacked.compress(kept)
-            demand_ids = None if ids is None else ids.repeat(stacked.shape[1]).compress(kept)
+            kept = scratchpad_filter(lines, self.capacity_lines, streams).ravel()
+            demand = lines.compress(kept)
+            demand_ids = None if streams is None else streams.repeat(lines.shape[1]).compress(kept)
             merged, is_prefetch = plan_prefetches(demand, self.prefetcher, demand_ids)
-            writes = [stream.writes for stream in streams]
-            is_write = ~is_prefetch if any(writes) else None
-            if demand_ids is None:
-                outcomes, stats = simulate_cache(merged, self.cache, is_write, is_prefetch)
-                cache_stats = [stats]
-            else:
+            merged_ids = None
+            if demand_ids is not None:
                 # A prefetch belongs to the stream of the demand access before it.
                 merged_ids = demand_ids[np.cumsum(~is_prefetch) - 1]
-                if is_write is not None and not all(writes):
-                    is_write &= np.asarray(writes)[merged_ids]
-                outcomes, cache_stats = simulate_cache(
-                    merged, self.cache, is_write, is_prefetch, streams=merged_ids
-                )
-                # Streams past the last one with an access are empty.
-                empty = CacheStats(line_bytes=self.cache.line_bytes)
-                cache_stats += [empty] * (len(streams) - len(cache_stats))
-            dram = merged.compress((outcomes == MISS) | (outcomes == PREFETCH_FILL))
-            # Each stream's slices, sized by its own counts.
-            filtered = []
-            demand_at = merged_at = dram_at = 0
-            for stream, block, stats in zip(streams, lines, cache_stats):
-                demand_to = demand_at + stats.demand_accesses
-                merged_to = merged_at + stats.demand_accesses + stats.prefetch_issued
-                dram_to = dram_at + stats.dram_line_fetches
-                filtered.append(
-                    self._assemble(
-                        block,
-                        demand[demand_at:demand_to],
-                        merged[merged_at:merged_to],
-                        is_prefetch[merged_at:merged_to],
-                        outcomes[merged_at:merged_to],
-                        dram[dram_at:dram_to],
-                        stats,
-                        stream.entry_bytes,
-                    )
-                )
-                demand_at, merged_at, dram_at = demand_to, merged_to, dram_to
+            is_write = ~is_prefetch if writes else None
+            outcomes, cache = simulate_cache(merged, self.cache, is_write, is_prefetch, merged_ids)
+            fetched = (outcomes == MISS) | (outcomes == PREFETCH_FILL)
+            passed = FilteredLines(
+                demand=demand,
+                merged=merged,
+                is_prefetch=is_prefetch,
+                outcomes=outcomes,
+                streams=merged_ids,
+                dram=merged.compress(fetched),
+                dram_streams=None if merged_ids is None else merged_ids.compress(fetched),
+                cache=cache,
+            )
             if span.enabled:
-                span.add_args(streams=len(streams), points=sum(points), dram_lines=int(dram.size))
-                l0 = [f.stats for f in filtered]
-                cache = [f.stats.cache for f in filtered]
+                span.add_args(
+                    streams=num_streams, points=lines.shape[0], dram_lines=int(passed.dram.size)
+                )
                 metrics = get_metrics()
-                metrics.counter("mem.l0_accesses").inc(sum(s.l0_accesses for s in l0))
-                metrics.counter("mem.l0_hits").inc(sum(s.l0_hits for s in l0))
-                metrics.counter("mem.cache_hits").inc(sum(s.hits for s in cache))
-                metrics.counter("mem.cache_misses").inc(sum(s.misses for s in cache))
-                metrics.counter("mem.cache_coalesced").inc(sum(s.coalesced for s in cache))
-                metrics.counter("mem.prefetch_fills").inc(sum(s.prefetch_fills for s in cache))
-                metrics.counter("mem.prefetch_useful").inc(sum(s.prefetch_useful for s in cache))
-                metrics.counter("mem.writebacks").inc(sum(s.writebacks for s in cache))
-                metrics.counter("mem.dram_line_fetches").inc(int(dram.size))
-            return filtered
+                metrics.counter("mem.l0_accesses").inc(int(lines.size))
+                metrics.counter("mem.l0_hits").inc(int(lines.size - demand.size))
+                metrics.counter("mem.cache_hits").inc(cache.hits)
+                metrics.counter("mem.cache_misses").inc(cache.misses)
+                metrics.counter("mem.cache_coalesced").inc(cache.coalesced)
+                metrics.counter("mem.prefetch_fills").inc(cache.prefetch_fills)
+                metrics.counter("mem.prefetch_useful").inc(cache.prefetch_useful)
+                metrics.counter("mem.writebacks").inc(cache.writebacks)
+                metrics.counter("mem.dram_line_fetches").inc(int(passed.dram.size))
+            return passed
 
     def filter_stream_reference(self, stream: RequestStream) -> FilteredStream:
         """Per-access oracle composition for :meth:`filter_stream`."""

@@ -28,6 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+import numpy as np
+
 from ..accel.nmp import NMPAccelerator
 from ..core.hashing import get_hash_function
 from ..core.precision import validate_precision
@@ -41,7 +43,6 @@ from .workload import RenderRequest
 if TYPE_CHECKING:
     from collections.abc import Sequence
 
-    from ..dram.system import TraceResult
     from ..streams.ir import RequestStream
 
 __all__ = ["PASS_POINTS", "ServiceCost", "ServiceCostConfig", "ServiceCostModel"]
@@ -178,71 +179,79 @@ class ServiceCostModel:
     def cost(
         self, requests: "Sequence[RenderRequest]", table: RequestTable | None = None
     ) -> ServiceCost:
-        """Service-latency breakdown of one coalesced batch (see :meth:`batch_stream`).
-
-        What :meth:`costs` gives this batch, priced through the one-stream
-        :meth:`~repro.mem.hierarchy.CacheHierarchy.filter_stream` and
-        :meth:`~repro.dram.system.DRAMSystem.service_batch`.
-        """
-        stream = self.batch_stream(requests, table)
-        filtered = self.hierarchy.filter_stream(stream)
-        lines = filtered.dram_stream()
-        serviced = self.dram.service_batch(lines, size_bytes=self.config.line_bytes)
-        return self._service_cost(len(requests), stream.num_points, serviced)
+        """Service-latency breakdown of one coalesced batch: :meth:`costs` of it alone."""
+        return self.costs([requests], table)[0]
 
     def costs(
         self,
         batches: "Sequence[Sequence[RenderRequest]]",
         table: RequestTable | None = None,
     ) -> list[ServiceCost]:
-        """:meth:`cost` of every batch, priced in a few memory-system passes.
+        """The :class:`ServiceCost` of every batch, priced in a few memory-system passes.
 
-        Each batch is priced as if it were alone: the hierarchy
-        (:meth:`~repro.mem.hierarchy.CacheHierarchy.filter_streams`) and
-        DRAM (:meth:`~repro.dram.system.DRAMSystem.service_batches`) start
-        every batch's stream cold, so the list equals one :meth:`cost` call
-        per batch.  Consecutive batches share a pass up to
-        :data:`PASS_POINTS` sample points.  Without ``table`` the batches'
-        requests are compiled together first.
+        Consecutive batches share a pass up to :data:`PASS_POINTS` sample
+        points.  A pass gathers its batches' rows from ``table`` with one
+        index, turns only those rows into line ids, and runs
+        :meth:`~repro.mem.hierarchy.CacheHierarchy.filter_lines` and
+        :meth:`~repro.dram.system.DRAMSystem.service_addresses` once, with a
+        stream id per batch.  Both start every batch's stream cold, so each
+        batch is priced as if it were alone, whatever shares its pass.
+        Without ``table`` the batches' requests are compiled together
+        first.  Raises ``ValueError`` for an empty batch or a request the
+        table did not compile.
         """
         if not batches:
             return []
         if table is None:
             table = self.compile(list(dict.fromkeys(r for batch in batches for r in batch)))
         prices: list[ServiceCost] = []
-        group: list[tuple[int, RequestStream]] = []
+        group: list[list[tuple[int, int]]] = []
         points = 0
         for batch in batches:
-            stream = table.batch_stream(batch)
-            if group and points + stream.num_points > PASS_POINTS:
-                prices += self._price_pass(group)
+            spans = table.spans(batch)
+            size = sum(stop - start for start, stop in spans)
+            if group and points + size > PASS_POINTS:
+                prices += self._price_pass(table, group)
                 group, points = [], 0
-            group.append((len(batch), stream))
-            points += stream.num_points
-        return prices + self._price_pass(group)
+            group.append(spans)
+            points += size
+        return prices + self._price_pass(table, group)
 
-    def _price_pass(self, batches: "list[tuple[int, RequestStream]]") -> list[ServiceCost]:
-        """Price ``(requests, stream)`` batches in one hierarchy and one DRAM call."""
-        filtered = self.hierarchy.filter_streams([stream for _, stream in batches])
-        serviced = self.dram.service_batches(
-            [f.dram_stream() for f in filtered], size_bytes=self.config.line_bytes
+    def _price_pass(
+        self, table: RequestTable, batches: list[list[tuple[int, int]]]
+    ) -> list[ServiceCost]:
+        """Price batches, each given by its requests' row spans, in one pass."""
+        starts, stops = np.array([span for spans in batches for span in spans]).T
+        lengths = stops - starts
+        ends = lengths.cumsum()
+        rows = np.arange(ends[-1]) + np.repeat(starts - (ends - lengths), lengths)
+        stream, line_bytes = table.stream, self.config.line_bytes
+        lines = stream.indices[rows]  # a fresh copy: the line ids are built in place
+        lines *= stream.entry_bytes
+        lines += stream.base_address
+        lines //= line_bytes
+        points = [sum(stop - start for start, stop in spans) for spans in batches]
+        ids = np.repeat(np.arange(len(batches)), points) if len(batches) > 1 else None
+        filtered = self.hierarchy.filter_lines(lines, ids, len(batches))
+        capacity = self.dram.spec.organization.total_capacity_bytes
+        cycles, _, _ = self.dram.service_addresses(
+            filtered.dram * line_bytes % capacity,
+            line_bytes,
+            streams=filtered.dram_streams,
+            num_streams=len(batches),
         )
+        # The finest level's DRAM time, scaled to all levels.
+        ns_per_cycle, levels = self.dram.spec.clock_period_ns, self.config.grid_levels
         return [
-            self._service_cost(requests, stream.num_points, result)
-            for (requests, stream), result in zip(batches, serviced)
+            ServiceCost(
+                num_requests=len(spans),
+                num_points=num_points,
+                dram_us=float(batch_cycles * ns_per_cycle * levels / 1e3),
+                compute_us=self.compute_us(num_points),
+                overhead_us=self.config.batch_overhead_us,
+            )
+            for spans, num_points, batch_cycles in zip(batches, points, cycles)
         ]
-
-    def _service_cost(
-        self, num_requests: int, num_points: int, serviced: "TraceResult"
-    ) -> ServiceCost:
-        dram_us = serviced.elapsed_ns * self.config.grid_levels / 1e3
-        return ServiceCost(
-            num_requests=num_requests,
-            num_points=num_points,
-            dram_us=float(dram_us),
-            compute_us=self.compute_us(num_points),
-            overhead_us=self.config.batch_overhead_us,
-        )
 
     def compute_us(self, num_points: int) -> float:
         """Forward-MLP compute time of ``num_points`` sample points."""

@@ -104,18 +104,26 @@ class RequestTable:
         batch.  Raises ``ValueError`` for an empty batch or a request this
         table did not compile.
         """
-        if not requests:
-            raise ValueError("cannot build a stream from an empty batch")
-        try:
-            spans = [self.rows[request] for request in requests]
-        except KeyError as exc:
-            raise ValueError(f"request {exc.args[0]!r} is not in this table") from None
+        spans = self.spans(requests)
         return replace(
             self.stream,
             indices=_gather_rows(self.stream.indices, spans),
             group_ids=_gather_rows(self.stream.group_ids, spans),
             label=_label(self.level, len(requests)),
         )
+
+    def spans(self, requests: Sequence[RenderRequest]) -> list[tuple[int, int]]:
+        """The ``(start, stop)`` row range of each request of one batch.
+
+        Raises ``ValueError`` for an empty batch or a request this table did
+        not compile.
+        """
+        if not requests:
+            raise ValueError("cannot build a stream from an empty batch")
+        try:
+            return [self.rows[request] for request in requests]
+        except KeyError as exc:
+            raise ValueError(f"request {exc.args[0]!r} is not in this table") from None
 
 
 def _gather_rows(array: Any, spans: list[tuple[int, int]]) -> NDArray[Any]:

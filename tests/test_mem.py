@@ -199,6 +199,20 @@ def test_cache_matches_reference_beyond_16_bit_wave_keys():
     assert stats.misses == lines.size  # LRU thrash: every access misses
 
 
+def test_cache_matches_reference_beyond_32_bit_line_ids(rng):
+    """Line ids past 2**31 keep 64-bit tags: lines whose tags agree in their
+    low 32 bits are still different lines."""
+    config = CacheConfig(capacity_bytes=2 * 2 * 64, line_bytes=64, ways=2, mshr_latency=1)
+    lines = rng.integers(0, 6, 500) + (1 << 33) * rng.integers(0, 3, 500)  # tags 2**32 apart
+    writes, prefetches = rng.random(500) < 0.3, rng.random(500) < 0.2
+    out, stats = simulate_cache(lines, config, writes, prefetches)
+    out_ref, stats_ref = simulate_cache_reference(lines, config, writes, prefetches)
+    np.testing.assert_array_equal(out, out_ref)
+    assert stats == stats_ref
+    folded, _ = simulate_cache(lines % (1 << 32), config, writes, prefetches)
+    assert not np.array_equal(out, folded)  # the high bits change the outcomes
+
+
 def test_cache_empty_stream_and_bad_inputs():
     config = CacheConfig()
     out, stats = simulate_cache(np.array([], dtype=np.int64), config)
@@ -302,12 +316,14 @@ def _stream_hierarchies(draw):
 
 @st.composite
 def _stream_lists(draw):
-    """0-6 streams of one point shape over one table, READ or WRITE, some
-    empty.  Small tables make streams share lines with their neighbours, so
-    state carried across a stream boundary would change the outcomes."""
+    """0-6 streams of one point shape and one kind (READ or WRITE) over one
+    table, some empty.  Small tables make streams share lines with their
+    neighbours, so state carried across a stream boundary would change the
+    outcomes."""
     per_point = draw(st.integers(min_value=1, max_value=8))
     entries = draw(st.sampled_from([4, 24, 4096]))
     entry_bytes = draw(st.sampled_from([4, 16]))
+    kind = draw(st.sampled_from([StreamKind.READ, StreamKind.WRITE]))
     streams = []
     for _ in range(draw(st.integers(min_value=0, max_value=6))):
         num_points = draw(st.sampled_from([0, 1, 2, 5, 12, 30]))
@@ -315,36 +331,66 @@ def _stream_lists(draw):
         indices = rng.integers(0, entries, (num_points, per_point))
         if draw(st.booleans()):  # strided runs, so the stride prefetcher fires
             indices = np.sort(indices, axis=None).reshape(indices.shape)
-        kind = draw(st.sampled_from([StreamKind.READ, StreamKind.WRITE]))
         streams.append(RequestStream(indices, entry_bytes, entries, kind=kind))
-    return streams
+    return per_point, kind, streams
+
+
+#: Every count of a :class:`CacheStats` (all fields but ``line_bytes``).
+CACHE_COUNTS = (
+    "demand_accesses",
+    "hits",
+    "misses",
+    "coalesced",
+    "prefetch_issued",
+    "prefetch_fills",
+    "prefetch_redundant",
+    "prefetch_useful",
+    "writebacks",
+    "dirty_lines_left",
+)
 
 
 @settings(max_examples=200, deadline=None)
-@given(hierarchy=_stream_hierarchies(), streams=_stream_lists())
-def test_filter_streams_filters_each_stream_as_if_alone(hierarchy, streams):
-    """Property: one ``filter_streams`` call gives every stream exactly the
-    filtered stream the per-access oracle gives it alone: each stream starts
-    with an empty L0 window, no stride history and empty cache sets."""
-    filtered = hierarchy.filter_streams(streams)
-    assert len(filtered) == len(streams)
-    for stream, fast in zip(streams, filtered):
-        oracle = hierarchy.filter_stream_reference(stream)
-        for name in ("demand_lines", "merged_lines", "is_prefetch", "outcomes", "dram_lines"):
-            actual, expected = getattr(fast, name), getattr(oracle, name)
-            np.testing.assert_array_equal(actual, expected, err_msg=name)
-            assert actual.dtype == expected.dtype, name
-        assert fast.stats == oracle.stats
-        assert fast.line_bytes == oracle.line_bytes
+@given(hierarchy=_stream_hierarchies(), drawn=_stream_lists())
+def test_filter_lines_filters_each_stream_as_if_alone(hierarchy, drawn):
+    """Property: one ``filter_lines`` call over the stacked line matrices,
+    with a stream id per point, gives every stream's accesses exactly the
+    filtered stream the per-access oracle gives it alone: each stream
+    starts with an empty L0 window, no stride history and empty cache sets.
+    Its cache counts are the oracle's summed over the streams."""
+    per_point, kind, streams = drawn
+    line_bytes = hierarchy.cache.line_bytes
+    lines = np.concatenate(
+        [np.zeros((0, per_point), dtype=np.int64)]
+        + [(s.addresses // line_bytes).reshape(s.indices.shape) for s in streams]
+    )
+    ids = np.repeat(np.arange(len(streams)), [s.num_points for s in streams])
+    passed = hierarchy.filter_lines(lines, ids, len(streams), writes=kind is StreamKind.WRITE)
+    oracles = [hierarchy.filter_stream_reference(stream) for stream in streams]
+    demand_ids = passed.streams.compress(~passed.is_prefetch)
+    for index, oracle in enumerate(oracles):
+        mine, dram = passed.streams == index, passed.dram_streams == index
+        for actual, expected in [
+            (passed.demand[demand_ids == index], oracle.demand_lines),
+            (passed.merged[mine], oracle.merged_lines),
+            (passed.is_prefetch[mine], oracle.is_prefetch),
+            (passed.outcomes[mine], oracle.outcomes),
+            (passed.dram[dram], oracle.dram_lines),
+        ]:
+            np.testing.assert_array_equal(actual, expected)
+            assert actual.dtype == expected.dtype
+    for name in CACHE_COUNTS:
+        assert getattr(passed.cache, name) == sum(
+            getattr(o.stats.cache, name) for o in oracles
+        ), name
 
 
-def test_filter_streams_needs_one_point_shape():
+def test_filter_lines_needs_a_line_matrix():
     hierarchy = CacheHierarchy()
-    eight = _gather_stream(np.arange(16).reshape(2, 8))
-    four = _gather_stream(np.arange(16).reshape(4, 4))
-    assert hierarchy.filter_streams([]) == []
-    with pytest.raises(ValueError, match="accesses per point"):
-        hierarchy.filter_streams([eight, four])
+    with pytest.raises(ValueError, match=r"\(N, P\)"):
+        hierarchy.filter_lines(np.arange(8))
+    empty = hierarchy.filter_lines(np.zeros((0, 8), dtype=np.int64))
+    assert empty.merged.size == empty.dram.size == empty.cache.demand_accesses == 0
 
 
 # -------------------------------------------------------------- prefetcher

@@ -35,6 +35,7 @@ from repro.obs import (
     write_chrome_trace,
 )
 from repro.pipeline.store import ArtifactStore
+from repro.serve import ServeWorkloadConfig, ServiceCostConfig, ServiceCostModel, generate_requests
 from repro.streams import RequestStream, StreamKind
 from repro.pipeline.sweep import ProcessSweepExecutor, sweep
 
@@ -320,31 +321,28 @@ def test_filter_stream_counts_what_the_cache_knobs_changed():
 
 
 def test_bulk_calls_count_what_one_call_per_stream_counts():
-    """``filter_streams`` and ``service_batches`` open one span each, with
-    the stream count in its args, and their ``mem.*`` / ``dram.*`` counter
-    totals equal those of the single-stream methods called once per stream."""
-    rng = np.random.default_rng(7)
-    hierarchy = CacheHierarchy(
-        CacheConfig(capacity_bytes=2048, ways=2, mshr_latency=4), PrefetcherConfig("stride")
-    )
-    streams = [
-        RequestStream(
-            indices=rng.integers(0, 3_000, (points, 4)) * 4,
-            entry_bytes=4,
-            table_entries=12_000,
-            kind=kind,
+    """A traced ``costs`` pass opens one ``mem.filter_stream`` and one
+    ``dram.service_batch`` span, with the batch count in its args, and its
+    ``mem.*`` / ``dram.*`` counter totals equal those of ``filter_stream``
+    and ``service_batch`` called once per batch stream."""
+    model = ServiceCostModel(
+        ServiceCostConfig(
+            cache_kb=2, grid_levels=2, table_size=2**10, base_resolution=8, max_resolution=32
         )
-        for points, kind in [(60, StreamKind.WRITE), (0, StreamKind.READ), (90, StreamKind.READ)]
-    ]
-    dram = DRAMSystem()
+    )
+    requests = generate_requests(
+        ServeWorkloadConfig(num_tenants=2, requests_per_tenant=4, rays_min=2, rays_max=8)
+    )
+    table = model.compile(requests)
+    batches = [requests[:2], requests[2:3], requests[3:8]]
 
     def bulk() -> None:
-        filtered = hierarchy.filter_streams(streams)
-        dram.service_batches([f.dram_stream() for f in filtered], size_bytes=64)
+        model.costs(batches, table)
 
     def one_by_one() -> None:
-        for stream in streams:
-            dram.service_batch(hierarchy.filter_stream(stream).dram_stream(), size_bytes=64)
+        for batch in batches:
+            filtered = model.hierarchy.filter_stream(table.batch_stream(batch))
+            model.dram.service_batch(filtered.dram_stream(), size_bytes=model.config.line_bytes)
 
     runs = []
     for run in (bulk, one_by_one):
@@ -354,13 +352,14 @@ def test_bulk_calls_count_what_one_call_per_stream_counts():
         obs.disable()
     (bulk_events, bulk_counts), (single_events, single_counts) = runs
     assert bulk_counts == single_counts
-    assert bulk_counts["mem.writebacks"] > 0 and bulk_counts["dram.row_hits"] > 0
+    for name in ("mem.cache_hits", "mem.cache_coalesced", "mem.prefetch_fills", "dram.row_hits"):
+        assert bulk_counts[name] > 0, name
     assert any(name.endswith(".busy_cycles") for name in bulk_counts)
     assert [(e.name, dict(e.args)["streams"]) for e in bulk_events] == [
         ("mem.filter_stream", 3),
         ("dram.service_batch", 3),
     ]
-    assert len(single_events) == 2 * len(streams)
+    assert len(single_events) == 2 * len(batches)
 
 
 # ------------------------------------------------------------- determinism

@@ -395,14 +395,18 @@ def test_stream_accounting_balances_through_hierarchy_and_dram(
     burst=st.integers(min_value=16, max_value=4096),
     spec=st.sampled_from(PROPERTY_DRAM_SPECS),
     subarrays_per_bank=st.sampled_from([None, 1, 4, 7]),
+    writes=st.booleans(),
     data=st.data(),
 )
-def test_service_batches_time_each_stream_as_if_alone(
-    seeds, burst, spec, subarrays_per_bank, data
+def test_service_addresses_time_each_stream_as_if_alone(
+    seeds, burst, spec, subarrays_per_bank, writes, data
 ):
-    """Property: one ``service_batches`` call times every stream exactly as
-    the per-request oracle times it alone, read and write streams mixed:
-    each stream starts on idle banks with empty tRRD/tFAW windows."""
+    """Property: one ``service_addresses`` call over the concatenated
+    addresses, with a stream id per request, times every stream exactly as
+    the per-request oracle times it alone: each stream starts on idle banks
+    with empty tRRD/tFAW windows."""
+    system = DRAMSystem(spec, subarrays_per_bank)
+    capacity = system.spec.organization.total_capacity_bytes
     streams = []
     for seed in seeds:
         rng = np.random.default_rng(seed)
@@ -410,18 +414,22 @@ def test_service_batches_time_each_stream_as_if_alone(
         indices = rng.integers(0, table_entries, (data.draw(st.integers(0, 40)), 1))
         if data.draw(st.booleans()):  # row-hit-heavy
             indices = np.sort(indices, axis=None).reshape(indices.shape)
-        kind = data.draw(st.sampled_from([StreamKind.READ, StreamKind.WRITE]))
-        streams.append(RequestStream(indices, 64, table_entries, kind=kind))
+        streams.append(RequestStream(indices, 64, table_entries).addresses % capacity)
 
-    results = DRAMSystem(spec, subarrays_per_bank).service_batches(streams, size_bytes=burst)
-    assert len(results) == len(streams)
-    capacity = DRAMSystem(spec).spec.organization.total_capacity_bytes
-    for stream, result in zip(streams, results):
-        request_type = RequestType.WRITE if stream.writes else RequestType.READ
+    ids = np.repeat(np.arange(len(streams)), [a.size for a in streams])
+    addresses = np.concatenate([np.zeros(0, dtype=np.int64), *streams])
+    timed = system.service_addresses(addresses, burst, writes, ids, len(streams))
+    assert [len(column) for column in timed] == [len(streams)] * 3
+    request_type = RequestType.WRITE if writes else RequestType.READ
+    for index, stream in enumerate(streams):
         oracle = DRAMSystem(spec, subarrays_per_bank).service_requests(
-            [MemoryRequest(int(a) % capacity, request_type, burst) for a in stream.addresses]
+            [MemoryRequest(int(a), request_type, burst) for a in stream]
         )
-        assert result == oracle
+        assert [column[index] for column in timed] == [
+            oracle.total_cycles,
+            oracle.row_hits,
+            oracle.bank_conflicts,
+        ]
 
 
 @settings(max_examples=200, deadline=None)
