@@ -187,18 +187,18 @@ class FilteredLines:
 
     #: L0-surviving demand line ids, in stream order (the L1 input).
     demand: NDArray[Any] = field(repr=False)
-    #: Demand + injected prefetch accesses, the per-access flags/outcomes,
-    #: and each access's stream id (``None`` without stream ids).
+    #: Demand + injected prefetch accesses, and the per-access flags/outcomes.
     merged: NDArray[Any] = field(repr=False)
     is_prefetch: NDArray[Any] = field(repr=False)
     outcomes: NDArray[Any] = field(repr=False)
-    streams: NDArray[Any] | None = field(repr=False)
-    #: Line ids fetched from DRAM (demand misses + prefetch fills), stream
-    #: order, and their stream ids.
+    #: Line ids fetched from DRAM (demand misses + prefetch fills), stream order.
     dram: NDArray[Any] = field(repr=False)
-    dram_streams: NDArray[Any] | None = field(repr=False)
     #: Outcome counts summed over the streams.
     cache: CacheStats
+    #: The stream id of each merged access and of each DRAM line (``None``
+    #: without stream ids).
+    streams: NDArray[Any] | None = field(default=None, repr=False)
+    dram_streams: NDArray[Any] | None = field(default=None, repr=False)
 
 
 @dataclass(frozen=True)
@@ -261,38 +261,30 @@ class CacheHierarchy:
         return (stream.addresses // self.cache.line_bytes).reshape(stream.indices.shape)
 
     def _assemble(
-        self,
-        lines: NDArray[Any],
-        demand: NDArray[Any],
-        merged: NDArray[Any],
-        is_prefetch: NDArray[Any],
-        outcomes: NDArray[Any],
-        dram: NDArray[Any],
-        cache_stats: CacheStats,
-        entry_bytes: int,
+        self, lines: NDArray[Any], passed: FilteredLines, entry_bytes: int
     ) -> FilteredStream:
         num_points, per_point = lines.shape
         l0_accesses = int(lines.size)
         l0_energy = self.scratchpad.access_energy_j(
-            l0_accesses * entry_bytes + demand.size * self.cache.line_bytes
+            l0_accesses * entry_bytes + passed.demand.size * self.cache.line_bytes
         )
         stats = HierarchyStats(
             num_points=num_points,
             accesses_per_point=per_point,
             l0_accesses=l0_accesses,
-            l0_hits=l0_accesses - int(demand.size),
-            cache=cache_stats,
+            l0_hits=l0_accesses - int(passed.demand.size),
+            cache=passed.cache,
             line_bytes=self.cache.line_bytes,
             l0_energy_j=l0_energy,
-            cache_energy_j=cache_stats.energy_j(self.cache),
+            cache_energy_j=passed.cache.energy_j(self.cache),
         )
         return FilteredStream(
             line_bytes=self.cache.line_bytes,
-            demand_lines=demand,
-            merged_lines=merged,
-            is_prefetch=is_prefetch,
-            outcomes=outcomes,
-            dram_lines=dram,
+            demand_lines=passed.demand,
+            merged_lines=passed.merged,
+            is_prefetch=passed.is_prefetch,
+            outcomes=passed.outcomes,
+            dram_lines=passed.dram,
             stats=stats,
         )
 
@@ -308,33 +300,20 @@ class CacheHierarchy:
         """
         lines = self._lines(stream)
         passed = self.filter_lines(lines, writes=stream.writes)
-        return self._assemble(
-            lines,
-            passed.demand,
-            passed.merged,
-            passed.is_prefetch,
-            passed.outcomes,
-            passed.dram,
-            passed.cache,
-            stream.entry_bytes,
-        )
+        return self._assemble(lines, passed, stream.entry_bytes)
 
     def filter_lines(
-        self,
-        lines: NDArray[Any],
-        streams: NDArray[Any] | None = None,
-        num_streams: int = 1,
-        writes: bool = False,
+        self, lines: NDArray[Any], streams: NDArray[Any] | None = None, writes: bool = False
     ) -> FilteredLines:
         """Push an ``(N, P)`` line-id matrix through L0 + prefetcher + L1.
 
         The array entry of the hierarchy: :meth:`filter_stream` and
         :meth:`repro.serve.cost.ServiceCostModel.costs` both call it.
-        ``streams`` optionally gives each point a stream id below
-        ``num_streams``; the points of one stream are consecutive.  Every
-        stream starts cold: an empty L0 window, no prefetch stride history
-        and empty cache sets, whatever the streams before it left behind,
-        so each stream's accesses get exactly the outcomes they get alone.
+        ``streams`` optionally gives each point a stream id, counting up
+        from 0; the points of one stream are consecutive.  Every stream
+        starts cold: an empty L0 window, no prefetch stride history and
+        empty cache sets, whatever the streams before it left behind, so
+        each stream's accesses get exactly the outcomes they get alone.
         With ``writes`` every demand access writes its line.  When tracing,
         one ``mem.filter_stream`` span (with the stream count in its args)
         and one set of ``mem.*`` counters cover the call; the counters add
@@ -358,12 +337,13 @@ class CacheHierarchy:
                 merged=merged,
                 is_prefetch=is_prefetch,
                 outcomes=outcomes,
-                streams=merged_ids,
                 dram=merged.compress(fetched),
-                dram_streams=None if merged_ids is None else merged_ids.compress(fetched),
                 cache=cache,
+                streams=merged_ids,
+                dram_streams=None if merged_ids is None else merged_ids.compress(fetched),
             )
             if span.enabled:
+                num_streams = 1 if streams is None else int(streams.max(initial=-1)) + 1
                 span.add_args(
                     streams=num_streams, points=lines.shape[0], dram_lines=int(passed.dram.size)
                 )
@@ -387,6 +367,5 @@ class CacheHierarchy:
         is_write = ~is_prefetch if stream.writes else None
         outcomes, cache_stats = simulate_cache_reference(merged, self.cache, is_write, is_prefetch)
         dram = merged[(outcomes == MISS) | (outcomes == PREFETCH_FILL)]
-        return self._assemble(
-            lines, demand, merged, is_prefetch, outcomes, dram, cache_stats, stream.entry_bytes
-        )
+        passed = FilteredLines(demand, merged, is_prefetch, outcomes, dram, cache_stats)
+        return self._assemble(lines, passed, stream.entry_bytes)

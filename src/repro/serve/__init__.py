@@ -18,8 +18,8 @@ tenants instead of one training job.  The pieces:
   :class:`repro.streams.RequestStream`, the same typed IR the training
   front-ends emit;
 * :mod:`repro.serve.cost` — batch service times from the unchanged
-  :meth:`repro.mem.hierarchy.CacheHierarchy.filter_stream` →
-  :meth:`repro.dram.system.DRAMSystem.service_batch` →
+  :meth:`repro.mem.hierarchy.CacheHierarchy.filter_lines` →
+  :meth:`repro.dram.system.DRAMSystem.service_addresses` →
   :class:`repro.accel.nmp.NMPAccelerator` models;
 * :mod:`repro.serve.simulator` — the virtual clock, per-request latency
   breakdowns (queue / batch-wait / service) and the aggregate serving

@@ -1,14 +1,13 @@
 """Batch service times from the existing hierarchy → DRAM → NMP cost models.
 
-One coalesced batch is priced by replaying its tenant-tagged request stream
-through the exact models the paper experiments use:
+One coalesced batch is priced by replaying its tenant-tagged lookups through
+the exact models the paper experiments use:
 
-* the on-chip hierarchy (:meth:`repro.mem.hierarchy.CacheHierarchy.filter_stream`)
+* the on-chip hierarchy (:meth:`repro.mem.hierarchy.CacheHierarchy.filter_lines`)
   filters the finest-level corner lookups down to surviving line fetches;
-* the DRAM timing model (:meth:`repro.dram.system.DRAMSystem.service_batch`)
+* the DRAM timing model (:meth:`repro.dram.system.DRAMSystem.service_addresses`)
   services those lines cycle-accurately, and the elapsed nanoseconds are
-  scaled by the level count (hashed levels are statistically symmetric, so
-  the finest level is simulated and stands in for all of them);
+  multiplied by the level count;
 * the near-bank accelerator model (:class:`repro.accel.nmp.NMPAccelerator`)
   prices the per-point forward-MLP compute that overlaps the memory traffic.
 
@@ -17,10 +16,20 @@ Memory and compute overlap exactly as in :class:`repro.accel.nmp.StepCost`
 is what makes batching worth it and what the fig14 throughput comparison
 against a per-request oracle measures.
 
+Timing only the finest level and multiplying by the level count is an
+approximation, and it prices DRAM low.  On 32 two-request batches of
+``ServeWorkloadConfig()``'s first 64 requests, the priced DRAM time is 0.87
+of the time summed over every level at the defaults (14.6 against 16.7 us;
+0.76-1.08 per batch) and 0.73 at 16 levels behind a 4 KB cache (82.9
+against 113.2 us; 0.56-0.96 per batch).  The same batches take 33.4 us of
+compute, so at the defaults they stay compute-bound either way; at 16
+levels DRAM binds and its price is about a quarter short.
+
 :meth:`ServiceCostModel.costs` prices many batches in a few passes through
-the same engines, each batch's stream starting cold (empty scratchpad
-window, no prefetch history, empty cache sets, idle DRAM banks), and gives
-each batch exactly what :meth:`cost` gives it.
+the same engines, each batch's lookups starting cold (empty scratchpad
+window, no prefetch history, empty cache sets, idle DRAM banks), so each
+batch costs what it costs alone; :meth:`ServiceCostModel.cost` is its
+one-batch case.
 """
 
 from __future__ import annotations
@@ -205,7 +214,7 @@ class ServiceCostModel:
         if table is None:
             table = self.compile(list(dict.fromkeys(r for batch in batches for r in batch)))
         prices: list[ServiceCost] = []
-        group: list[list[tuple[int, int]]] = []
+        group: list[tuple[list[tuple[int, int]], int]] = []
         points = 0
         for batch in batches:
             spans = table.spans(batch)
@@ -213,15 +222,15 @@ class ServiceCostModel:
             if group and points + size > PASS_POINTS:
                 prices += self._price_pass(table, group)
                 group, points = [], 0
-            group.append(spans)
+            group.append((spans, size))
             points += size
         return prices + self._price_pass(table, group)
 
     def _price_pass(
-        self, table: RequestTable, batches: list[list[tuple[int, int]]]
+        self, table: RequestTable, batches: list[tuple[list[tuple[int, int]], int]]
     ) -> list[ServiceCost]:
-        """Price batches, each given by its requests' row spans, in one pass."""
-        starts, stops = np.array([span for spans in batches for span in spans]).T
+        """Price ``(row spans, points)`` batches in one memory-system pass."""
+        starts, stops = np.array([span for spans, _ in batches for span in spans]).T
         lengths = stops - starts
         ends = lengths.cumsum()
         rows = np.arange(ends[-1]) + np.repeat(starts - (ends - lengths), lengths)
@@ -230,9 +239,10 @@ class ServiceCostModel:
         lines *= stream.entry_bytes
         lines += stream.base_address
         lines //= line_bytes
-        points = [sum(stop - start for start, stop in spans) for spans in batches]
-        ids = np.repeat(np.arange(len(batches)), points) if len(batches) > 1 else None
-        filtered = self.hierarchy.filter_lines(lines, ids, len(batches))
+        ids = None
+        if len(batches) > 1:
+            ids = np.repeat(np.arange(len(batches)), [size for _, size in batches])
+        filtered = self.hierarchy.filter_lines(lines, ids)
         capacity = self.dram.spec.organization.total_capacity_bytes
         cycles, _, _ = self.dram.service_addresses(
             filtered.dram * line_bytes % capacity,
@@ -250,7 +260,7 @@ class ServiceCostModel:
                 compute_us=self.compute_us(num_points),
                 overhead_us=self.config.batch_overhead_us,
             )
-            for spans, num_points, batch_cycles in zip(batches, points, cycles)
+            for (spans, num_points), batch_cycles in zip(batches, cycles)
         ]
 
     def compute_us(self, num_points: int) -> float:

@@ -352,6 +352,14 @@ CACHE_COUNTS = (
 
 @settings(max_examples=200, deadline=None)
 @given(hierarchy=_stream_hierarchies(), drawn=_stream_lists())
+@example(  # lines 0, 1 | 2, 3: a stride across the boundary, none within a stream
+    hierarchy=CacheHierarchy(prefetcher=PrefetcherConfig("stride"), scratchpad=Scratchpad(64)),
+    drawn=(
+        1,
+        StreamKind.READ,
+        [RequestStream([[0], [4]], 16, 16), RequestStream([[8], [12]], 16, 16)],
+    ),
+)
 def test_filter_lines_filters_each_stream_as_if_alone(hierarchy, drawn):
     """Property: one ``filter_lines`` call over the stacked line matrices,
     with a stream id per point, gives every stream's accesses exactly the
@@ -365,7 +373,7 @@ def test_filter_lines_filters_each_stream_as_if_alone(hierarchy, drawn):
         + [(s.addresses // line_bytes).reshape(s.indices.shape) for s in streams]
     )
     ids = np.repeat(np.arange(len(streams)), [s.num_points for s in streams])
-    passed = hierarchy.filter_lines(lines, ids, len(streams), writes=kind is StreamKind.WRITE)
+    passed = hierarchy.filter_lines(lines, ids, writes=kind is StreamKind.WRITE)
     oracles = [hierarchy.filter_stream_reference(stream) for stream in streams]
     demand_ids = passed.streams.compress(~passed.is_prefetch)
     for index, oracle in enumerate(oracles):
