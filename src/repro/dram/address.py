@@ -87,16 +87,24 @@ class AddressMapper:
         column = addr & (self.org.row_buffer_bytes - 1)
         return channel, rank, bank, subarray, row, column
 
-    def decode_banks(self, addresses: np.ndarray) -> tuple[np.ndarray, ...]:
-        """The (channel, bank, row) of :meth:`decode_array`, without its other arrays."""
-        rest = np.asarray(addresses, dtype=np.int64) >> self._column_bits
-        bank = rest & (2**self._bank_bits - 1)
+    def decode_banks(
+        self, addresses: np.ndarray, out: tuple[np.ndarray, ...] | None = None
+    ) -> tuple[np.ndarray, ...]:
+        """The (channel, bank, row) of :meth:`decode_array`, without its other arrays.
+
+        ``out`` optionally gives the three int64 arrays, each of the
+        addresses' length, to fill and return.
+        """
+        addresses = np.asarray(addresses, dtype=np.int64)
+        channel, bank, rest = out or (np.empty_like(addresses) for _ in range(3))
+        np.right_shift(addresses, self._column_bits, out=rest)
+        np.bitwise_and(rest, 2**self._bank_bits - 1, out=bank)
         rest >>= self._bank_bits
         if self._channel_bits:
-            channel = rest & (2**self._channel_bits - 1)
+            np.bitwise_and(rest, 2**self._channel_bits - 1, out=channel)
             rest >>= self._channel_bits
         else:
-            channel = np.zeros_like(rest)
+            channel.fill(0)
         np.minimum(bank, self.org.banks_per_chip - 1, out=bank)
         np.minimum(channel, self.org.num_channels - 1, out=channel)
         return channel, bank, rest

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..core.scratch import scratch
 from ..core.sorting import stable_order
 from ..obs import get_metrics, get_tracer
 from ..streams.ir import RequestStream
@@ -235,34 +236,46 @@ class DRAMSystem:
         if addresses.size == 0:
             return [0] * num_streams, [0] * num_streams, [0] * num_streams, {}
         org, timing = self.spec.organization, self.spec.timing
-        channel, bank, row = self.mapper.decode_banks(addresses)
-        bank += channel * org.banks_per_chip  # one id per bank of the system
-        n = bank.size
+        n = addresses.size
+        # Every request-length temporary lives in this thread's scratch pool
+        # (int64 slots 0-8, bool slots 0-3).  ``take`` writes straight into a
+        # slot only with ``mode="clip"``, which leaves a permutation as it
+        # is, and bools are copied into an int64 slot before arithmetic,
+        # which would otherwise buffer a cast copy.
+        channel, bank, row = self.mapper.decode_banks(
+            addresses, out=tuple(scratch(slot, n, np.int64) for slot in range(3))
+        )
+        key, spare = scratch(3, n, np.int64), scratch(4, n, np.int64)
+        bank += np.multiply(channel, org.banks_per_chip, out=key)  # one id per bank of the system
 
         # A request hits when the previous access to its subarray, in its
         # stream, opened the same row, and pays a precharge when that access
         # opened another one.
         num_banks = org.num_channels * org.banks_per_chip
-        key = row % org.subarrays_per_bank  # the subarray the mapper decodes
+        np.remainder(row, org.subarrays_per_bank, out=key)  # the subarray the mapper decodes
         key %= self.subarrays_per_bank
-        key += bank * self.subarrays_per_bank
+        key += np.multiply(bank, self.subarrays_per_bank, out=spare)
         by_subarray = stable_order(
             key, num_banks * self.subarrays_per_bank, streams, num_streams
         )
-        key, rows = key[by_subarray], row[by_subarray]
-        follows = np.zeros(n, dtype=bool)
-        np.equal(key[1:], key[:-1], out=follows[1:])
+        follows, same = scratch(0, n, bool), scratch(1, n, bool)
+        follows[0] = same[0] = False
+        sorted_key = key.take(by_subarray, out=spare, mode="clip")
+        np.equal(sorted_key[1:], sorted_key[:-1], out=follows[1:])
         if streams is not None:
-            sorted_streams = streams[by_subarray]
-            follows[1:] &= sorted_streams[1:] == sorted_streams[:-1]
-        same_row = np.zeros(n, dtype=bool)
-        np.equal(rows[1:], rows[:-1], out=same_row[1:])
-        hit = np.empty(n, dtype=bool)
-        hit[by_subarray] = follows & same_row
-        row_open = np.empty(n, dtype=bool)
+            sorted_streams = streams.take(by_subarray, out=spare, mode="clip")
+            follows[1:] &= np.equal(sorted_streams[1:], sorted_streams[:-1], out=same[1:])
+        rows = row.take(by_subarray, out=key, mode="clip")
+        np.equal(rows[1:], rows[:-1], out=same[1:])
+        hit, row_open = scratch(2, n, bool), scratch(3, n, bool)
         row_open[by_subarray] = follows
+        hit[by_subarray] = np.logical_and(follows, same, out=same)
         column = timing.tWR if writes else timing.tCL
-        latency = np.where(hit, column + timing.tCCD, timing.tRCD + column + row_open * timing.tRP)
+        latency = scratch(5, n, np.int64)
+        latency[:] = row_open
+        latency *= timing.tRP
+        latency += timing.tRCD + column
+        np.copyto(latency, column + timing.tCCD, where=hit)
 
         # A bank serves its requests back to back: each starts once the
         # previous one is ready.  ``before`` is the latency of the requests
@@ -270,32 +283,45 @@ class DRAMSystem:
         # ``lag`` cycles after its own ``before`` frees up at ``before + lag``.
         # With streams, each stream has its own banks.
         by_bank = stable_order(bank, num_banks, streams, num_streams)
-        sorted_bank, sorted_latency = bank[by_bank], latency[by_bank]
-        first = np.ones(n, dtype=bool)
+        sorted_bank = bank.take(by_bank, out=key, mode="clip")
+        sorted_latency = latency.take(by_bank, out=spare, mode="clip")
+        first = scratch(0, n, bool)
+        first[0] = True
         np.not_equal(sorted_bank[1:], sorted_bank[:-1], out=first[1:])
         if streams is not None:
-            sorted_streams = streams[by_bank]
-            first[1:] |= sorted_streams[1:] != sorted_streams[:-1]
-            unit = bank + streams * num_banks  # one id per bank of each stream
+            sorted_streams = streams.take(by_bank, out=scratch(6, n, np.int64), mode="clip")
+            first[1:] |= np.not_equal(sorted_streams[1:], sorted_streams[:-1], out=same[1:])
+            unit = np.multiply(streams, num_banks, out=row)  # one id per bank of each stream
+            unit += bank
         else:
             unit = bank
         firsts = np.flatnonzero(first)
-        ahead = np.cumsum(sorted_latency) - sorted_latency
-        before = np.empty(n, dtype=np.int64)
-        before[by_bank] = ahead - ahead[firsts][np.cumsum(first) - 1]
+        ahead = np.cumsum(sorted_latency, out=latency)
+        ahead -= sorted_latency
+        rank = scratch(7, n, np.int64)
+        rank[:] = first
+        np.cumsum(rank, out=rank)
+        rank -= 1
+        ahead -= ahead[firsts].take(rank, out=scratch(8, n, np.int64), mode="clip")
+        before = rank
+        before[by_bank] = ahead
 
         # Only activations wait on the tRRD/tFAW window, so the recurrence
         # across banks walks each channel's activations in stream order, one
         # stream at a time.  An activation starts at the later of the window
         # and its bank's free cycle, and conflicts when the bank, not the
         # window, held it back.
-        activations = np.flatnonzero(~hit)
-        group = channel[activations]  # (stream, channel) pairs, stream-major
-        if streams is not None:
-            group += streams[activations] * org.num_channels
+        activations = np.flatnonzero(np.logical_not(hit, out=row_open))
+        m = activations.size
+        group = channel.take(activations, out=scratch(8, m, np.int64), mode="clip")
+        if streams is not None:  # (stream, channel) pairs, stream-major
+            stream_of = streams.take(activations, out=scratch(5, m, np.int64), mode="clip")
+            stream_of *= org.num_channels
+            group += stream_of
         num_groups = num_streams * org.num_channels
         activations = activations[stable_order(group, num_groups)]
-        banks, befores = unit[activations].tolist(), before[activations].tolist()
+        banks = unit.take(activations, out=scratch(5, m, np.int64), mode="clip").tolist()
+        befores = before.take(activations, out=scratch(0, m, np.int64), mode="clip").tolist()
         ends = np.cumsum(np.bincount(group, minlength=num_groups)).tolist()
         lag = [0] * (num_banks * num_streams)
         t_rrd, t_faw = timing.tRRD, timing.tFAW
@@ -330,7 +356,7 @@ class DRAMSystem:
         busy = np.bincount(used_channels, weights=bank_latency).tolist()
         busy_cycles = {c: int(busy[c]) for c in sorted(set(used_channels.tolist()))}
         if streams is None:
-            return [int(finish.max())], [n - activations.size], conflicts, busy_cycles
+            return [int(finish.max())], [n - m], conflicts, busy_cycles
         used_stream = used_unit // num_banks
         total_cycles = np.zeros(num_streams, dtype=np.int64)
         np.maximum.at(total_cycles, used_stream, finish)

@@ -48,6 +48,7 @@ from typing import Any
 import numpy as np
 from numpy.typing import NDArray
 
+from ..core.scratch import scratch
 from ..core.sorting import stable_order
 
 __all__ = [
@@ -258,33 +259,41 @@ def simulate_cache(
     num_sets, ways, mshr = config.num_sets, config.ways, config.mshr_latency
     num_streams = 1 if streams is None else int(streams[-1]) + 1
 
-    # Dead stream-length arrays are deleted pass by pass: on long streams,
-    # fresh pages for a larger peak footprint cost as much as the passes.
+    # Access- and run-length temporaries live in this thread's scratch pool
+    # (int64 slots 0-9, bool slots 0-6, int8 slot 0, and slots 8 and 9 in
+    # the LRU state's dtype in pass 4).  ``take`` writes straight into a
+    # slot only with ``mode="clip"``, which leaves in-range indices as they
+    # are, and bools are copied into an int64 slot before a cumsum, which
+    # would otherwise buffer a cast copy.
     # Pass 1 — group accesses by set, keeping stream order inside each set.
     # ``by_set`` holds each sorted access's stream position: the LRU clock.
-    by_set = stable_order(lines % num_sets, num_sets, streams, num_streams)
-    sorted_lines = lines[by_set]
+    set_of = np.remainder(lines, num_sets, out=scratch(0, n, np.int64))
+    by_set = stable_order(set_of, num_sets, streams, num_streams)
+    sorted_lines = lines.take(by_set, out=scratch(0, n, np.int64), mode="clip")
 
     # Pass 2 — runs of equal line ids in the set-sorted stream (equal lines
     # have equal set and tag): only a run's head can change tag state; its
     # members are hits or MSHR coalesces.  Prefetch accesses never merge: a
     # dropped prefetch must not refresh LRU state.
-    head = np.append(True, sorted_lines[1:] != sorted_lines[:-1])
+    head, apart = scratch(0, n, bool), scratch(1, n, bool)
+    head[0] = True
+    np.not_equal(sorted_lines[1:], sorted_lines[:-1], out=head[1:])
     if streams is not None:
-        stream_sorted = streams[by_set]
-        head[1:] |= stream_sorted[1:] != stream_sorted[:-1]
-        del stream_sorted
+        stream_sorted = streams.take(by_set, out=scratch(1, n, np.int64), mode="clip")
+        head[1:] |= np.not_equal(stream_sorted[1:], stream_sorted[:-1], out=apart[1:])
     if has_prefetches:
-        f_sorted = prefetches[by_set]
-        head[1:] |= f_sorted[1:] | f_sorted[:-1]
-        del f_sorted
+        f_sorted = prefetches.take(by_set, out=scratch(2, n, bool), mode="clip")
+        head[1:] |= np.logical_or(f_sorted[1:], f_sorted[:-1], out=apart[1:])
     head_idx = head.nonzero()[0]
     num_runs = head_idx.size
-    run_end = np.append(head_idx[1:], n)
-    line_h, p_h = sorted_lines[head_idx], by_set[head_idx]
-    f_h = prefetches[p_h] if has_prefetches else np.zeros(num_runs, dtype=bool)
-    stream_h = None if streams is None else streams[p_h]
-    del sorted_lines, head
+    run_end = scratch(1, num_runs, np.int64)
+    run_end[:-1], run_end[-1] = head_idx[1:], n
+    line_h = sorted_lines.take(head_idx, out=scratch(2, num_runs, np.int64), mode="clip")
+    p_h = by_set.take(head_idx, out=scratch(3, num_runs, np.int64), mode="clip")
+    f_h = prefetches.take(p_h, out=scratch(3, num_runs, bool), mode="clip")
+    stream_h = None
+    if streams is not None:
+        stream_h = streams.take(p_h, out=scratch(4, num_runs, np.int64), mode="clip")
 
     # Pass 3 — wave schedule: a head's within-set ordinal is its index minus
     # the index of its set's first head (a prefix sum of per-set counts), and
@@ -292,18 +301,24 @@ def simulate_cache(
     # t-th head of every set.  Sets are independent and appear at most once
     # per wave, so each wave is one race-free vector step.  With streams a
     # "set" is a used (stream, set) pair, numbered densely in sorted order.
-    set_h = line_h % num_sets
+    set_h = np.remainder(line_h, num_sets, out=scratch(5, num_runs, np.int64))
     if stream_h is None:
         group_h, num_groups = set_h, num_sets
     else:
-        new_group = (set_h[1:] != set_h[:-1]) | (stream_h[1:] != stream_h[:-1])
-        group_h = np.append(0, new_group.cumsum())
+        new_group = np.not_equal(set_h[1:], set_h[:-1], out=scratch(1, num_runs - 1, bool))
+        new_group |= np.not_equal(stream_h[1:], stream_h[:-1], out=scratch(2, num_runs - 1, bool))
+        group_h = scratch(6, num_runs, np.int64)
+        group_h[0], group_h[1:] = 0, new_group
+        np.cumsum(group_h, out=group_h)
         num_groups = int(group_h[-1]) + 1
     per_set = np.bincount(group_h, minlength=num_groups)
-    ordinal = np.arange(num_runs) - (per_set.cumsum() - per_set)[group_h]
+    positions = np.arange(num_runs)
+    ordinal = (per_set.cumsum() - per_set).take(
+        group_h, out=scratch(7, num_runs, np.int64), mode="clip"
+    )
+    np.subtract(positions, ordinal, out=ordinal)
     by_wave = stable_order(ordinal, int(per_set.max()))
     bounds = np.bincount(ordinal).cumsum().tolist()
-    del ordinal
 
     # Pass 4 — the sweep over flat (set, way) slots: ``slot_g`` starts at
     # each head's set row and gains its way.  A -1 tag never matches and a
@@ -311,9 +326,19 @@ def simulate_cache(
     # and last uses are 32-bit when line ids and positions fit, which halves
     # the state and the rows each wave takes.
     state = np.int32 if max(int(lines.max()), n) < 2**31 else np.int64
-    t_g, s_g = (line_h[by_wave] // num_sets).astype(state), group_h[by_wave]
-    lp_g = by_set[run_end[by_wave] - 1].astype(state)  # a run's last use
-    f_g, slot_g, t_col = f_h[by_wave], s_g * ways, t_g[:, None]
+    t_g = np.floor_divide(
+        line_h.take(by_wave, out=scratch(7, num_runs, np.int64), mode="clip"),
+        num_sets,
+        out=scratch(8, num_runs, state),
+    )
+    s_g = group_h.take(by_wave, out=scratch(7, num_runs, np.int64), mode="clip")
+    last = run_end.take(by_wave, out=scratch(0, num_runs, np.int64), mode="clip")
+    last -= 1
+    lp_g = scratch(9, num_runs, state)  # a run's last use
+    lp_g[:] = by_set.take(last, out=scratch(1, num_runs, np.int64), mode="clip")
+    f_g = f_h.take(by_wave, out=scratch(1, num_runs, bool), mode="clip")
+    slot_g = np.multiply(s_g, ways, out=scratch(0, num_runs, np.int64))
+    t_col = t_g[:, None]
     tag_state = np.full(num_groups * ways, -1, dtype=state)
     last_used = np.full(num_groups * ways, -1, dtype=state)
     tag_rows, lru_rows = tag_state.reshape(num_groups, ways), last_used.reshape(num_groups, ways)
@@ -328,50 +353,68 @@ def simulate_cache(
         tag_state[slot] = t
         last_used[slot] = lp
         lo = hi
-    del t_g, s_g, lp_g, f_g, t_col, tag_state, last_used, tag_rows, lru_rows
 
     # Pass 5 — residencies: among a slot's heads in stream order, a head is
     # a fill unless the head before it held the same line, and its residency
     # is the latest fill.  A stream's (set, way) order is its slot order.
-    slot_h = np.empty(num_runs, dtype=np.int64)
+    slot_h = scratch(1, num_runs, np.int64)
     slot_h[by_wave] = slot_g
-    del by_wave, slot_g
     if stream_h is None:
         by_slot = stable_order(slot_h, num_sets * ways)
-    else:
-        way_h = slot_h - group_h * ways
-        by_slot = stable_order(set_h * ways + way_h, num_sets * ways, stream_h, num_streams)
-        del way_h
-    del set_h, group_h, per_set
-    slot_s, line_s = slot_h[by_slot], line_h[by_slot]
-    del slot_h, line_h
-    slot_end = np.append(slot_s[1:] != slot_s[:-1], True)
-    fill_s = np.append(True, slot_end[:-1] | (line_s[1:] != line_s[:-1]))
-    del slot_s, line_s
-    latest_fill = by_slot[np.maximum.accumulate(np.where(fill_s, np.arange(num_runs), 0))]
-    residency, fill = np.empty(num_runs, dtype=np.intp), np.empty(num_runs, dtype=bool)
-    residency[by_slot], fill[by_slot] = latest_fill, fill_s
-    del by_slot, fill_s
-    demand = ~f_h
+    else:  # the way is the slot less its (stream, set) row
+        key = np.multiply(set_h, ways, out=scratch(7, num_runs, np.int64))
+        key += slot_h
+        key -= np.multiply(group_h, ways, out=group_h)
+        by_slot = stable_order(key, num_sets * ways, stream_h, num_streams)
+    slot_s = slot_h.take(by_slot, out=scratch(8, num_runs, np.int64), mode="clip")
+    line_s = line_h.take(by_slot, out=scratch(9, num_runs, np.int64), mode="clip")
+    slot_end, fill_s = scratch(1, num_runs, bool), scratch(2, num_runs, bool)
+    slot_end[-1] = fill_s[0] = True
+    np.not_equal(slot_s[1:], slot_s[:-1], out=slot_end[:-1])
+    np.not_equal(line_s[1:], line_s[:-1], out=fill_s[1:])
+    fill_s[1:] |= slot_end[:-1]
+    latest = np.multiply(fill_s, positions, out=scratch(0, num_runs, np.int64))
+    np.maximum.accumulate(latest, out=latest)
+    latest_fill = by_slot.take(latest, out=scratch(2, num_runs, np.int64), mode="clip")
+    residency = scratch(4, num_runs, np.int64)
+    residency[by_slot] = latest_fill
+    fill = scratch(4, num_runs, bool)
+    fill[by_slot] = fill_s
+    demand = np.logical_not(f_h, out=scratch(5, num_runs, bool))
     writebacks = useful = dirty_left = 0
     if has_writes:
         # A residency is dirty when its fill or a demand touch wrote
         # (prefetch fills start clean); it ends with a writeback unless it
         # is still cached, as the last residency of its slot.
-        run_write = np.logical_or.reduceat(writes[by_set], head_idx)
-        dirty = np.zeros(num_runs, dtype=bool)
-        dirty[residency.compress(demand & run_write)] = True
+        write_sorted = writes.take(by_set, out=scratch(6, n, bool), mode="clip")
+        run_write = np.logical_or.reduceat(write_sorted, head_idx, out=scratch(2, num_runs, bool))
+        dirty = scratch(6, num_runs, bool)
+        dirty.fill(False)
+        dirty[residency.compress(np.logical_and(demand, run_write, out=run_write))] = True
         dirty_left = int(np.count_nonzero(dirty[latest_fill.compress(slot_end)]))
         writebacks = int(np.count_nonzero(dirty)) - dirty_left
     if has_prefetches:
         # A prefetch-filled residency is useful once a demand access touches it.
-        touched = np.zeros(num_runs, dtype=bool)
+        touched = scratch(6, num_runs, bool)
+        touched.fill(False)
         touched[residency.compress(demand)] = True
-        useful = int(np.count_nonzero(touched & f_h))
+        useful = int(np.count_nonzero(np.logical_and(touched, f_h, out=touched)))
 
     # An access before its residency's fill completes coalesces into it.
-    fill_done = (p_h[residency] + (1 + mshr)).repeat(run_end - head_idx)
-    out = np.where(by_set < fill_done, np.int8(COALESCED), np.int8(HIT))
+    fill_done = p_h.take(residency, out=scratch(5, num_runs, np.int64), mode="clip")
+    fill_done += 1 + mshr
+    run_of = scratch(6, n, np.int64)
+    run_of[:] = head
+    np.cumsum(run_of, out=run_of)
+    run_of -= 1
+    coalesced = np.less(
+        by_set,
+        fill_done.take(run_of, out=scratch(7, n, np.int64), mode="clip"),
+        out=scratch(1, n, bool),
+    )
+    out = scratch(0, n, np.int8)
+    out.fill(HIT)
+    np.copyto(out, COALESCED, where=coalesced)
     out[head_idx.compress(fill)] = MISS
     if has_prefetches:
         out[head_idx.compress(f_h)] = np.where(fill[f_h], PREFETCH_FILL, PREFETCH_REDUNDANT)

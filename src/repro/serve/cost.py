@@ -57,10 +57,10 @@ if TYPE_CHECKING:
 __all__ = ["PASS_POINTS", "ServiceCost", "ServiceCostConfig", "ServiceCostModel"]
 
 #: Sample points :meth:`ServiceCostModel.costs` prices per memory-system
-#: pass.  A pass this size already amortizes the engines' per-call cost,
-#: and larger passes put their stream-length temporaries on fresh pages:
-#: on fig14-default batches, one pass over 38,000 points took ~8,000 minor
-#: faults and was ~25% slower than passes of 4,096 points, which took none.
+#: pass.  A pass this size already amortizes the engines' per-call cost.
+#: In paired perfbench ``serve`` runs (seed 1, four 10 s pairs each),
+#: 2,048-point passes were slower in every pair (3,988 -> 3,684 work per
+#: second) and 8,192-point passes in three of four (3,985 -> 3,916).
 PASS_POINTS = 4096
 
 

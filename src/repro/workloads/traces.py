@@ -10,6 +10,7 @@ feed :class:`repro.dram.DRAMSystem` and the NMP accelerator model.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -130,6 +131,16 @@ def generate_batch_points(config: TraceConfig) -> np.ndarray:
     return np.clip(points, 0.0, 1.0)
 
 
+@functools.lru_cache(maxsize=64)
+def _orbit_poses(num_views: int, radius: float) -> np.ndarray:
+    """Stacked, read-only camera-to-world matrices of a scene trace's orbit."""
+    from ..scenes.camera import poses_on_sphere
+
+    poses = np.stack(poses_on_sphere(num_views, radius=radius, elevation_degrees=25.0))
+    poses.flags.writeable = False
+    return poses
+
+
 def generate_scene_batch_points(config: TraceConfig) -> np.ndarray:
     """Sample a training batch of ray points through a named procedural scene.
 
@@ -144,7 +155,7 @@ def generate_scene_batch_points(config: TraceConfig) -> np.ndarray:
     if config.scene is None:
         raise ValueError("generate_scene_batch_points requires TraceConfig.scene to be set")
     # Imported here: workloads must stay importable without the scene stack.
-    from ..scenes.camera import CameraIntrinsics, poses_on_sphere
+    from ..scenes.camera import CameraIntrinsics
     from ..scenes.library import build_scene
 
     scene = build_scene(config.scene)
@@ -152,9 +163,7 @@ def generate_scene_batch_points(config: TraceConfig) -> np.ndarray:
 
     # Orbiting training cameras, one random (view, pixel) per ray.
     num_views = int(max(4, min(16, config.num_rays // 16)))
-    poses = np.stack(
-        poses_on_sphere(num_views, radius=config.camera_radius, elevation_degrees=25.0)
-    )
+    poses = _orbit_poses(num_views, config.camera_radius)
     image_size = 64  # only sets the pixel lattice the rays pass through
     intrinsics = CameraIntrinsics.from_fov(image_size, image_size, config.fov_degrees)
     view = rng.integers(0, num_views, size=config.num_rays)

@@ -365,7 +365,8 @@ def test_filter_lines_filters_each_stream_as_if_alone(hierarchy, drawn):
     with a stream id per point, gives every stream's accesses exactly the
     filtered stream the per-access oracle gives it alone: each stream
     starts with an empty L0 window, no stride history and empty cache sets.
-    Its cache counts are the oracle's summed over the streams."""
+    Its cache counts are the oracle's summed over the streams, and a later,
+    larger call changes none of the returned arrays."""
     per_point, kind, streams = drawn
     line_bytes = hierarchy.cache.line_bytes
     lines = np.concatenate(
@@ -374,6 +375,11 @@ def test_filter_lines_filters_each_stream_as_if_alone(hierarchy, drawn):
     )
     ids = np.repeat(np.arange(len(streams)), [s.num_points for s in streams])
     passed = hierarchy.filter_lines(lines, ids, writes=kind is StreamKind.WRITE)
+    # A second, larger call on other lines reuses this thread's scratch pool:
+    # what the first call returned must not change, and a call that read past
+    # its own length would see the longer call's leftovers in the next example.
+    bigger = np.concatenate([lines[::-1] + 3, lines, np.full((1, per_point), 7)])
+    hierarchy.filter_lines(bigger, np.arange(len(bigger)) // 2, writes=kind is StreamKind.READ)
     oracles = [hierarchy.filter_stream_reference(stream) for stream in streams]
     demand_ids = passed.streams.compress(~passed.is_prefetch)
     for index, oracle in enumerate(oracles):

@@ -404,7 +404,7 @@ def test_service_addresses_time_each_stream_as_if_alone(
     """Property: one ``service_addresses`` call over the concatenated
     addresses, with a stream id per request, times every stream exactly as
     the per-request oracle times it alone: each stream starts on idle banks
-    with empty tRRD/tFAW windows."""
+    with empty tRRD/tFAW windows.  A later, larger call changes none of it."""
     system = DRAMSystem(spec, subarrays_per_bank)
     capacity = system.spec.organization.total_capacity_bytes
     streams = []
@@ -419,6 +419,12 @@ def test_service_addresses_time_each_stream_as_if_alone(
     ids = np.repeat(np.arange(len(streams)), [a.size for a in streams])
     addresses = np.concatenate([np.zeros(0, dtype=np.int64), *streams])
     timed = system.service_addresses(addresses, burst, writes, ids, len(streams))
+    # A second, larger call on other addresses reuses this thread's scratch
+    # pool; a call that read past its own length would see the longer call's
+    # leftovers in the next example.
+    bigger = np.concatenate([(addresses[::-1] + 4096) % capacity, addresses, [0]])
+    bigger_ids = np.arange(bigger.size) // 3
+    system.service_addresses(bigger, burst, not writes, bigger_ids, int(bigger_ids[-1]) + 1)
     assert [len(column) for column in timed] == [len(streams)] * 3
     request_type = RequestType.WRITE if writes else RequestType.READ
     for index, stream in enumerate(streams):
