@@ -55,14 +55,31 @@ class Adam:
         for p, g, m, v in zip(self.parameters, self.gradients, self._m, self._v):
             grad = g
             if self.weight_decay:
-                grad = grad + self.weight_decay * p
-            m[...] = self.beta1 * m + (1.0 - self.beta1) * grad
-            v[...] = self.beta2 * v + (1.0 - self.beta2) * grad * grad
-            m_hat = m / bias1
-            v_hat = v / bias2
+                # Widened first: a float16 ``p`` would round the term to 11 bits.
+                grad = grad + self.weight_decay * p.astype(g.dtype, copy=False)
+            # The expressions below, one ufunc at a time in their order and
+            # dtypes, written into three temporaries instead of thirteen:
+            #   m = b1 * m + (1 - b1) * grad
+            #   v = b2 * v + (1 - b2) * grad * grad
+            #   p -= lr * (m / bias1) / (sqrt(v / bias2) + eps)
+            # ``scaled`` has the gradients' dtype, ``moment`` and ``denom``
+            # the moments' float32.
+            scaled = np.multiply(1.0 - self.beta1, grad)
+            moment = np.multiply(self.beta1, m)
+            np.add(moment, scaled, out=m)
+            np.multiply(1.0 - self.beta2, grad, out=scaled)
+            np.multiply(scaled, grad, out=scaled)
+            np.multiply(self.beta2, v, out=moment)
+            np.add(moment, scaled, out=v)
+            np.divide(m, bias1, out=moment)
+            np.multiply(self.learning_rate, moment, out=moment)
+            denom = np.divide(v, bias2)
+            np.sqrt(denom, out=denom)
+            np.add(denom, self.epsilon, out=denom)
+            np.divide(moment, denom, out=moment)
             # The in-place subtract casts the float32 update to p.dtype itself
             # (same-kind casting), so no per-step astype temporary is needed.
-            p -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.epsilon)
+            p -= moment
 
     def zero_grad(self) -> None:
         for g in self.gradients:

@@ -32,11 +32,13 @@ def relu_grad(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
+    # ``1 / (1 + exp(-x))`` for x >= 0 and ``exp(x) / (1 + exp(x))``
+    # otherwise (NaN included), from one exp that never overflows.
     pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    e = np.exp(np.where(pos, -x, x))
+    d = e + 1.0
+    out = 1.0 / d
+    np.divide(e, d, out=out, where=~pos)
     return out
 
 
@@ -168,7 +170,8 @@ class MLP:
         h = x
         num_layers = len(self.weights)
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            z = h @ w.astype(self.dtype, copy=False) + b.astype(self.dtype, copy=False)
+            z = h @ w.astype(self.dtype, copy=False)
+            z += b.astype(self.dtype, copy=False)
             pre_acts.append(z)
             act = self.output_act if i == num_layers - 1 else self.hidden_act
             h = act.fn(z)

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.nerf.mlp import MLP, relu, sigmoid, softplus
 
@@ -112,3 +114,46 @@ def test_gradients_accumulate_until_zero_grad(rng):
 def test_intermediate_bytes_scales_with_batch():
     mlp = MLP([32, 64, 16])
     assert mlp.intermediate_bytes(batch_size=100) == 100 * (64 + 16) * 4
+
+
+#: Bit patterns of two NaN payloads, one of each sign, per float width.
+NAN_BITS = {
+    np.float16: (0x7E01, 0xFD55),
+    np.float32: (0x7FC00123, 0xFFA00001),
+    np.float64: (0x7FF8000000000123, 0xFFF4000000000001),
+}
+_element = st.one_of(
+    st.floats(-1e4, 1e4), st.sampled_from([0.0, -0.0, np.inf, -np.inf, "nan", "-nan"])
+)
+
+
+def _sigmoid_masked(x):
+    """The two-branch masked sigmoid: the oracle of ``sigmoid``."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    dtype=st.sampled_from([np.float16, np.float32, np.float64]),
+    rows=st.lists(st.tuples(_element, _element, _element), max_size=40),
+)
+def test_sigmoid_is_bit_identical_to_the_masked_form(dtype, rows):
+    """sigmoid equals the masked form byte for byte: signed zeros, infinities,
+    NaN payloads of both signs and |x| up to 1e4, in (N, 3) and (N,) arrays."""
+    values = [v for row in rows for v in row]
+    x = np.array([0.0 if isinstance(v, str) else v for v in values], dtype=dtype)
+    bits = x.view(np.dtype(f"u{x.itemsize}"))
+    for i, v in enumerate(values):
+        if isinstance(v, str):
+            bits[i] = NAN_BITS[dtype][v == "-nan"]
+    x = x.reshape(-1, 3)
+    for arg in (x, x[:, 0]):
+        with np.errstate(all="ignore"):
+            fast, oracle = sigmoid(arg), _sigmoid_masked(arg)
+        assert fast.dtype == oracle.dtype == dtype and fast.shape == oracle.shape
+        assert np.array_equal(fast.view(np.uint8), oracle.view(np.uint8))

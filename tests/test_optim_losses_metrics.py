@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core import precision
 from repro.nerf.adam import Adam
 from repro.nerf.losses import huber_loss, mse_loss
 from repro.nerf.metrics import _uniform_filter, mse, psnr, ssim
@@ -40,6 +43,73 @@ def test_adam_zero_grad_and_weight_decay():
     assert np.all(param < 1.0)  # decay + positive gradient push the weight down
     opt.zero_grad()
     assert np.all(grad == 0)
+
+
+def _expression_step(opt):
+    """One step of ``opt`` as whole-array expressions: the oracle of ``Adam.step``."""
+    opt.step_count += 1
+    bias1 = 1.0 - opt.beta1**opt.step_count
+    bias2 = 1.0 - opt.beta2**opt.step_count
+    for p, g, m, v in zip(opt.parameters, opt.gradients, opt._m, opt._v):
+        grad = g
+        if opt.weight_decay:
+            grad = grad + opt.weight_decay * p.astype(g.dtype, copy=False)
+        m[...] = opt.beta1 * m + (1.0 - opt.beta1) * grad
+        v[...] = opt.beta2 * v + (1.0 - opt.beta2) * grad * grad
+        m_hat = m / bias1
+        v_hat = v / bias2
+        p -= opt.learning_rate * m_hat / (np.sqrt(v_hat) + opt.epsilon)
+
+
+def _same_bytes(a, b):
+    return a.dtype == b.dtype and np.array_equal(a.view(np.uint8), b.view(np.uint8))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    dtype=st.sampled_from(["fp64", "fp32", "fp16"]),
+    weight_decay=st.sampled_from([0.0, 1e-6, 0.1]),
+    learning_rate=st.sampled_from([1e-2, 3e-4]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_adam_step_is_bit_identical_to_the_expression_form(
+    dtype, weight_decay, learning_rate, seed
+):
+    """Adam.step equals the expression form byte for byte over 60 steps:
+    parameters and both moments, for fp64, fp32 and fp16 parameters."""
+    rng = np.random.default_rng(seed)
+    shapes = [(17, 2), (5,)]
+    init = [rng.normal(0.0, 1e-2, shape).astype(precision.storage_dtype(dtype)) for shape in shapes]
+    compute = precision.compute_dtype(dtype)
+    hyper = {"learning_rate": learning_rate, "weight_decay": weight_decay}
+    fast = Adam([p.copy() for p in init], [np.zeros(s, compute) for s in shapes], **hyper)
+    oracle = Adam([p.copy() for p in init], [np.zeros(s, compute) for s in shapes], **hyper)
+    for _ in range(60):
+        for g, g_oracle in zip(fast.gradients, oracle.gradients):
+            g[...] = rng.normal(size=g.shape) * 10.0 ** rng.integers(-9, 1)
+            g[rng.random(g.shape) < 0.1] = 0.0  # entries no sample touched
+            g_oracle[...] = g
+        fast.step()
+        _expression_step(oracle)
+        state = [*fast.parameters, *fast._m, *fast._v]
+        oracle_state = [*oracle.parameters, *oracle._m, *oracle._v]
+        assert all(_same_bytes(a, b) for a, b in zip(state, oracle_state, strict=True))
+
+
+def test_adam_weight_decay_of_fp16_parameters_is_computed_in_float32():
+    """An fp16 parameter decays as its float32 value does, rounded once into
+    storage: ``1e-6 * float16(1e-4)`` must not flush to zero."""
+    p16 = np.array([1e-4, -2e-4, 3e-6, 0.25], dtype=np.float16)
+    p32 = p16.astype(np.float32)
+    hyper = {"learning_rate": 1e-3, "weight_decay": 1e-6}
+    opt16 = Adam([p16], [np.zeros(4, np.float32)], **hyper)
+    opt32 = Adam([p32], [np.zeros(4, np.float32)], **hyper)
+    for _ in range(3):
+        opt16.step()
+        opt32.step()
+        assert _same_bytes(opt16._m[0], opt32._m[0]) and _same_bytes(opt16._v[0], opt32._v[0])
+        assert _same_bytes(p16, p32.astype(np.float16))
+        p32[...] = p16  # the twin steps on from the stored values
 
 
 def test_mse_loss_value_and_gradient():
