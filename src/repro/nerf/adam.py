@@ -57,13 +57,12 @@ class Adam:
             if self.weight_decay:
                 # Widened first: a float16 ``p`` would round the term to 11 bits.
                 grad = grad + self.weight_decay * p.astype(g.dtype, copy=False)
-            # The expressions below, one ufunc at a time in their order and
-            # dtypes, written into three temporaries instead of thirteen:
+            # One ufunc at a time, in the order and dtypes of
             #   m = b1 * m + (1 - b1) * grad
             #   v = b2 * v + (1 - b2) * grad * grad
             #   p -= lr * (m / bias1) / (sqrt(v / bias2) + eps)
-            # ``scaled`` has the gradients' dtype, ``moment`` and ``denom``
-            # the moments' float32.
+            # so the bits are the same, through three temporaries: ``scaled``
+            # in the gradients' dtype, ``moment`` and ``denom`` in float32.
             scaled = np.multiply(1.0 - self.beta1, grad)
             moment = np.multiply(self.beta1, m)
             np.add(moment, scaled, out=m)

@@ -33,11 +33,12 @@ def relu_grad(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
     # ``1 / (1 + exp(-x))`` for x >= 0 and ``exp(x) / (1 + exp(x))``
-    # otherwise (NaN included), from one exp that never overflows.
+    # otherwise (NaN included), from one exp that never overflows.  ``out``
+    # is an array even for a 0-d ``x``, whose ufunc results are scalars.
     pos = x >= 0
     e = np.exp(np.where(pos, -x, x))
     d = e + 1.0
-    out = 1.0 / d
+    out = np.divide(1.0, d, out=np.empty_like(d))
     np.divide(e, d, out=out, where=~pos)
     return out
 

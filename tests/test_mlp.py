@@ -144,7 +144,7 @@ def _sigmoid_masked(x):
 )
 def test_sigmoid_is_bit_identical_to_the_masked_form(dtype, rows):
     """sigmoid equals the masked form byte for byte: signed zeros, infinities,
-    NaN payloads of both signs and |x| up to 1e4, in (N, 3) and (N,) arrays."""
+    NaN payloads of both signs and |x| up to 1e4, in (N, 3) and (N,) arrays and scalars."""
     values = [v for row in rows for v in row]
     x = np.array([0.0 if isinstance(v, str) else v for v in values], dtype=dtype)
     bits = x.view(np.dtype(f"u{x.itemsize}"))
@@ -152,8 +152,8 @@ def test_sigmoid_is_bit_identical_to_the_masked_form(dtype, rows):
         if isinstance(v, str):
             bits[i] = NAN_BITS[dtype][v == "-nan"]
     x = x.reshape(-1, 3)
-    for arg in (x, x[:, 0]):
+    for arg in (x, x[:, 0], *x[:1, 0]):  # the last: a numpy scalar, if any
         with np.errstate(all="ignore"):
             fast, oracle = sigmoid(arg), _sigmoid_masked(arg)
         assert fast.dtype == oracle.dtype == dtype and fast.shape == oracle.shape
-        assert np.array_equal(fast.view(np.uint8), oracle.view(np.uint8))
+        assert fast.tobytes() == oracle.tobytes()
