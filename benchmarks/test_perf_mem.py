@@ -50,7 +50,8 @@ def finest_level_indices():
 
 
 def test_cache_simulation_speedup(bench, finest_level_indices):
-    """Segmented-wave cache engine (LRU-only waves) vs the per-access state machine."""
+    """Cache engine on a prefetch-free stream (its stack-distance path) vs the
+    per-access state machine."""
     config = CacheConfig(capacity_bytes=64 * 1024, line_bytes=64, ways=4, mshr_latency=4)
     lines = (finest_level_indices.ravel().astype(np.int64) * 4) // config.line_bytes
     simulate_cache(lines, config)  # warm

@@ -1,9 +1,9 @@
 """Stable argsort of small non-negative integer keys.
 
 The array engines (:mod:`repro.mem.cache`, :mod:`repro.dram.system`) group
-requests by set, bank or wave with stable sorts whose keys lie in a known
-range.  Keys that fit 16 bits go through numpy's radix sort, ~10x faster
-than the merge sort it uses for int64.
+requests by set, line, bank or wave with stable sorts whose keys lie in a
+known range.  Keys that fit 16 bits go through numpy's radix sort, ~10x
+faster than the merge sort it uses for int64.
 """
 
 from __future__ import annotations

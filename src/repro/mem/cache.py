@@ -24,17 +24,30 @@ Model semantics (shared by the vectorized engine and the per-access oracle):
 
 The vectorized engine processes whole streams as NumPy arrays.
 Consecutive same-line accesses within a set collapse into one run (only
-run heads can change tag state), and the run heads are swept in "waves":
-the t-th head of every set is processed in one vector step, which is exact
-because sets are independent and each set contributes at most one head per
-wave.  The waves carry only what LRU replacement needs — each way's tag
-and last use — and record the way each head lands in.  A head whose way
-last held another line is a fill; any other head's *residency*, the fill
-that brought its line in, is its way's latest fill.  Everything else
-follows from residencies after the sweep: an access inside its
-residency's MSHR window coalesces, a residency is dirty when its fill or a
-demand touch wrote, and a prefetch-filled residency is useful once a
-demand access touches it.
+run heads can change tag state), and each run head either fills its line
+or finds it present.  Which heads fill is decided one of two ways:
+
+* Without prefetch accesses, by stack distance (Mattson et al.,
+  "Evaluation techniques for storage hierarchies", IBM Systems Journal
+  1970): LRU keeps a line while fewer than ``ways`` other distinct lines of
+  its set are touched, so a head hits exactly when its line has an earlier
+  head in the set with fewer than ``ways`` distinct lines between them.
+  One sort by line links each head to its line's earlier and later heads,
+  and only heads more than ``ways`` heads after the earlier one scan back,
+  all together, one head per step.
+* With prefetch accesses, the run heads are swept in "waves": the t-th head
+  of every set is processed in one vector step, which is exact because sets
+  are independent and each set contributes at most one head per wave.  The
+  waves carry only what LRU replacement needs — each way's tag and last use
+  — and record the way each head lands in.  Stack distance cannot decide
+  these streams: a redundant prefetch leaves LRU state untouched, so
+  whether a prefetch fills depends on earlier prefetch outcomes.
+
+Either way a head's *residency*, the fill that brought its line in, is its
+line's latest fill, and everything else follows from residencies: an
+access inside its residency's MSHR window coalesces, a residency is dirty
+when its fill or a demand touch wrote, and a prefetch-filled residency is
+useful once a demand access touches it.
 :func:`simulate_cache_reference` is the retained per-access oracle the
 engine is equivalence-tested against.
 """
@@ -232,19 +245,19 @@ def simulate_cache(
         :func:`simulate_cache_reference`.
 
     Runs are found by one compare of the set-sorted line ids, and only run
-    heads are split into set and tag.  A head's wave is its within-set
-    ordinal: its index less a prefix sum of the per-set head counts.  The
-    sweep keeps, per way, the tag (``-1`` while invalid) and the last use,
-    which a redundant prefetch leaves as it was, and records the way each
-    head lands in.  Sorted by way, each way's heads are in stream order: a
-    head fills unless the one before it held its line, and its residency
-    is the latest fill.  An access coalesces when it comes before its
-    residency's fill completes (``fill position + 1 + mshr_latency``); the
-    dirty and useful-prefetch rules are in the module docstring.  Write and
-    prefetch bookkeeping is skipped when no access is flagged.  With
-    ``streams`` the sets of each stream are its own: accesses sort by
-    stream, then set, and one wave holds the next head of every used
-    (stream, set) pair, so all streams sweep together.
+    heads are split into set and tag.  A head either fills its line or
+    finds it present, and its residency is its line's latest fill.  Which
+    heads fill is decided by stack distance when no access is a prefetch
+    (:func:`_stack_residencies`), and otherwise by the wave sweep
+    (:func:`_sweep_residencies`): a redundant prefetch leaves LRU state as
+    it was, so whether a prefetch fills depends on earlier prefetch
+    outcomes.  An access coalesces when it comes before its residency's
+    fill completes (``fill position + 1 + mshr_latency``); the dirty and
+    useful-prefetch rules are in the module docstring.  Write and prefetch
+    bookkeeping is skipped when no access is flagged, and coalescing when
+    ``mshr_latency`` is 0.  With ``streams`` the sets of each stream are its
+    own: accesses sort by stream, then set, and both engines treat each
+    used (stream, set) pair as a set of its own.
     """
     lines = np.asarray(line_ids, dtype=np.int64).ravel()
     n = lines.size
@@ -261,10 +274,13 @@ def simulate_cache(
 
     # Access- and run-length temporaries live in this thread's scratch pool
     # (int64 slots 0-9, bool slots 0-6, int8 slot 0, and slots 8 and 9 in
-    # the LRU state's dtype in pass 4).  ``take`` writes straight into a
-    # slot only with ``mode="clip"``, which leaves in-range indices as they
-    # are, and bools are copied into an int64 slot before a cumsum, which
-    # would otherwise buffer a cast copy.
+    # the sweep's LRU state dtype).  Across the engines, int64 slot 3 and
+    # bool slots 0 and 3 hold ``p_h``, ``head`` and ``f_h`` until the end,
+    # and a residency and fill mask must not sit in int64 slots 5-7 or bool
+    # slots 1, 2, 5 and 6, which the shared passes after them write.
+    # ``take`` writes straight into a slot only with ``mode="clip"``, which
+    # leaves in-range indices as they are, and bools are copied into an
+    # int64 slot before a cumsum, which would otherwise buffer a cast copy.
     # Pass 1 — group accesses by set, keeping stream order inside each set.
     # ``by_set`` holds each sorted access's stream position: the LRU clock.
     set_of = np.remainder(lines, num_sets, out=scratch(0, n, np.int64))
@@ -286,8 +302,6 @@ def simulate_cache(
         head[1:] |= np.logical_or(f_sorted[1:], f_sorted[:-1], out=apart[1:])
     head_idx = head.nonzero()[0]
     num_runs = head_idx.size
-    run_end = scratch(1, num_runs, np.int64)
-    run_end[:-1], run_end[-1] = head_idx[1:], n
     line_h = sorted_lines.take(head_idx, out=scratch(2, num_runs, np.int64), mode="clip")
     p_h = by_set.take(head_idx, out=scratch(3, num_runs, np.int64), mode="clip")
     f_h = prefetches.take(p_h, out=scratch(3, num_runs, bool), mode="clip")
@@ -295,8 +309,188 @@ def simulate_cache(
     if streams is not None:
         stream_h = streams.take(p_h, out=scratch(4, num_runs, np.int64), mode="clip")
 
-    # Pass 3 — wave schedule: a head's within-set ordinal is its index minus
-    # the index of its set's first head (a prefix sum of per-set counts), and
+    # Pass 3 — which heads fill, each head's residency, and the residencies
+    # still cached at the end.
+    if has_prefetches:
+        residency, fill, cached = _sweep_residencies(
+            line_h, stream_h, num_streams, f_h, head_idx, by_set, num_sets, ways
+        )
+    else:
+        residency, fill, cached = _stack_residencies(line_h, stream_h, num_streams, num_sets, ways)
+
+    # Pass 4 — write-backs, useful prefetches, coalescing and outcome codes.
+    demand = np.logical_not(f_h, out=scratch(5, num_runs, bool))
+    writebacks = useful = dirty_left = 0
+    if has_writes:
+        # A residency is dirty when its fill or a demand touch wrote
+        # (prefetch fills start clean); it ends with a writeback unless it
+        # is still cached.
+        write_sorted = writes.take(by_set, out=scratch(6, n, bool), mode="clip")
+        run_write = np.logical_or.reduceat(write_sorted, head_idx, out=scratch(2, num_runs, bool))
+        dirty = scratch(6, num_runs, bool)
+        dirty.fill(False)
+        dirty[residency.compress(np.logical_and(demand, run_write, out=run_write))] = True
+        dirty_left = int(np.count_nonzero(dirty[cached]))
+        writebacks = int(np.count_nonzero(dirty)) - dirty_left
+    if has_prefetches:
+        # A prefetch-filled residency is useful once a demand access touches it.
+        touched = scratch(6, num_runs, bool)
+        touched.fill(False)
+        touched[residency.compress(demand)] = True
+        useful = int(np.count_nonzero(np.logical_and(touched, f_h, out=touched)))
+
+    out = scratch(0, n, np.int8)
+    out.fill(HIT)
+    if mshr:
+        # An access before its residency's fill completes coalesces into it
+        # (with no MSHR latency only the fill itself comes before that).
+        fill_done = p_h.take(residency, out=scratch(5, num_runs, np.int64), mode="clip")
+        fill_done += 1 + mshr
+        run_of = scratch(6, n, np.int64)
+        run_of[:] = head
+        np.cumsum(run_of, out=run_of)
+        run_of -= 1
+        coalesced = np.less(
+            by_set,
+            fill_done.take(run_of, out=scratch(7, n, np.int64), mode="clip"),
+            out=scratch(1, n, bool),
+        )
+        np.copyto(out, COALESCED, where=coalesced)
+    out[head_idx.compress(fill)] = MISS
+    if has_prefetches:
+        out[head_idx.compress(f_h)] = np.where(fill[f_h], PREFETCH_FILL, PREFETCH_REDUNDANT)
+    outcomes[by_set] = out
+    counts = np.bincount(outcomes, minlength=5)
+    return outcomes, _build_stats(counts, writebacks, useful, dirty_left, config)
+
+
+def _stack_residencies(
+    line_h: NDArray[Any],
+    stream_h: NDArray[Any] | None,
+    num_streams: int,
+    num_sets: int,
+    ways: int,
+) -> tuple[NDArray[Any], NDArray[Any], NDArray[Any]]:
+    """Fills and residencies of prefetch-free run heads, by stack distance.
+
+    ``line_h`` (and ``stream_h``) hold the run heads' lines (and streams) in
+    set-sorted order, so each (stream, set) group is a contiguous slice in
+    stream order and neighbouring heads of a group hold different lines.
+    LRU keeps a line exactly while fewer than ``ways`` other distinct lines
+    of its set are touched (Mattson et al., 1970): a head hits when its line
+    has an earlier head ``e`` in the group and fewer than ``ways`` distinct
+    lines lie between them.  A head ``k`` between counts once, where its
+    line does not recur before the later head ``j``: when its line's next
+    head comes after ``j``.  One stable sort by (stream, line) links each
+    head to its line's neighbours; heads at most ``ways`` places after
+    ``e`` hit outright, and the rest scan back together, one head per step,
+    until ``ways`` are counted (a fill) or too few heads are left to count
+    them (a hit).  Each group's ``ways`` most recently used lines are the
+    ones still cached at the end.
+
+    Returns ``(residency, fill, cached)``: each head's residency (the index
+    of its line's latest fill head) and the fill mask, both views of the
+    scratch pool, and the residencies still cached at the end.
+    """
+    num_runs = line_h.size
+    low = int(line_h.min())
+    key = np.subtract(line_h, low, out=scratch(5, num_runs, np.int64))
+    by_line = stable_order(key, int(line_h.max()) - low + 1, stream_h, num_streams)
+    line_s = line_h.take(by_line, out=scratch(5, num_runs, np.int64), mode="clip")
+    first_s = scratch(1, num_runs, bool)  # the first head of its (stream, line)
+    first_s[0] = True
+    np.not_equal(line_s[1:], line_s[:-1], out=first_s[1:])
+    if stream_h is not None:
+        stream_s = stream_h.take(by_line, out=scratch(6, num_runs, np.int64), mode="clip")
+        first_s[1:] |= np.not_equal(stream_s[1:], stream_s[:-1], out=scratch(2, num_runs, bool)[1:])
+
+    # Each head's distance to its line's earlier head (0 for a first head,
+    # which fills), and its line's later head (``num_runs`` or more for none).
+    linked = scratch(6, num_runs, np.int64)
+    linked[0] = 0
+    np.subtract(by_line[1:], by_line[:-1], out=linked[1:])
+    linked[1:] *= np.logical_not(first_s[1:], out=scratch(2, num_runs, bool)[1:])
+    distance = scratch(7, num_runs, np.int64)
+    distance[by_line] = linked
+    np.multiply(first_s[1:], num_runs, out=linked[:-1])
+    linked[:-1] += by_line[1:]
+    linked[-1] = num_runs
+    later = scratch(8, num_runs, np.int64)
+    later[by_line] = linked
+    fill = np.equal(distance, 0, out=scratch(4, num_runs, bool))
+
+    # Heads with ``ways`` or more heads between them and the earlier one
+    # scan back.  After ``step`` heads, of which ``recurs`` hold a line that
+    # recurs before the scanning head, ``step - recurs`` distinct lines are
+    # counted: ``ways`` of them make a fill, and more than ``slack`` recurring
+    # heads leave too few heads to find them, a hit.  A fill takes at least
+    # ``ways`` steps and the first ``ways`` heads all lie between, so those
+    # steps need no check.
+    scan = np.greater(distance, ways, out=scratch(2, num_runs, bool)).nonzero()[0]
+    slack = distance.take(scan)
+    slack -= ways + 1
+    recurs = np.zeros(scan.size, dtype=np.int64)
+    step = 0
+    while scan.size:
+        step += 1
+        recurs += later.take(scan - step) < scan
+        if step >= ways:
+            fill[scan.compress(recurs == step - ways)] = True
+            going = np.logical_and(recurs > step - ways, recurs <= slack)
+            scan, slack, recurs = (a.compress(going) for a in (scan, slack, recurs))
+
+    # A line is still cached unless ``ways`` other lines of its group are
+    # used after its last head: its last head and the one ``ways`` places
+    # later in the heads that end their line share a group.
+    ends = np.greater_equal(later, num_runs, out=scratch(5, num_runs, bool)).nonzero()[0]
+    set_e = np.remainder(line_h.take(ends), num_sets)
+    evicted = np.equal(set_e[ways:], set_e[:-ways])
+    if stream_h is not None:
+        stream_e = stream_h.take(ends)
+        evicted &= np.equal(stream_e[ways:], stream_e[:-ways])
+    kept = np.ones(ends.size, dtype=bool)
+    np.logical_not(evicted, out=kept[: evicted.size])
+    cached = ends.compress(kept)
+
+    # In (stream, line) order a line's residencies follow each other, each
+    # led by its fill.
+    fill_s = fill.take(by_line, out=scratch(2, num_runs, bool), mode="clip")
+    residency, _ = _latest_fills(by_line, fill_s)
+    return residency, fill, residency.take(cached)
+
+
+def _sweep_residencies(
+    line_h: NDArray[Any],
+    stream_h: NDArray[Any] | None,
+    num_streams: int,
+    f_h: NDArray[Any],
+    head_idx: NDArray[Any],
+    by_set: NDArray[Any],
+    num_sets: int,
+    ways: int,
+) -> tuple[NDArray[Any], NDArray[Any], NDArray[Any]]:
+    """Fills and residencies of run heads with prefetches, by the wave sweep.
+
+    ``head_idx`` and ``by_set`` locate the heads in the set-sorted stream
+    and in stream order; ``f_h`` flags prefetch heads.  Returns what
+    :func:`_stack_residencies` returns.
+
+    A head's wave is its within-set ordinal: its index less a prefix sum of
+    the per-set head counts.  The sweep keeps, per way, the tag (``-1``
+    while invalid) and the last use, which a redundant prefetch leaves as
+    it was, and records the way each head lands in.  Sorted by way, each
+    way's heads are in stream order: a head fills unless the one before it
+    held its line, and its residency is the latest fill.  One wave holds
+    the next head of every used (stream, set) pair, so all streams sweep
+    together.
+    """
+    num_runs = line_h.size
+    n = by_set.size
+    run_end = scratch(1, num_runs, np.int64)
+    run_end[:-1], run_end[-1] = head_idx[1:], n
+
+    # Wave schedule: a head's within-set ordinal is its index minus the
+    # index of its set's first head (a prefix sum of per-set counts), and
     # wave t, one contiguous slice of the heads sorted by ordinal, holds the
     # t-th head of every set.  Sets are independent and appear at most once
     # per wave, so each wave is one race-free vector step.  With streams a
@@ -320,12 +514,12 @@ def simulate_cache(
     by_wave = stable_order(ordinal, int(per_set.max()))
     bounds = np.bincount(ordinal).cumsum().tolist()
 
-    # Pass 4 — the sweep over flat (set, way) slots: ``slot_g`` starts at
-    # each head's set row and gains its way.  A -1 tag never matches and a
-    # -1 last use makes LRU fill invalid ways first, lowest way first.  Tags
-    # and last uses are 32-bit when line ids and positions fit, which halves
-    # the state and the rows each wave takes.
-    state = np.int32 if max(int(lines.max()), n) < 2**31 else np.int64
+    # The sweep over flat (set, way) slots: ``slot_g`` starts at each head's
+    # set row and gains its way.  A -1 tag never matches and a -1 last use
+    # makes LRU fill invalid ways first, lowest way first.  Tags and last
+    # uses are 32-bit when line ids and positions fit, which halves the
+    # state and the rows each wave takes.
+    state = np.int32 if max(int(line_h.max()), n) < 2**31 else np.int64
     t_g = np.floor_divide(
         line_h.take(by_wave, out=scratch(7, num_runs, np.int64), mode="clip"),
         num_sets,
@@ -348,15 +542,15 @@ def simulate_cache(
         lru = lru_rows.take(s, axis=0)
         np.putmask(lru, tag_rows.take(s, axis=0) == t_col[lo:hi], -2)  # a present line stays
         slot += lru.argmin(axis=1)
-        if has_prefetches:  # a dropped prefetch keeps its way's last use
-            lp = np.where(f_g[lo:hi] & (tag_state[slot] == t), last_used[slot], lp)
+        # a dropped prefetch keeps its way's last use
+        lp = np.where(f_g[lo:hi] & (tag_state[slot] == t), last_used[slot], lp)
         tag_state[slot] = t
         last_used[slot] = lp
         lo = hi
 
-    # Pass 5 — residencies: among a slot's heads in stream order, a head is
-    # a fill unless the head before it held the same line, and its residency
-    # is the latest fill.  A stream's (set, way) order is its slot order.
+    # Among a slot's heads in stream order, a head is a fill unless the head
+    # before it held the same line.  A stream's (set, way) order is its slot
+    # order, and each slot's last residency is still cached at the end.
     slot_h = scratch(1, num_runs, np.int64)
     slot_h[by_wave] = slot_g
     if stream_h is None:
@@ -373,54 +567,28 @@ def simulate_cache(
     np.not_equal(slot_s[1:], slot_s[:-1], out=slot_end[:-1])
     np.not_equal(line_s[1:], line_s[:-1], out=fill_s[1:])
     fill_s[1:] |= slot_end[:-1]
-    latest = np.multiply(fill_s, positions, out=scratch(0, num_runs, np.int64))
-    np.maximum.accumulate(latest, out=latest)
-    latest_fill = by_slot.take(latest, out=scratch(2, num_runs, np.int64), mode="clip")
-    residency = scratch(4, num_runs, np.int64)
-    residency[by_slot] = latest_fill
+    residency, latest_fill = _latest_fills(by_slot, fill_s)
     fill = scratch(4, num_runs, bool)
     fill[by_slot] = fill_s
-    demand = np.logical_not(f_h, out=scratch(5, num_runs, bool))
-    writebacks = useful = dirty_left = 0
-    if has_writes:
-        # A residency is dirty when its fill or a demand touch wrote
-        # (prefetch fills start clean); it ends with a writeback unless it
-        # is still cached, as the last residency of its slot.
-        write_sorted = writes.take(by_set, out=scratch(6, n, bool), mode="clip")
-        run_write = np.logical_or.reduceat(write_sorted, head_idx, out=scratch(2, num_runs, bool))
-        dirty = scratch(6, num_runs, bool)
-        dirty.fill(False)
-        dirty[residency.compress(np.logical_and(demand, run_write, out=run_write))] = True
-        dirty_left = int(np.count_nonzero(dirty[latest_fill.compress(slot_end)]))
-        writebacks = int(np.count_nonzero(dirty)) - dirty_left
-    if has_prefetches:
-        # A prefetch-filled residency is useful once a demand access touches it.
-        touched = scratch(6, num_runs, bool)
-        touched.fill(False)
-        touched[residency.compress(demand)] = True
-        useful = int(np.count_nonzero(np.logical_and(touched, f_h, out=touched)))
+    return residency, fill, latest_fill.compress(slot_end)
 
-    # An access before its residency's fill completes coalesces into it.
-    fill_done = p_h.take(residency, out=scratch(5, num_runs, np.int64), mode="clip")
-    fill_done += 1 + mshr
-    run_of = scratch(6, n, np.int64)
-    run_of[:] = head
-    np.cumsum(run_of, out=run_of)
-    run_of -= 1
-    coalesced = np.less(
-        by_set,
-        fill_done.take(run_of, out=scratch(7, n, np.int64), mode="clip"),
-        out=scratch(1, n, bool),
-    )
-    out = scratch(0, n, np.int8)
-    out.fill(HIT)
-    np.copyto(out, COALESCED, where=coalesced)
-    out[head_idx.compress(fill)] = MISS
-    if has_prefetches:
-        out[head_idx.compress(f_h)] = np.where(fill[f_h], PREFETCH_FILL, PREFETCH_REDUNDANT)
-    outcomes[by_set] = out
-    counts = np.bincount(outcomes, minlength=5)
-    return outcomes, _build_stats(counts, writebacks, useful, dirty_left, config)
+
+def _latest_fills(order: NDArray[Any], fill_s: NDArray[Any]) -> tuple[NDArray[Any], NDArray[Any]]:
+    """Each run head's residency: the index of its line's latest fill head.
+
+    ``order`` lists the heads so that each residency's heads are
+    consecutive, in stream order and led by its fill, and ``fill_s`` flags
+    the fills in that order; a running maximum of the fills' places finds
+    each head's latest fill.  Returns the residencies in head order (int64
+    scratch slot 4) and the latest fills in ``order``'s order (slot 2); int64
+    slot 0 is overwritten too.
+    """
+    latest = np.multiply(fill_s, np.arange(order.size), out=scratch(0, order.size, np.int64))
+    np.maximum.accumulate(latest, out=latest)
+    latest_fill = order.take(latest, out=scratch(2, order.size, np.int64), mode="clip")
+    residency = scratch(4, order.size, np.int64)
+    residency[order] = latest_fill
+    return residency, latest_fill
 
 
 def simulate_cache_reference(

@@ -175,6 +175,73 @@ def test_cache_matches_reference_on_reuse_heavy_streams(case):
     assert stats == stats_ref
 
 
+@st.composite
+def _reuse_heavy_stream_cases(draw):
+    """A reuse-heavy case cut into 1-3 streams: ``ids`` counts the drawn cut
+    points at or before each access, so a stream may be empty and its id
+    skipped."""
+    config, lines, writes, prefetches = draw(_reuse_heavy_cases())
+    cuts = sorted(draw(st.lists(st.integers(0, lines.size), max_size=2)))
+    ids = np.searchsorted(cuts, np.arange(lines.size), side="right")
+    return config, lines, writes, prefetches, ids
+
+
+@settings(max_examples=200, deadline=None)
+@given(_reuse_heavy_stream_cases())
+def test_cache_gives_each_stream_its_outcomes_alone(case):
+    """Property: with stream ids, every stream's outcomes equal the oracle's
+    on that stream alone, and every count is the oracle's summed over the
+    streams.  Streams with prefetch flags take the wave sweep, the others
+    the stack-distance engine; sorted, repeated and cyclic-thrash streams
+    reach both with a stream boundary inside them."""
+    config, lines, writes, prefetches, ids = case
+    out, stats = simulate_cache(lines, config, writes, prefetches, ids)
+    oracles = []
+    for index in range(int(ids[-1]) + 1):
+        mine = ids == index
+        expected, oracle = simulate_cache_reference(
+            lines[mine], config, writes[mine], prefetches[mine]
+        )
+        np.testing.assert_array_equal(out[mine], expected)
+        oracles.append(oracle)
+    for name in CACHE_COUNTS:
+        assert getattr(stats, name) == sum(getattr(o, name) for o in oracles), name
+
+
+@pytest.mark.parametrize("ways,last", [(3, HIT), (2, MISS)])
+def test_cache_counts_distinct_lines_across_a_long_reuse_gap(ways, last):
+    """``[X] + [A, B] * 300 + [X]`` in one set: 600 heads but only two
+    distinct lines lie between the two X accesses, so the second X hits
+    with 3 ways and misses with 2.  A scan that gave up after ``ways`` heads
+    could not tell.  The first X writes, so it is evicted dirty with 2 ways
+    and still cached dirty with 3."""
+    config = CacheConfig(capacity_bytes=ways * 64, line_bytes=64, ways=ways)  # one set
+    lines = np.array([0] + [1, 2] * 300 + [0])
+    writes = np.arange(lines.size) == 0
+    out, stats = simulate_cache(lines, config, writes)
+    out_ref, stats_ref = simulate_cache_reference(lines, config, writes)
+    np.testing.assert_array_equal(out, out_ref)
+    assert stats == stats_ref
+    assert out[-1] == last
+    assert (stats.writebacks, stats.dirty_lines_left) == ((0, 1) if last == HIT else (1, 0))
+
+
+def test_cache_matches_reference_beyond_16_bit_line_keys(rng):
+    """Line ids of one stream spanning more than 65,536: grouping run heads
+    by line cannot use 16-bit keys.  Lines 2**16 apart agree in their low
+    16 bits and share a set."""
+    config = CacheConfig(capacity_bytes=8 * 4 * 64, line_bytes=64, ways=4, mshr_latency=1)
+    low = rng.integers(1, 1 << 16, 12)
+    pool = np.concatenate([low, low + (1 << 16), low + (3 << 16)])
+    lines = np.concatenate([[0], pool[rng.integers(0, pool.size, 3_000)]])
+    writes = rng.random(lines.size) < 0.3
+    out, stats = simulate_cache(lines, config, writes)
+    out_ref, stats_ref = simulate_cache_reference(lines, config, writes)
+    np.testing.assert_array_equal(out, out_ref)
+    assert stats == stats_ref
+    assert stats.hits > 0
+
+
 def test_cache_matches_reference_beyond_16_bit_set_keys(rng):
     """More than 65,536 sets: the set sort cannot use 16-bit keys."""
     config = CacheConfig(capacity_bytes=70_000 * 64, line_bytes=64, ways=1, mshr_latency=2)
@@ -189,7 +256,9 @@ def test_cache_matches_reference_beyond_16_bit_set_keys(rng):
 
 
 def test_cache_matches_reference_beyond_16_bit_wave_keys():
-    """More than 65,536 runs in one set: the wave sort cannot use 16-bit keys."""
+    """More than 65,536 runs in one set.  Without prefetch flags the stream
+    takes the stack-distance engine; its prefetch-flagged twin below keeps
+    the wave sweep on a case whose wave sort cannot use 16-bit keys."""
     config = CacheConfig(capacity_bytes=4 * 64, line_bytes=64, ways=4)
     lines = np.arange(66_000) % 5  # five lines cycling through four ways
     out, stats = simulate_cache(lines, config)
@@ -197,6 +266,19 @@ def test_cache_matches_reference_beyond_16_bit_wave_keys():
     np.testing.assert_array_equal(out, out_ref)
     assert stats == stats_ref
     assert stats.misses == lines.size  # LRU thrash: every access misses
+
+
+def test_cache_matches_reference_beyond_16_bit_wave_keys_with_prefetches():
+    """More than 65,536 runs in one set with every seventh access a
+    prefetch: the wave sweep runs, and its wave sort cannot use 16-bit keys."""
+    config = CacheConfig(capacity_bytes=4 * 64, line_bytes=64, ways=4)
+    lines = np.arange(66_000) % 5
+    prefetches = np.arange(66_000) % 7 == 0
+    out, stats = simulate_cache(lines, config, is_prefetch=prefetches)
+    out_ref, stats_ref = simulate_cache_reference(lines, config, is_prefetch=prefetches)
+    np.testing.assert_array_equal(out, out_ref)
+    assert stats == stats_ref
+    assert stats.prefetch_fills > 0 and stats.misses > 0
 
 
 def test_cache_matches_reference_beyond_32_bit_line_ids(rng):
