@@ -29,6 +29,8 @@ from typing import Any
 import numpy as np
 from numpy.typing import NDArray
 
+from .sorting import modulo
+
 __all__ = [
     "separate_by_two",
     "compact_by_two",
@@ -154,13 +156,10 @@ def _mod_table(codes: NDArray[Any], table_size: int) -> NDArray[Any]:
     """``codes % table_size`` as an int64 view of ``codes``, reduced in place.
 
     ``codes`` is a ``uint64`` array the caller owns and no longer needs; the
-    reduction is a mask when ``T`` is a power of two.
+    reduction is a mask when ``T`` is a power of two (:func:`modulo`).
     """
     codes = np.asarray(codes)
-    if table_size & (table_size - 1) == 0:
-        np.bitwise_and(codes, np.uint64(table_size - 1), out=codes)
-    else:
-        np.remainder(codes, np.uint64(table_size), out=codes)
+    modulo(codes, table_size, out=codes)
     return codes.view(np.int64)[()]  # ``[()]``: a 0-d result becomes a scalar
 
 

@@ -1,9 +1,16 @@
-"""Stable argsort of small non-negative integer keys.
+"""Stable argsort of small non-negative integer keys, and masked remainders.
 
 The array engines (:mod:`repro.mem.cache`, :mod:`repro.dram.system`) group
 requests by set, line, bank or wave with stable sorts whose keys lie in a
-known range.  Keys that fit 16 bits go through numpy's radix sort, ~10x
-faster than the merge sort it uses for int64.
+known range.  Keys below 65,536 go through numpy's two-byte radix sort,
+~10x faster than the merge sort it uses for int64, and keys below 256
+through its one-byte radix, in about half the two-byte time: on 13.5k keys
+below 128 (a 2-CPU Xeon container, numpy 2.4), 37, 64 and 657 us.
+
+The same engines reduce ids by the cache's set count, the DRAM capacity
+and the subarray count, which are powers of two at the default geometry.
+:func:`modulo` takes such a remainder as a mask: 3.7 us on the same 13.5k
+int64 ids against 46 us for ``np.remainder``.
 """
 
 from __future__ import annotations
@@ -13,11 +20,27 @@ from typing import Any
 import numpy as np
 from numpy.typing import NDArray
 
-__all__ = ["stable_order"]
+__all__ = ["modulo", "stable_order"]
+
+
+def modulo(values: NDArray[Any], modulus: int, out: NDArray[Any] | None = None) -> NDArray[Any]:
+    """``np.remainder(values, modulus, out=out)`` for integer ``values``.
+
+    A power-of-two ``modulus`` takes the remainder as a mask of its low
+    bits, which in two's complement equals numpy's (the divisor's sign) for
+    negative values too.  ``values`` is an integer array; the modulus is
+    cast to its dtype, so ``uint64`` values stay unsigned.
+    """
+    scalar = values.dtype.type
+    if modulus > 0 and modulus & (modulus - 1) == 0:
+        return np.bitwise_and(values, scalar(modulus - 1), out=out)
+    return np.remainder(values, scalar(modulus), out=out)
 
 
 def _argsort(keys: NDArray[Any], bound: int) -> NDArray[np.intp]:
-    if bound <= 1 << 16:
+    if bound <= 1 << 8:
+        keys = keys.astype(np.uint8)
+    elif bound <= 1 << 16:
         keys = keys.astype(np.uint16)
     return np.argsort(keys, kind="stable")
 
@@ -32,9 +55,9 @@ def stable_order(
 
     With ``streams`` (one id in ``[0, num_streams)`` per key) the order is by
     stream, then key, then position: a sort by the key and then a stable
-    sort by the stream, so both stay 16-bit when ``bound`` and
-    ``num_streams`` each fit, however large their product.  (One sort of
-    the combined key, where the pairs fit 16 bits, measured no faster.)
+    sort by the stream, so each stays one or two bytes wide when ``bound``
+    and ``num_streams`` each fit, however large their product.  (One sort
+    of the combined key, where the pairs fit 16 bits, measured no faster.)
     """
     order = _argsort(keys, bound)
     if streams is None:

@@ -53,6 +53,12 @@ class AddressMapper:
         )
         if 2**self._column_bits != self.org.row_buffer_bytes:
             raise ValueError("row_buffer_bytes must be a power of two")
+        # Masked bank and channel bits exceed their counts only when a count
+        # is not a power of two; only then does a decode clamp them.
+        self._clamp = (
+            2**self._bank_bits != self.org.banks_per_chip
+            or 2**self._channel_bits != self.org.num_channels
+        )
 
     # ------------------------------------------------------------- scalars
     def decode(self, address: int) -> DecodedAddress:
@@ -105,6 +111,7 @@ class AddressMapper:
             rest >>= self._channel_bits
         else:
             channel.fill(0)
-        np.minimum(bank, self.org.banks_per_chip - 1, out=bank)
-        np.minimum(channel, self.org.num_channels - 1, out=channel)
+        if self._clamp:
+            np.minimum(bank, self.org.banks_per_chip - 1, out=bank)
+            np.minimum(channel, self.org.num_channels - 1, out=channel)
         return channel, bank, rest

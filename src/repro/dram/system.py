@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core.scratch import scratch
-from ..core.sorting import stable_order
+from ..core.sorting import modulo, stable_order
 from ..obs import get_metrics, get_tracer
 from ..streams.ir import RequestStream
 from .address import AddressMapper
@@ -156,7 +156,7 @@ class DRAMSystem:
         """
         org = self.spec.organization
         burst = stream.entry_bytes if size_bytes is None else size_bytes
-        addresses = stream.addresses % org.total_capacity_bytes
+        addresses = modulo(stream.addresses, org.total_capacity_bytes)
         (cycles,), (hits,), (conflicts,) = self.service_addresses(
             addresses, burst, stream.writes
         )
@@ -252,8 +252,8 @@ class DRAMSystem:
         # stream, opened the same row, and pays a precharge when that access
         # opened another one.
         num_banks = org.num_channels * org.banks_per_chip
-        np.remainder(row, org.subarrays_per_bank, out=key)  # the subarray the mapper decodes
-        key %= self.subarrays_per_bank
+        modulo(row, org.subarrays_per_bank, out=key)  # the subarray the mapper decodes
+        modulo(key, self.subarrays_per_bank, out=key)
         key += np.multiply(bank, self.subarrays_per_bank, out=spare)
         by_subarray = stable_order(
             key, num_banks * self.subarrays_per_bank, streams, num_streams

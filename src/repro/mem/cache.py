@@ -62,7 +62,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from ..core.scratch import scratch
-from ..core.sorting import stable_order
+from ..core.sorting import modulo, stable_order
 
 __all__ = [
     "MISS",
@@ -248,16 +248,20 @@ def simulate_cache(
     heads are split into set and tag.  A head either fills its line or
     finds it present, and its residency is its line's latest fill.  Which
     heads fill is decided by stack distance when no access is a prefetch
-    (:func:`_stack_residencies`), and otherwise by the wave sweep
+    (:func:`_stack_fills`), and otherwise by the wave sweep
     (:func:`_sweep_residencies`): a redundant prefetch leaves LRU state as
     it was, so whether a prefetch fills depends on earlier prefetch
     outcomes.  An access coalesces when it comes before its residency's
     fill completes (``fill position + 1 + mshr_latency``); the dirty and
     useful-prefetch rules are in the module docstring.  Write and prefetch
     bookkeeping is skipped when no access is flagged, and coalescing when
-    ``mshr_latency`` is 0.  With ``streams`` the sets of each stream are its
-    own: accesses sort by stream, then set, and both engines treat each
-    used (stream, set) pair as a set of its own.
+    ``mshr_latency`` is 0; a prefetch-free stream builds residencies and
+    the lines cached at the end (:func:`_stack_residencies`) only for its
+    writes or MSHR window.  Set indices are masks when ``num_sets`` is a
+    power of two (:func:`repro.core.sorting.modulo`), and sorts by set take
+    one-byte keys up to 256 sets.  With ``streams`` the sets of each stream
+    are its own: accesses sort by stream, then set, and both engines treat
+    each used (stream, set) pair as a set of its own.
     """
     lines = np.asarray(line_ids, dtype=np.int64).ravel()
     n = lines.size
@@ -283,7 +287,7 @@ def simulate_cache(
     # int64 slot before a cumsum, which would otherwise buffer a cast copy.
     # Pass 1 — group accesses by set, keeping stream order inside each set.
     # ``by_set`` holds each sorted access's stream position: the LRU clock.
-    set_of = np.remainder(lines, num_sets, out=scratch(0, n, np.int64))
+    set_of = modulo(lines, num_sets, out=scratch(0, n, np.int64))
     by_set = stable_order(set_of, num_sets, streams, num_streams)
     sorted_lines = lines.take(by_set, out=scratch(0, n, np.int64), mode="clip")
 
@@ -310,13 +314,18 @@ def simulate_cache(
         stream_h = streams.take(p_h, out=scratch(4, num_runs, np.int64), mode="clip")
 
     # Pass 3 — which heads fill, each head's residency, and the residencies
-    # still cached at the end.
+    # still cached at the end.  Only writes, prefetches and an MSHR window
+    # read residencies, so a prefetch-free stream builds them only for those.
     if has_prefetches:
         residency, fill, cached = _sweep_residencies(
             line_h, stream_h, num_streams, f_h, head_idx, by_set, num_sets, ways
         )
     else:
-        residency, fill, cached = _stack_residencies(line_h, stream_h, num_streams, num_sets, ways)
+        fill, by_line, later = _stack_fills(line_h, stream_h, num_streams, ways)
+        if has_writes or mshr:
+            residency, cached = _stack_residencies(
+                line_h, stream_h, num_sets, ways, by_line, later, fill
+            )
 
     # Pass 4 — write-backs, useful prefetches, coalescing and outcome codes.
     demand = np.logical_not(f_h, out=scratch(5, num_runs, bool))
@@ -364,14 +373,10 @@ def simulate_cache(
     return outcomes, _build_stats(counts, writebacks, useful, dirty_left, config)
 
 
-def _stack_residencies(
-    line_h: NDArray[Any],
-    stream_h: NDArray[Any] | None,
-    num_streams: int,
-    num_sets: int,
-    ways: int,
+def _stack_fills(
+    line_h: NDArray[Any], stream_h: NDArray[Any] | None, num_streams: int, ways: int
 ) -> tuple[NDArray[Any], NDArray[Any], NDArray[Any]]:
-    """Fills and residencies of prefetch-free run heads, by stack distance.
+    """Fills of prefetch-free run heads, by stack distance.
 
     ``line_h`` (and ``stream_h``) hold the run heads' lines (and streams) in
     set-sorted order, so each (stream, set) group is a contiguous slice in
@@ -385,12 +390,12 @@ def _stack_residencies(
     head to its line's neighbours; heads at most ``ways`` places after
     ``e`` hit outright, and the rest scan back together, one head per step,
     until ``ways`` are counted (a fill) or too few heads are left to count
-    them (a hit).  Each group's ``ways`` most recently used lines are the
-    ones still cached at the end.
+    them (a hit).
 
-    Returns ``(residency, fill, cached)``: each head's residency (the index
-    of its line's latest fill head) and the fill mask, both views of the
-    scratch pool, and the residencies still cached at the end.
+    Returns ``(fill, by_line, later)``: the fill mask (bool scratch slot 4),
+    the heads' (stream, line) order and each head's line's later head
+    (``num_runs`` or more for none; int64 scratch slot 8), which
+    :func:`_stack_residencies` takes.
     """
     num_runs = line_h.size
     low = int(line_h.min())
@@ -439,11 +444,31 @@ def _stack_residencies(
             going = np.logical_and(recurs > step - ways, recurs <= slack)
             scan, slack, recurs = (a.compress(going) for a in (scan, slack, recurs))
 
+    return fill, by_line, later
+
+
+def _stack_residencies(
+    line_h: NDArray[Any],
+    stream_h: NDArray[Any] | None,
+    num_sets: int,
+    ways: int,
+    by_line: NDArray[Any],
+    later: NDArray[Any],
+    fill: NDArray[Any],
+) -> tuple[NDArray[Any], NDArray[Any]]:
+    """Residencies of the heads :func:`_stack_fills` decided.
+
+    Each group's ``ways`` most recently used lines are the ones still cached
+    at the end.  Returns ``(residency, cached)``: each head's residency (the
+    index of its line's latest fill head, a view of the scratch pool) and
+    the residencies still cached at the end.
+    """
     # A line is still cached unless ``ways`` other lines of its group are
     # used after its last head: its last head and the one ``ways`` places
     # later in the heads that end their line share a group.
+    num_runs = line_h.size
     ends = np.greater_equal(later, num_runs, out=scratch(5, num_runs, bool)).nonzero()[0]
-    set_e = np.remainder(line_h.take(ends), num_sets)
+    set_e = modulo(line_h.take(ends), num_sets)
     evicted = np.equal(set_e[ways:], set_e[:-ways])
     if stream_h is not None:
         stream_e = stream_h.take(ends)
@@ -456,7 +481,7 @@ def _stack_residencies(
     # led by its fill.
     fill_s = fill.take(by_line, out=scratch(2, num_runs, bool), mode="clip")
     residency, _ = _latest_fills(by_line, fill_s)
-    return residency, fill, residency.take(cached)
+    return residency, residency.take(cached)
 
 
 def _sweep_residencies(
@@ -472,8 +497,10 @@ def _sweep_residencies(
     """Fills and residencies of run heads with prefetches, by the wave sweep.
 
     ``head_idx`` and ``by_set`` locate the heads in the set-sorted stream
-    and in stream order; ``f_h`` flags prefetch heads.  Returns what
-    :func:`_stack_residencies` returns.
+    and in stream order; ``f_h`` flags prefetch heads.  Returns
+    ``(residency, fill, cached)``: each head's residency and the fill mask,
+    both views of the scratch pool, and the residencies still cached at the
+    end.
 
     A head's wave is its within-set ordinal: its index less a prefix sum of
     the per-set head counts.  The sweep keeps, per way, the tag (``-1``
@@ -495,7 +522,7 @@ def _sweep_residencies(
     # t-th head of every set.  Sets are independent and appear at most once
     # per wave, so each wave is one race-free vector step.  With streams a
     # "set" is a used (stream, set) pair, numbered densely in sorted order.
-    set_h = np.remainder(line_h, num_sets, out=scratch(5, num_runs, np.int64))
+    set_h = modulo(line_h, num_sets, out=scratch(5, num_runs, np.int64))
     if stream_h is None:
         group_h, num_groups = set_h, num_sets
     else:

@@ -80,7 +80,10 @@ def scratchpad_filter(
     against the earlier accesses of its point (a strictly lower-triangular
     mask): one with no match is a first occurrence, held when its rank (a
     cumulative sum down the point) is below ``capacity_lines``.  The second
-    matches each access against the previous point's held lines.
+    matches each access against the previous point's held lines.  When every
+    line id fits in int32 (one min/max check), the transposed blocks are
+    32-bit copies, which halves the bytes the compares read; otherwise they
+    stay int64.
     """
     if capacity_lines <= 0:
         raise ValueError(f"capacity_lines must be positive, got {capacity_lines}")
@@ -88,6 +91,8 @@ def scratchpad_filter(
     if lines.ndim != 2:
         raise ValueError(f"lines must have shape (N, P), got {lines.shape}")
     n, p = lines.shape
+    narrow = lines.size == 0 or (lines.min() >= -(2**31) and lines.max() < 2**31)
+    width = np.int32 if narrow else np.int64
     # Points per block, each block's temporaries allocated afresh.  In paired
     # perfbench runs (seed 1, four 10 s pairs per workload) 4,096 points won
     # 3/4 ``memsys`` and 1/4 ``serve`` pairs and 1,024 points 2/4 and 1/4;
@@ -98,7 +103,7 @@ def scratchpad_filter(
     emit = np.empty((n, p), dtype=bool)
     for lo in range(0, n, block):
         start = max(lo - 1, 0)  # with the previous point, whose held lines matter
-        by_point = np.ascontiguousarray(lines[start : lo + block].T)
+        by_point = np.ascontiguousarray(lines[start : lo + block].T, dtype=width)
         first = ~((by_point[:, None] == by_point[None]) & earlier).any(axis=1)
         held = first & (first.cumsum(axis=0) <= capacity_lines)
         if streams is not None:  # a stream's last point holds nothing for the next

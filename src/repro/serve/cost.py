@@ -42,6 +42,7 @@ import numpy as np
 from ..accel.nmp import NMPAccelerator
 from ..core.hashing import get_hash_function
 from ..core.precision import validate_precision
+from ..core.sorting import modulo
 from ..dram.spec import get_dram_spec
 from ..dram.system import DRAMSystem
 from ..mem import CacheConfig, CacheHierarchy, PrefetcherConfig
@@ -245,7 +246,7 @@ class ServiceCostModel:
         filtered = self.hierarchy.filter_lines(lines, ids)
         capacity = self.dram.spec.organization.total_capacity_bytes
         cycles, _, _ = self.dram.service_addresses(
-            filtered.dram * line_bytes % capacity,
+            modulo(filtered.dram * line_bytes, capacity),
             line_bytes,
             streams=filtered.dram_streams,
             num_streams=len(batches),

@@ -101,7 +101,8 @@ def test_scratchpad_filter_requires_positive_capacity():
 # ----------------------------------------------- equivalence: random streams
 @pytest.mark.parametrize("mshr", [0, 3])
 @pytest.mark.parametrize(
-    "capacity,line,ways", [(2048, 64, 1), (4096, 64, 4), (8192, 32, 8), (1024, 64, 16)]
+    "capacity,line,ways",
+    [(2048, 64, 1), (4096, 64, 4), (8192, 32, 8), (1024, 64, 16), (384, 64, 2), (1536, 32, 4)],
 )
 def test_cache_matches_reference_on_random_streams(capacity, line, ways, mshr, rng):
     config = CacheConfig(capacity_bytes=capacity, line_bytes=line, ways=ways, mshr_latency=mshr)
@@ -131,9 +132,10 @@ def _reuse_heavy_cases(draw):
     (cycles over ``ways`` or ``ways + 1`` lines of one set), dirty lines
     evicted and filled again, and prefetched lines touched by later demand
     accesses are the cases the engine's residency derivation has to get
-    right.
+    right.  Set counts of 3 and 12 take the set index as a remainder, the
+    others as a mask.
     """
-    num_sets = draw(st.sampled_from([1, 2, 8, 64]))
+    num_sets = draw(st.sampled_from([1, 2, 3, 8, 12, 64]))
     ways = draw(st.integers(min_value=1, max_value=8))
     line_bytes = draw(st.sampled_from([32, 64]))
     config = CacheConfig(
@@ -378,13 +380,14 @@ def test_hierarchy_write_streams_match_reference(rng):
 @st.composite
 def _stream_hierarchies(draw):
     """Every prefetch policy at degree 1-3 and MSHR 0-4, in front of a
-    cache of 1-8 sets or the default 32 KB one, behind a scratchpad of 1-8
-    lines, often fewer than a point's accesses."""
+    cache of 1-12 sets (3 and 12 not powers of two) or the default 32 KB
+    one, behind a scratchpad of 1-8 lines, often fewer than a point's
+    accesses."""
     line_bytes = draw(st.sampled_from([32, 64]))
     mshr = draw(st.integers(min_value=0, max_value=4))
     if draw(st.booleans()):
         ways = draw(st.sampled_from([1, 2, 4]))
-        sets = draw(st.sampled_from([1, 2, 8]))
+        sets = draw(st.sampled_from([1, 2, 3, 8, 12]))
         cache = CacheConfig(line_bytes * ways * sets, line_bytes, ways, mshr)
     else:
         cache = CacheConfig(line_bytes=line_bytes, mshr_latency=mshr)
@@ -548,14 +551,20 @@ def test_stride_prefetcher_detects_constant_stride():
 @st.composite
 def _scratchpad_cases(draw):
     """``(N, P)`` line ids over a small alphabet, so lines repeat inside a
-    point and across consecutive points, offset near 2**40 or not, and a
-    capacity from one line to one more than a point holds."""
+    point and across consecutive points, and a capacity from one line to one
+    more than a point holds.  The ids are offset by 0, to cross int32's
+    limit (2**31 - 6) or near 2**40, and some may gain 2**32, so that
+    distinct ids agree in their low 32 bits: a filter that compared
+    truncated 32-bit ids would merge them."""
     p = draw(st.integers(min_value=1, max_value=9))
     n = draw(st.integers(min_value=0, max_value=60))
     alphabet = draw(st.integers(min_value=1, max_value=12))
     ids = draw(st.lists(st.integers(0, alphabet - 1), min_size=n * p, max_size=n * p))
-    offset = draw(st.sampled_from([0, 2**40 - 6]))
+    offset = draw(st.sampled_from([0, 2**31 - 6, 2**40 - 6]))
     lines = offset + np.array(ids, dtype=np.int64).reshape(n, p)
+    if draw(st.booleans()):
+        high = draw(st.lists(st.booleans(), min_size=n * p, max_size=n * p))
+        lines += np.array(high, dtype=np.int64).reshape(n, p) << 32
     return lines, draw(st.integers(min_value=1, max_value=p + 1))
 
 

@@ -280,9 +280,11 @@ def test_dram_service_batch_accepts_streams_and_matches_addresses():
 
 
 # ------------------------------------------------- accounting properties
-#: The named specs, plus timings and an organization that stress the DRAM
+#: The named specs, plus timings and organizations that stress the DRAM
 #: batch kernel: an activation window that binds, no window at all, and
-#: channel/bank/subarray counts that are not powers of two.
+#: channel/bank/subarray counts that are not powers of two, at a
+#: power-of-two capacity and at one that is not (24 MiB), which the
+#: capacity wrap takes as a remainder rather than a mask.
 PROPERTY_DRAM_SPECS = [
     *DRAM_SPECS.values(),
     DRAMSpec(timing=DRAMTiming(tRRD=7, tFAW=40, tCL=1, tRCD=1, tRP=1, tCCD=1)),
@@ -290,6 +292,11 @@ PROPERTY_DRAM_SPECS = [
     DRAMSpec(
         organization=DRAMOrganization(
             num_channels=3, banks_per_chip=5, subarrays_per_bank=3, total_capacity_bytes=16 << 20
+        )
+    ),
+    DRAMSpec(
+        organization=DRAMOrganization(
+            num_channels=3, banks_per_chip=5, subarrays_per_bank=3, total_capacity_bytes=24 << 20
         )
     ),
 ]
@@ -308,7 +315,7 @@ def _hierarchies(draw):
     line_bytes = draw(st.sampled_from([32, 64]))
     ways = draw(st.sampled_from([1, 2, 4]))
     cache = CacheConfig(
-        capacity_bytes=line_bytes * ways * draw(st.sampled_from([1, 2, 8, 64])),
+        capacity_bytes=line_bytes * ways * draw(st.sampled_from([1, 2, 3, 8, 12, 64])),
         line_bytes=line_bytes,
         ways=ways,
         mshr_latency=draw(st.integers(min_value=0, max_value=4)),
