@@ -6,13 +6,12 @@ factor, and the two algorithmic techniques in isolation.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.accel import AlgorithmLocality, NMPAccelerator, NMPConfig
 from repro.core.hashing import MortonLocalityHash, OriginalSpatialHash
-from repro.core.streaming import StreamingOrder, point_order, row_requests_for_stream
+from repro.core.streaming import StreamingOrder, row_requests_for_stream
 from repro.nerf.encoding import HashGridConfig
-from repro.workloads.traces import HashTraceGenerator, TraceConfig
+from repro.pipeline import SimulationContext
+from repro.workloads.traces import TraceConfig
 
 
 def test_ablation_bank_count_sweep(benchmark):
@@ -53,19 +52,19 @@ def test_ablation_hash_and_order_in_isolation(benchmark):
     """Decompose the Fig. 7(b) gain into hash-only and order-only parts."""
     grid = HashGridConfig(num_levels=8, table_size=2**14, max_resolution=1024)
     trace = TraceConfig(num_rays=48, points_per_ray=48, seed=0)
-    original = HashTraceGenerator(grid, trace, OriginalSpatialHash())
-    morton = HashTraceGenerator(grid, trace, MortonLocalityHash())
-    random_order = point_order(
-        trace.num_rays, trace.points_per_ray, StreamingOrder.RANDOM, np.random.default_rng(0)
-    )
     level = 5
 
     def measure():
-        baseline = row_requests_for_stream(original.stream(level, random_order))
-        hash_only = row_requests_for_stream(morton.stream(level, random_order))
-        order_only = row_requests_for_stream(original.stream(level))
-        combined = row_requests_for_stream(morton.stream(level))
-        return baseline, hash_only, order_only, combined
+        ctx = SimulationContext()  # emit the streams afresh in every round
+        return tuple(
+            row_requests_for_stream(ctx.request_stream(grid, trace, hash_fn, order, level))
+            for hash_fn, order in (
+                (OriginalSpatialHash(), StreamingOrder.RANDOM),  # baseline
+                (MortonLocalityHash(), StreamingOrder.RANDOM),  # hash only
+                (OriginalSpatialHash(), StreamingOrder.RAY_FIRST),  # order only
+                (MortonLocalityHash(), StreamingOrder.RAY_FIRST),  # combined
+            )
+        )
 
     baseline, hash_only, order_only, combined = benchmark(measure)
     print(

@@ -28,11 +28,13 @@ def test_fig11_speedup_energy(benchmark):
 
 def test_fig11_ablation_algorithm_locality(benchmark):
     """Ablation: running the iNGP baseline algorithm on the same NMP hardware."""
-    from repro.core.codesign import AlgorithmConfig, InstantNeRFSystem
+    from repro.core.codesign import AlgorithmConfig
+    from repro.pipeline import SimulationContext
 
     def run_ablation():
-        ours = InstantNeRFSystem(AlgorithmConfig.instant_nerf())
-        baseline = InstantNeRFSystem(AlgorithmConfig.ingp())
+        ctx = SimulationContext()
+        ours = ctx.system(AlgorithmConfig.instant_nerf())
+        baseline = ctx.system(AlgorithmConfig.ingp())
         return ours.scene_training_seconds("lego"), baseline.scene_training_seconds("lego")
 
     ours_seconds, baseline_seconds = benchmark(run_ablation)

@@ -30,16 +30,33 @@ from repro.core.hashing import (
     average_row_requests_per_cube_reference,
 )
 from repro.core.mapping import HashTableMapper, HashTableMappingConfig
-from repro.core.streaming import row_requests_for_stream, row_requests_for_stream_reference
+from repro.core.streaming import (
+    StreamingOrder,
+    row_requests_for_stream,
+    row_requests_for_stream_reference,
+)
 from repro.dram.system import DRAMSystem
 from repro.dram.trace import MemoryRequest
 from repro.nerf.encoding import HashGridConfig, HashGridEncoding
+from repro.pipeline import SimulationContext
 from repro.streams import RequestStream
-from repro.workloads.traces import HashTraceGenerator, TraceConfig, generate_batch_points
+from repro.workloads.traces import TraceConfig, generate_batch_points
 
 NUM_RAYS = 256 if SMOKE else 4096
 POINTS_PER_RAY = 16 if SMOKE else 64  # 4096 x 64 = 256K points/iteration
+PAPER_TRACE = TraceConfig(num_rays=NUM_RAYS, points_per_ray=POINTS_PER_RAY, seed=0)
 BENCH_ENTRY = {"num_rays": NUM_RAYS, "points_per_ray": POINTS_PER_RAY}
+
+
+def morton_stream(grid, level):
+    """One level's ray-first Morton-hashed stream of the paper-scale trace.
+
+    Each call takes a context of its own, so the context's cached corner
+    indices are freed with it and only the returned stream stays alive.
+    """
+    return SimulationContext().request_stream(
+        grid, PAPER_TRACE, MortonLocalityHash(), StreamingOrder.RAY_FIRST, level
+    )
 
 
 @pytest.fixture(scope="module")
@@ -49,10 +66,7 @@ def paper_grid():
 
 @pytest.fixture(scope="module")
 def paper_points():
-    pts = generate_batch_points(
-        TraceConfig(num_rays=NUM_RAYS, points_per_ray=POINTS_PER_RAY, seed=0)
-    )
-    return pts.reshape(-1, 3)
+    return generate_batch_points(PAPER_TRACE).reshape(-1, 3)
 
 
 def test_row_requests_for_stream_speedup(bench, paper_grid):
@@ -61,12 +75,7 @@ def test_row_requests_for_stream_speedup(bench, paper_grid):
     Only the counting is timed: the 16 level streams are emitted (hashed)
     before either clock starts.
     """
-    generator = HashTraceGenerator(
-        paper_grid,
-        TraceConfig(num_rays=NUM_RAYS, points_per_ray=POINTS_PER_RAY, seed=0),
-        hash_fn=MortonLocalityHash(),
-    )
-    streams = [generator.stream(level) for level in range(paper_grid.num_levels)]
+    streams = [morton_stream(paper_grid, level) for level in range(paper_grid.num_levels)]
     row_requests_for_stream(streams[0])  # warm
     vec_s, vec = bench.time(
         lambda: [row_requests_for_stream(stream) for stream in streams], repeats=2
@@ -80,14 +89,9 @@ def test_row_requests_for_stream_speedup(bench, paper_grid):
 
 def test_count_conflicts_speedup(bench, paper_grid):
     """Lexsort-segmented conflict counting vs the nested group/key loops."""
-    generator = HashTraceGenerator(
-        paper_grid,
-        TraceConfig(num_rays=NUM_RAYS, points_per_ray=POINTS_PER_RAY, seed=0),
-        hash_fn=MortonLocalityHash(),
-    )
-    indices = generator.stream(paper_grid.num_levels - 1).indices.ravel()
-    mapper = HashTableMapper(paper_grid, HashTableMappingConfig())
     level = paper_grid.num_levels - 1
+    indices = morton_stream(paper_grid, level).indices.ravel()
+    mapper = HashTableMapper(paper_grid, HashTableMappingConfig())
     mapper.count_conflicts(level, indices, parallel_points=32)  # warm
     vec_s, vec = bench.time(
         lambda: mapper.count_conflicts(level, indices, parallel_points=32), repeats=2

@@ -3,8 +3,8 @@
 :class:`InstantNeRFSystem` ties the two halves of the paper together:
 
 * the *algorithm* side — which hash mapping function and point streaming
-  order are used — is characterised by measuring locality statistics on a
-  sampled point stream (requests per cube, cube-sharing run length), and
+  order are used — is characterised by locality statistics measured on a
+  context's lookup streams (requests per cube, cube-sharing run length), and
 * the *accelerator* side consumes those statistics through
   :class:`repro.accel.nmp.AlgorithmLocality` to produce per-scene training
   time and energy.
@@ -22,19 +22,14 @@ from typing import Protocol
 import numpy as np
 
 from ..accel.cost_model import ComparisonModel, SceneComparison
-from ..accel.nmp import AlgorithmLocality, NMPAccelerator, NMPConfig
+from ..accel.nmp import AlgorithmLocality, NMPAccelerator
 from ..gpu.specs import GPUSpec
 from ..nerf.encoding import HashGridConfig
 from ..streams.ir import RequestStream
 from ..workloads.steps import INGPWorkloadModel
-from ..workloads.traces import HashTraceGenerator, TraceConfig
-from .hashing import (
-    HashFunction,
-    MortonLocalityHash,
-    OriginalSpatialHash,
-    average_row_requests_per_cube,
-)
-from .streaming import StreamingOrder, point_order, stream_sharing_run_length
+from ..workloads.traces import TraceConfig
+from .hashing import HashFunction, MortonLocalityHash, OriginalSpatialHash
+from .streaming import StreamingOrder, stream_sharing_run_length
 
 __all__ = ["AlgorithmConfig", "InstantNeRFSystem", "SCENE_DIFFICULTY"]
 
@@ -73,7 +68,7 @@ class AlgorithmConfig:
 
 
 class LocalityContext(Protocol):
-    """What :meth:`InstantNeRFSystem.measure_locality` needs from a memoized context.
+    """What :class:`InstantNeRFSystem` measures its locality through.
 
     :class:`repro.pipeline.context.SimulationContext` satisfies it; core does
     not import pipeline, so the dependency stays one-directional.
@@ -100,61 +95,41 @@ class InstantNeRFSystem:
         self,
         algorithm: AlgorithmConfig | None = None,
         grid_config: HashGridConfig | None = None,
-        nmp_config: NMPConfig | None = None,
         trace_config: TraceConfig | None = None,
-        context: LocalityContext | None = None,
+        *,
+        context: LocalityContext,
     ):
-        """``context`` optionally is a :class:`repro.pipeline.context.SimulationContext`
-        (any :class:`LocalityContext` works); the locality measurement then
-        reuses the per-level request streams and requests-per-cube statistic
-        other experiments already built instead of recomputing them."""
+        """``context`` is a :class:`repro.pipeline.context.SimulationContext`
+        (whose ``system`` method builds memoized systems) or any other
+        :class:`LocalityContext`; the locality is measured on its per-level
+        request streams and requests-per-cube statistic."""
         self.algorithm = algorithm or AlgorithmConfig.instant_nerf()
         self.grid = grid_config or HashGridConfig()
         self.workload = INGPWorkloadModel(self.grid)
         self.trace_config = trace_config or TraceConfig(num_rays=128, points_per_ray=32, seed=0)
         self._context = context
         self.locality = self.measure_locality()
-        self.accelerator = NMPAccelerator(
-            config=nmp_config, workload=self.workload, locality=self.locality
-        )
+        self.accelerator = NMPAccelerator(workload=self.workload, locality=self.locality)
 
     # --------------------------------------------------------- measurement
     def measure_locality(self) -> AlgorithmLocality:
         """Derive the locality statistics of the configured algorithm.
 
-        Samples a small batch of ray-ordered points, measures the average
-        number of DRAM rows per cube under the configured hash function and
-        the cube-sharing run length of each level's request stream under the
-        configured streaming order, and maps residual conflicts to a stall
-        factor.
+        Reads from the context the average number of DRAM rows per cube at
+        the finest (hashed) level under the configured hash function, and
+        each level's request stream under the configured streaming order,
+        whose cube-sharing run lengths are averaged; residual conflicts map
+        to a stall factor.
         """
         ctx = self._context
         grid, trace = self.grid, self.trace_config
         hash_fn, order = self.algorithm.hash_fn, self.algorithm.streaming_order
-        levels = range(grid.num_levels)
-        fine_level = grid.num_levels - 1
-        if ctx is not None:
-            requests_per_cube = ctx.requests_per_cube(grid, trace, hash_fn, fine_level)
-            streams = [ctx.request_stream(grid, trace, hash_fn, order, lvl) for lvl in levels]
-        else:
-            generator = HashTraceGenerator(grid, trace, hash_fn)
-            flat = generator.points.reshape(-1, 3)
-
-            # Requests per cube at a representative fine (hashed) level.
-            resolution = grid.resolutions[fine_level]
-            base_coords = np.clip((flat * resolution).astype(np.int64), 0, resolution - 1)
-            requests_per_cube = average_row_requests_per_cube(
-                hash_fn,
-                base_coords,
-                grid.level_table_entries(fine_level),
-                entry_bytes=trace.entry_bytes,
-            )
-            perm = point_order(
-                trace.num_rays, trace.points_per_ray, order, rng=np.random.default_rng(trace.seed)
-            )
-            streams = [generator.stream(lvl, perm) for lvl in levels]
+        requests_per_cube = ctx.requests_per_cube(grid, trace, hash_fn, grid.num_levels - 1)
         # Cube sharing averaged over levels (coarse levels share heavily).
-        run_lengths = [stream_sharing_run_length(stream) for stream in streams]
+        run_lengths = [
+            stream_sharing_run_length(ctx.request_stream(grid, trace, hash_fn, order, level))
+            for level in range(grid.num_levels)
+        ]
         sharing = float(np.mean(run_lengths))
 
         # Residual bank-conflict stalls: the locality-sensitive hash keeps

@@ -7,7 +7,7 @@ from .controller import ChannelController, ChannelStats
 from .energy import DRAMEnergyModel, EnergyBreakdown
 from .spec import LPDDR4_2400, DRAMOrganization, DRAMSpec, DRAMTiming
 from .system import DRAMSystem, TraceResult
-from .trace import MemoryRequest, RequestType, coalesce_row_requests, requests_from_addresses
+from .trace import MemoryRequest, RequestType
 
 __all__ = [
     "AddressMapper",
@@ -27,6 +27,4 @@ __all__ = [
     "TraceResult",
     "MemoryRequest",
     "RequestType",
-    "coalesce_row_requests",
-    "requests_from_addresses",
 ]

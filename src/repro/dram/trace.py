@@ -1,13 +1,11 @@
-"""Memory-request representation and trace helpers."""
+"""Memory-request representation."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
-__all__ = ["RequestType", "MemoryRequest", "requests_from_addresses", "coalesce_row_requests"]
+__all__ = ["RequestType", "MemoryRequest"]
 
 
 class RequestType(Enum):
@@ -46,39 +44,3 @@ class MemoryRequest:
             raise ValueError("size_bytes must be positive")
         if self.arrival_cycle < 0:
             raise ValueError("arrival_cycle must be non-negative")
-
-
-def requests_from_addresses(
-    addresses: np.ndarray,
-    request_type: RequestType = RequestType.READ,
-    size_bytes: int = 32,
-    issue_interval: int = 0,
-) -> list[MemoryRequest]:
-    """Build a request list from a flat array of byte addresses.
-
-    ``issue_interval`` spaces out arrival cycles (0 = all available at t=0,
-    which models a fully back-pressured stream).
-    """
-    addresses = np.asarray(addresses, dtype=np.int64).ravel()
-    return [
-        MemoryRequest(int(addr), request_type, size_bytes, arrival_cycle=i * issue_interval)
-        for i, addr in enumerate(addresses)
-    ]
-
-
-def coalesce_row_requests(addresses: np.ndarray, row_bytes: int = 1024) -> np.ndarray:
-    """Collapse addresses that fall into the same DRAM row into one request.
-
-    Consecutive requests to the same row are served from the open row buffer
-    without a new activation, so for trace-volume accounting the paper counts
-    *distinct row* requests (cf. the 1.58 vs 4.02 requests/cube statistic).
-    Returns the deduplicated row-aligned addresses, preserving first-seen
-    order.
-    """
-    if row_bytes <= 0:
-        raise ValueError("row_bytes must be positive")
-    addresses = np.asarray(addresses, dtype=np.int64).ravel()
-    rows = addresses // row_bytes
-    _, first_index = np.unique(rows, return_index=True)
-    order = np.sort(first_index)
-    return rows[order] * row_bytes

@@ -38,10 +38,7 @@ def run_fig11(
     for both sides.
     """
     if system is None:
-        if context is not None:
-            system = context.system(AlgorithmConfig.instant_nerf())
-        else:
-            system = InstantNeRFSystem(AlgorithmConfig.instant_nerf())
+        system = (context or SimulationContext()).system(AlgorithmConfig.instant_nerf())
     scenes = scenes or tuple(SCENE_DIFFICULTY)
     rows = []
     for scene in scenes:

@@ -1,8 +1,9 @@
 """The typed request-stream IR: the front-end / memory-system boundary.
 
-Every front-end (the NeRF hash-grid trace generator, the embedding-table
-workload, future serving/sharding producers) compiles its memory traffic
-down to one small typed value — a :class:`RequestStream` — instead of the
+Every front-end (the NeRF hash-grid lookups of
+``SimulationContext.request_stream``, the embedding-table workload, the
+serving request table) compiles its memory traffic down to one small typed
+value — a :class:`RequestStream` — instead of the
 bare ndarrays whose meaning (corner indices? byte addresses? accesses per
 point?) used to be implicit convention at every consumer seam.  The memory
 system (``repro.core.streaming`` row-request accounting,

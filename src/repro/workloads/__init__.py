@@ -4,12 +4,7 @@ sizes/op-counts (Table II) and hash-table access-trace generation."""
 from .batch import PAPER_BATCH, BatchGeometry
 from .embedding import EmbeddingStreamSource, EmbeddingTableLayout, EmbeddingTraceConfig
 from .steps import BACKWARD_MLP_STEPS, FORWARD_MLP_STEPS, INGPWorkloadModel, StepName, StepWorkload
-from .traces import (
-    HashTraceGenerator,
-    TraceConfig,
-    generate_batch_points,
-    level_lookup_indices,
-)
+from .traces import TraceConfig, generate_batch_points, level_lookup_indices
 
 __all__ = [
     "PAPER_BATCH",
@@ -22,7 +17,6 @@ __all__ = [
     "INGPWorkloadModel",
     "StepName",
     "StepWorkload",
-    "HashTraceGenerator",
     "TraceConfig",
     "generate_batch_points",
     "level_lookup_indices",

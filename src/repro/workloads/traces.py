@@ -1,10 +1,11 @@
-"""Hash-table access-trace generation.
+"""The NeRF lookup-trace front end's building blocks.
 
 The locality experiments (Fig. 6, 7, 9) need realistic streams of hash-table
 lookups: points sampled along rays of a training batch, converted per level
-into the eight surrounding cube vertices, hashed with a chosen hash function,
-and ordered by a chosen streaming order.  The resulting byte-address traces
-feed :class:`repro.dram.DRAMSystem` and the NMP accelerator model.
+into the eight surrounding cube vertices, hashed with a chosen hash function
+and optionally pruned by an occupancy grid.  Only
+:meth:`repro.pipeline.context.SimulationContext.request_stream` orders them by
+a streaming order and emits each level's typed request stream.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from ..core import precision
 from ..core.hashing import HashFunction
 from ..nerf.encoding import HashGridConfig
 from ..nerf.occupancy import OccupancyGrid, OccupancyGridConfig, adaptive_sample_mask
-from ..streams.ir import RequestStream, TableLayout, table_base_address
 
 __all__ = [
     "TraceConfig",
@@ -28,7 +28,6 @@ __all__ = [
     "occupancy_grid_for_trace",
     "occupancy_point_mask",
     "level_lookup_indices",
-    "HashTraceGenerator",
 ]
 
 
@@ -235,26 +234,21 @@ def occupancy_grid_for_trace(
 
 
 def occupancy_point_mask(
-    config: TraceConfig,
-    points: np.ndarray | None = None,
-    grid: OccupancyGrid | None = None,
+    config: TraceConfig, *, points: np.ndarray, grid: OccupancyGrid
 ) -> np.ndarray:
     """Flat keep mask over a trace's ``num_rays * points_per_ray`` samples.
 
-    A sample survives when its occupancy-grid cell is occupied; with
+    ``points`` is the trace's dense batch and ``grid`` its occupancy grid.  A
+    sample survives when its occupancy-grid cell is occupied; with
     ``occupancy_termination > 0`` also only while the ray's transmittance
     through the scene's density (accumulated over kept samples, world-scale
     segment widths) still exceeds the threshold.
     """
     if not config.occupancy:
         raise ValueError("occupancy_point_mask requires TraceConfig.occupancy=True")
-    if points is None:
-        points = generate_batch_points(config.dense())
     points = np.asarray(points, dtype=np.float64).reshape(
         config.num_rays, config.points_per_ray, 3
     )
-    if grid is None:
-        grid = occupancy_grid_for_trace(config)
     t_values = densities = None
     if config.occupancy_termination > 0.0:
         from ..scenes.library import build_scene
@@ -317,83 +311,3 @@ def level_lookup_indices(
     base = np.clip(np.floor(pts * res).astype(np.int64), 0, res - 1)
     indexer = grid_config.level_indexer(level, hash_fn)
     return indexer.corner_hashes(base, grid_config.level_table_entries(level))
-
-
-class HashTraceGenerator:
-    """Generates complete hash-lookup address traces for a training batch.
-
-    With ``trace_config.occupancy`` the emitted streams are pruned by the
-    occupancy-grid keep mask: samples in empty cells (and, with termination
-    enabled, past the opaque part of the scene) issue no lookups, so every
-    pruned stream is an exact subset of its dense twin in stream order.
-    """
-
-    def __init__(
-        self,
-        grid_config: HashGridConfig | None = None,
-        trace_config: TraceConfig | None = None,
-        hash_fn: HashFunction | None = None,
-    ):
-        self.grid = grid_config or HashGridConfig()
-        self.config = trace_config or TraceConfig()
-        self.hash_fn = hash_fn or self.grid.hash_fn
-        self._points = generate_batch_points(self.config.dense())
-        self.occupancy_mask: np.ndarray | None = (
-            occupancy_point_mask(self.config, points=self._points)
-            if self.config.occupancy
-            else None
-        )
-
-    @property
-    def points(self) -> np.ndarray:
-        """The sampled batch, shape ``(num_rays, points_per_ray, 3)``."""
-        return self._points
-
-    # ------------------------------------------------------- StreamSource
-    @property
-    def name(self) -> str:
-        return "nerf.hash_trace"
-
-    @property
-    def layout(self) -> TableLayout:
-        return self.grid
-
-    @property
-    def num_streams(self) -> int:
-        return self.grid.num_levels
-
-    def stream(self, level: int, point_order: np.ndarray | None = None) -> RequestStream:
-        """One level's lookups as a typed :class:`RequestStream`.
-
-        The single trace-emission code path: points are permuted by
-        ``point_order`` (a permutation over the flattened point axis, as
-        produced by :mod:`repro.core.streaming`), hashed into per-point
-        corner indices, grouped by cube id (the reuse-group axis downstream
-        locality accounting keys on), and — with occupancy enabled — pruned
-        to the exact IR subset of the dense stream, after the reordering so
-        stream order is preserved.
-        """
-        from ..core.streaming import cube_ids
-
-        pts = self._points.reshape(-1, 3)
-        if point_order is not None:
-            pts = pts[point_order]
-        indices = level_lookup_indices(pts, level, self.grid, self.hash_fn)
-        stream = RequestStream(
-            indices=indices,
-            entry_bytes=self.config.entry_bytes,
-            table_entries=self.grid.level_table_entries(level),
-            base_address=table_base_address(self.grid, level, self.config.entry_bytes),
-            dtype=self.config.dtype,
-            group_ids=cube_ids(pts, self.grid.resolutions[level]),
-            source=self.name,
-            label=f"level={level}",
-        )
-        if self.occupancy_mask is not None:
-            keep = (
-                self.occupancy_mask
-                if point_order is None
-                else self.occupancy_mask[point_order]
-            )
-            stream = stream.subset(keep)
-        return stream

@@ -21,10 +21,12 @@ from repro.accel import (
     build_step_program,
 )
 from repro.core.parallelism import all_data_parallel_plan
+from repro.core.streaming import StreamingOrder
 from repro.gpu import TX2, XNX
 from repro.mem import CacheConfig, CacheHierarchy
 from repro.nerf.encoding import HashGridConfig
-from repro.workloads.traces import HashTraceGenerator, TraceConfig
+from repro.pipeline import SimulationContext
+from repro.workloads.traces import TraceConfig
 
 
 # ----------------------------------------------------------------------- PEs
@@ -194,9 +196,11 @@ def test_heterogeneous_plan_beats_all_data_parallel_on_nmp():
 @pytest.fixture(scope="module")
 def filtered_stats():
     """Hierarchy stats of one NeRF lookup stream (about 71% of it reaches DRAM)."""
-    stream = HashTraceGenerator(
-        HashGridConfig(num_levels=4), TraceConfig(num_rays=32, points_per_ray=16, seed=0)
-    ).stream(0)
+    grid = HashGridConfig(num_levels=4)
+    trace = TraceConfig(num_rays=32, points_per_ray=16, seed=0)
+    stream = SimulationContext().request_stream(
+        grid, trace, grid.hash_fn, StreamingOrder.RAY_FIRST, 0
+    )
     return CacheHierarchy(CacheConfig(capacity_bytes=16 * 1024)).filter_stream(stream).stats
 
 

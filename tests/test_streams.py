@@ -4,11 +4,12 @@ Covers:
 
 * ``RequestStream`` construction, validation, derived properties and the
   reshape operations (``with_order`` / ``subset`` / ``run_starts``);
-* the two NeRF stream emitters (``HashTraceGenerator.stream`` and
-  ``SimulationContext.request_stream``) agree field for field, with
-  addresses at ``base_address + index * entry_bytes``;
-* both front-ends satisfy the ``StreamSource`` protocol, and occupancy
-  pruning yields exact IR subsets of the dense stream;
+* the one NeRF stream emitter, ``SimulationContext.request_stream``, is
+  its building blocks on the ordered points (``level_lookup_indices``,
+  ``cube_ids``, the occupancy mask after ordering, ``table_base_address``),
+  with addresses at ``base_address + index * entry_bytes``;
+* the embedding front-end satisfies the ``StreamSource`` protocol, and
+  occupancy pruning yields exact IR subsets of the dense stream;
 * ``RequestStream`` round-trips through the :class:`ArtifactStore` (npz
   payload with a typed JSON metadata document);
 * fig07/fig09 artifacts are byte-identical to values recomputed on freshly
@@ -37,6 +38,8 @@ from repro.core.hashing import MortonLocalityHash, OriginalSpatialHash
 from repro.core.mapping import HashTableMapper, HashTableMappingConfig, IntraLevelPolicy
 from repro.core.streaming import (
     StreamingOrder,
+    cube_ids,
+    point_order,
     row_requests_for_stream,
     row_requests_for_stream_reference,
     stream_register_hit_rate,
@@ -65,7 +68,13 @@ from repro.workloads.embedding import (
     EmbeddingTraceConfig,
     zipfian_indices,
 )
-from repro.workloads.traces import HashTraceGenerator, TraceConfig
+from repro.workloads.traces import (
+    TraceConfig,
+    generate_batch_points,
+    level_lookup_indices,
+    occupancy_grid_for_trace,
+    occupancy_point_mask,
+)
 
 GRID = HashGridConfig(num_levels=4)
 TRACE = TraceConfig(num_rays=16, points_per_ray=8, seed=3)
@@ -144,41 +153,53 @@ def test_table_base_address_matches_back_to_back_layout():
 
 
 # ------------------------------------------------------------ stream sources
-def test_both_front_ends_satisfy_the_stream_source_protocol():
-    nerf = HashTraceGenerator(GRID, TRACE, MortonLocalityHash())
-    emb = EmbeddingStreamSource(EMB)
-    for source, expected in ((nerf, GRID.num_levels), (emb, EMB.num_tables)):
-        assert isinstance(source, StreamSource)
-        assert source.num_streams == expected
-        streams = list(iter_streams(source))
-        assert len(streams) == expected
-        assert all(isinstance(s, RequestStream) for s in streams)
-        assert streams[0].source == source.name
+def test_embedding_front_end_satisfies_the_stream_source_protocol():
+    source = EmbeddingStreamSource(EMB)
+    assert isinstance(source, StreamSource)
+    assert source.num_streams == EMB.num_tables
+    streams = list(iter_streams(source))
+    assert len(streams) == EMB.num_tables
+    assert all(isinstance(s, RequestStream) for s in streams)
+    assert streams[0].source == source.name
 
 
-def test_nerf_generator_streams_match_context_request_streams():
-    """The two NeRF stream emitters agree on every field but ``source``."""
+def test_request_stream_is_its_building_blocks_on_the_ordered_points():
+    """The one NeRF stream emitter: the trace's points in stream order
+    through ``level_lookup_indices`` and ``cube_ids``, pruned by the
+    occupancy mask after the ordering, at the level's base address."""
     ctx = SimulationContext()
-    scalar_fields = ("entry_bytes", "table_entries", "base_address", "dtype", "kind", "label")
     traces = (
         TRACE,  # dense, with the default fp16 entries
         dataclasses.replace(TRACE, dtype="fp32"),
         dataclasses.replace(TRACE, scene="lego", occupancy=True),
     )
     for trace in traces:
-        for hash_fn in (MortonLocalityHash(), OriginalSpatialHash()):
-            gen = HashTraceGenerator(GRID, trace, hash_fn)
-            for order in (StreamingOrder.RAY_FIRST, StreamingOrder.RANDOM):
+        points = generate_batch_points(trace.dense()).reshape(-1, 3)
+        mask = np.ones(len(points), dtype=bool)
+        if trace.occupancy:
+            mask = occupancy_point_mask(trace, points=points, grid=occupancy_grid_for_trace(trace))
+            assert 0 < mask.sum() < mask.size
+        for order in (StreamingOrder.RAY_FIRST, StreamingOrder.RANDOM):
+            perm = point_order(
+                trace.num_rays, trace.points_per_ray, order, rng=np.random.default_rng(trace.seed)
+            )
+            ordered, keep = points[perm], mask[perm]
+            for hash_fn in (MortonLocalityHash(), OriginalSpatialHash()):
                 for level in range(GRID.num_levels):
-                    emitted = gen.stream(level, ctx.stream_order(trace, order))
-                    memoized = ctx.request_stream(GRID, trace, hash_fn, order, level)
-                    assert np.array_equal(emitted.indices, memoized.indices)
-                    assert np.array_equal(emitted.group_ids, memoized.group_ids)
-                    for attr in scalar_fields:
-                        assert getattr(emitted, attr) == getattr(memoized, attr), attr
+                    stream = ctx.request_stream(GRID, trace, hash_fn, order, level)
+                    indices = level_lookup_indices(ordered, level, GRID, hash_fn)
+                    groups = cube_ids(ordered, GRID.resolutions[level])
+                    assert np.array_equal(stream.indices, indices[keep])
+                    assert np.array_equal(stream.group_ids, groups[keep])
+                    base = table_base_address(GRID, level, trace.entry_bytes)
+                    assert stream.base_address == base
+                    assert stream.entry_bytes == trace.entry_bytes
+                    assert stream.table_entries == GRID.level_table_entries(level)
+                    assert stream.dtype == trace.dtype
+                    assert stream.kind is StreamKind.GATHER
+                    assert stream.label == f"level={level}"
                     assert np.array_equal(
-                        emitted.addresses,
-                        emitted.base_address + emitted.indices.ravel() * emitted.entry_bytes,
+                        stream.addresses, base + indices[keep].ravel() * trace.entry_bytes
                     )
 
 
@@ -198,8 +219,9 @@ def test_pruned_occupancy_streams_are_exact_ir_subsets_of_dense():
 # ----------------------------------------------------------- store roundtrip
 def test_request_stream_roundtrips_through_the_artifact_store(tmp_path):
     store = ArtifactStore(tmp_path)
-    gen = HashTraceGenerator(GRID, TRACE, MortonLocalityHash())
-    original = gen.stream(1)
+    original = SimulationContext().request_stream(
+        GRID, TRACE, MortonLocalityHash(), StreamingOrder.RAY_FIRST, 1
+    )
     assert store.put(("k", "stream"), original)
     loaded = ArtifactStore(tmp_path).get(("k", "stream"))
     assert isinstance(loaded, RequestStream)
@@ -235,11 +257,11 @@ def test_fig07_row_requests_match_the_oracle():
     ctx = SimulationContext()
     baseline, optimized = OriginalSpatialHash(), MortonLocalityHash()
     result = run_fig07(GRID, TRACE, context=ctx, baseline_hash=baseline, optimized_hash=optimized)
-    random_order = ctx.stream_order(TRACE, StreamingOrder.RANDOM)
+    fresh = SimulationContext()  # the streams emitted again, not fig07's memoized ones
     for row in result.rows:
         level = row["level"]
-        base_stream = HashTraceGenerator(GRID, TRACE, baseline).stream(level, random_order)
-        opt_stream = HashTraceGenerator(GRID, TRACE, optimized).stream(level)
+        base_stream = fresh.request_stream(GRID, TRACE, baseline, StreamingOrder.RANDOM, level)
+        opt_stream = fresh.request_stream(GRID, TRACE, optimized, StreamingOrder.RAY_FIRST, level)
         assert row["baseline_row_requests"] == row_requests_for_stream_reference(base_stream)
         assert row["optimized_row_requests"] == row_requests_for_stream_reference(opt_stream)
         assert row["points_sharing_cube"] == stream_sharing_run_length(opt_stream)
@@ -265,8 +287,9 @@ def test_fig09_conflicts_match_the_legacy_level_indices_path():
 
 
 def test_dram_service_batch_accepts_streams_and_matches_addresses():
-    gen = HashTraceGenerator(GRID, TRACE, MortonLocalityHash())
-    stream = gen.stream(0)
+    stream = SimulationContext().request_stream(
+        GRID, TRACE, MortonLocalityHash(), StreamingOrder.RAY_FIRST, 0
+    )
     capacity = DRAMSystem().spec.organization.total_capacity_bytes
     via_stream = DRAMSystem().service_batch(stream, size_bytes=32)
     # The same byte addresses as a one-byte-entry stream of raw addresses.

@@ -10,11 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.hashing import MortonLocalityHash, OriginalSpatialHash
+from repro.core.streaming import StreamingOrder
 from repro.nerf.encoding import HashGridConfig, HashGridEncoding
+from repro.pipeline import SimulationContext
 from repro.workloads import (
     PAPER_BATCH,
     BatchGeometry,
-    HashTraceGenerator,
     INGPWorkloadModel,
     StepName,
     TraceConfig,
@@ -140,9 +141,12 @@ def test_level_lookup_indices_match_the_encoding_oracle(points, oracle):
 def test_stream_addresses_respect_level_offsets():
     grid = HashGridConfig(num_levels=4, table_size=2**12, max_resolution=64)
     trace_cfg = TraceConfig(num_rays=8, points_per_ray=8)
-    generator = HashTraceGenerator(grid, trace_cfg)
+    ctx = SimulationContext()
     entry_bytes = trace_cfg.entry_bytes
-    level0, level1 = generator.stream(0), generator.stream(1)
+    level0, level1 = (
+        ctx.request_stream(grid, trace_cfg, grid.hash_fn, StreamingOrder.RAY_FIRST, level)
+        for level in (0, 1)
+    )
     assert level0.base_address == 0
     assert np.array_equal(level0.addresses, level0.indices.ravel() * entry_bytes)
     assert level1.base_address == grid.level_table_entries(0) * entry_bytes
@@ -151,23 +155,27 @@ def test_stream_addresses_respect_level_offsets():
 
 def test_hash_trace_generator_streams_every_level():
     grid = HashGridConfig(num_levels=4, table_size=2**12, max_resolution=64)
-    generator = HashTraceGenerator(
-        grid, TraceConfig(num_rays=8, points_per_ray=8), hash_fn=MortonLocalityHash()
-    )
-    # A point permutation reorders each level's stream point by point.
-    order = np.random.default_rng(0).permutation(64)
+    trace = TraceConfig(num_rays=8, points_per_ray=8)
+    ctx = SimulationContext()
+    hash_fn = MortonLocalityHash()
+    # The random order reorders each level's ray-first stream point by point.
+    order = ctx.stream_order(trace, StreamingOrder.RANDOM)
     for level in range(grid.num_levels):
-        stream = generator.stream(level)
+        stream = ctx.request_stream(grid, trace, hash_fn, StreamingOrder.RAY_FIRST, level)
         assert stream.indices.shape == (64, 8)
         assert stream.addresses.shape == (64 * 8,)
         assert np.all(stream.addresses >= 0)
-        permuted = generator.stream(level, order)
+        permuted = ctx.request_stream(grid, trace, hash_fn, StreamingOrder.RANDOM, level)
         assert np.array_equal(permuted.indices, stream.indices[order])
+        assert np.array_equal(permuted.group_ids, stream.group_ids[order])
 
 
 def test_trace_generator_hash_function_changes_addresses():
     grid = HashGridConfig(num_levels=6, table_size=2**12, max_resolution=256)
     trace_cfg = TraceConfig(num_rays=8, points_per_ray=8)
-    morton = HashTraceGenerator(grid, trace_cfg, hash_fn=MortonLocalityHash()).stream(5)
-    original = HashTraceGenerator(grid, trace_cfg, hash_fn=OriginalSpatialHash()).stream(5)
+    ctx = SimulationContext()
+    morton, original = (
+        ctx.request_stream(grid, trace_cfg, hash_fn, StreamingOrder.RAY_FIRST, 5)
+        for hash_fn in (MortonLocalityHash(), OriginalSpatialHash())
+    )
     assert not np.array_equal(morton.addresses, original.addresses)
